@@ -33,10 +33,9 @@ from .grid import (
     ScalarField,
     TorusGrid,
     Trajectory,
-    complex_hessian_matrices,
+    min_admissibility_eigenvalue,
     random_admissible_field,
     save_trajectory,
-    _eigvalsh_identity_plus,
 )
 from .maxprinciple import (
     SpaceTimeGridReal,
@@ -235,6 +234,23 @@ def _flow_params(cfg: RunConfig) -> FlowParams:
                       admissibility_floor=f.admissibility_floor)
 
 
+def _solve(cfg: RunConfig) -> tuple[Trajectory, object, FlowParams]:
+    """Build the configured flow and solve it: (trajectory, rhs, params).
+
+    `equation: "ma"` is the Monge-Ampere flow (the `det` symbol);
+    `equation: "hessian"` takes its symbol from `flow.symbol`.
+    """
+    grid = _build_grid(cfg)
+    rhs = _build_rhs(cfg, grid)
+    phi0 = _build_phi0(cfg, grid)
+    params = _flow_params(cfg)
+    if cfg.flow.equation == "ma":
+        return solve_flow(phi0, rhs, params), rhs, params
+    symbol = symbol_from_config(cfg.flow.symbol, grid.n_complex,
+                                cfg.flow.k, cfg.flow.l)
+    return solve_hessian_flow(phi0, rhs, symbol, params), rhs, params
+
+
 # ---------------------------------------------------------------------------
 # invariant checks
 
@@ -244,12 +260,8 @@ def _trajectory_checks(traj: Trajectory, params: FlowParams) -> dict:
     mono = float(np.diff(traj.values, axis=0).max()) if traj.n_times > 1 else 0.0
     sup0 = float(traj.values[0].max())
     sup_excess = float(traj.values.max() - sup0)
-    min_eig = np.inf
-    for k in range(traj.n_times):
-        eigs = _eigvalsh_identity_plus(
-            complex_hessian_matrices(traj.values[k], traj.grid),
-            traj.grid.n_complex)
-        min_eig = min(min_eig, float(eigs.min()))
+    min_eig = min(min_admissibility_eigenvalue(traj.field_at(k))
+                  for k in range(traj.n_times))
     return {
         "monotone": mono <= slack,
         "sup_bound": sup_excess <= slack,
@@ -292,17 +304,8 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
 
-    grid = _build_grid(config)
-    rhs = _build_rhs(config, grid)
-    phi0 = _build_phi0(config, grid)
-    params = _flow_params(config)
-
-    if config.flow.equation == "ma":
-        traj = solve_flow(phi0, rhs, params)
-    else:
-        symbol = symbol_from_config(config.flow.symbol, grid.n_complex,
-                                    config.flow.k, config.flow.l)
-        traj = solve_hessian_flow(phi0, rhs, symbol, params)
+    traj, rhs, params = _solve(config)
+    grid = traj.grid
     save_trajectory(traj, out_dir / "trajectory.bin")
 
     eF, F = rhs.sample(grid, traj.times)
@@ -635,16 +638,7 @@ def main(argv=None) -> int:
             cfg.validate()
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            grid = _build_grid(cfg)
-            rhs = _build_rhs(cfg, grid)
-            phi0 = _build_phi0(cfg, grid)
-            params = _flow_params(cfg)
-            if cfg.flow.equation == "ma":
-                traj = solve_flow(phi0, rhs, params)
-            else:
-                symbol = symbol_from_config(cfg.flow.symbol, grid.n_complex,
-                                            cfg.flow.k, cfg.flow.l)
-                traj = solve_hessian_flow(phi0, rhs, symbol, params)
+            traj, _, params = _solve(cfg)
             save_trajectory(traj, out / "trajectory.bin")
             checks = _trajectory_checks(traj, params)
             (out / "solve.json").write_text(json.dumps(

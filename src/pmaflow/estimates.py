@@ -29,8 +29,8 @@ from .grid import (
     Trajectory,
     complex_hessian_matrices,
     integrate,
+    min_admissibility_eigenvalue,
     spacetime_integral,
-    _eigvalsh_identity_plus,
 )
 
 __all__ = [
@@ -422,9 +422,7 @@ def _check_comparator(v: Trajectory) -> None:
         warnings.warn("comparator is not nonincreasing in time", stacklevel=3)
     stride = max(1, v.n_times // 8)
     for k in range(0, v.n_times, stride):
-        eigs = _eigvalsh_identity_plus(
-            complex_hessian_matrices(v.values[k], v.grid), v.grid.n_complex)
-        if eigs.min() < -1e-7:
+        if min_admissibility_eigenvalue(v.field_at(k)) < -1e-7:
             warnings.warn("comparator slice is not admissible", stacklevel=3)
             break
 

@@ -5,6 +5,7 @@ eigenvalue vector (lambda_0, lambda_1, ..., lambda_n) where lambda_0 is the
 time slot -d_t phi and lambda_1..lambda_n are the eigenvalues of
 I + H[phi].  Supported symbols:
 
+    det               f = lambda_0 lambda_1 ... lambda_n  (Monge-Ampere)
     ma_power          f = (prod_i lambda_i)^{1/(n+1)}
     lambda0_sigma_k   g = (lambda_0 sigma_k^{1/k}(lambda'))^{n/(n+1)}
     sigma_quotient    g = (lambda_0 (sigma_k/sigma_l)^{1/(k-l)}(lambda'))^{n/(n+1)}
@@ -13,8 +14,9 @@ I + H[phi].  Supported symbols:
 sigma_k is the unnormalized elementary symmetric polynomial.  Gradients use
 the closed forms d sigma_k / d lambda_i = sigma_{k-1}(lambda without i),
 which stay smooth across eigenvalue multiplicities; eigenvalues are never
-differentiated directly.  The solver restricts iterates to the positive
-cone (all slots > floor).
+differentiated directly.  Every flow, Monge-Ampere included, is stepped by
+`backward_euler_step`, which restricts iterates to the positive cone (all
+slots >= floor).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .grid import (
     TorusGrid,
     Trajectory,
     complex_hessian_matrices,
-    _eigvalsh_identity_plus,
+    eigvalsh_identity_plus,
+    min_admissibility_eigenvalue,
 )
 from .stepping import (
     AdmissibilityLost,
@@ -48,28 +51,32 @@ __all__ = [
     "f_eval_grad_arrays",
     "structural_check",
     "hessian_residual",
+    "backward_euler_step",
     "solve_hessian_flow",
     "symbol_from_config",
 ]
 
 
 class ConeViolation(ValueError):
-    """Point outside the symbol's admissible cone."""
+    """Point outside the symbol's admissible cone, or data it cannot reach."""
 
-    def __init__(self, message, location=None):
+    def __init__(self, message, location=None, t=None):
         if location is not None:
             message = f"{message} (grid location {location})"
+        if t is not None:
+            message = f"{message} (at flow time t={t:.6g})"
         super().__init__(message)
         self.location = location
+        self.t = t
 
 
 @dataclass(frozen=True)
 class HessianSymbol:
     """One of the example nonlinearities, with its integer parameters.
 
-    `degree` records the homogeneity: 1 for ma_power and full_sigma_k,
-    2n/(n+1) for the lambda_0-split symbols (each factor contributes
-    degree n/(n+1) out of the (1+1)-homogeneous product).
+    `degree` records the homogeneity: n+1 for det, 1 for ma_power and
+    full_sigma_k, 2n/(n+1) for the lambda_0-split symbols (each factor
+    contributes degree n/(n+1) out of the (1+1)-homogeneous product).
     """
 
     kind: str
@@ -78,7 +85,7 @@ class HessianSymbol:
     l: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("ma_power", "lambda0_sigma_k_power",
+        if self.kind not in ("det", "ma_power", "lambda0_sigma_k_power",
                              "sigma_quotient_power", "full_sigma_k"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.n not in (1, 2):
@@ -92,11 +99,17 @@ class HessianSymbol:
 
     @property
     def degree(self) -> float:
+        if self.kind == "det":
+            return self.n + 1.0
         if self.kind in ("ma_power", "full_sigma_k"):
             return 1.0
         return 2.0 * self.n / (self.n + 1.0)
 
     # -- constructors --
+    @classmethod
+    def det(cls, n: int) -> "HessianSymbol":
+        return cls("det", n)
+
     @classmethod
     def ma_power(cls, n: int) -> "HessianSymbol":
         return cls("ma_power", n)
@@ -204,12 +217,15 @@ def f_eval_grad_arrays(symbol: HessianSymbol, lam0: np.ndarray,
             grad[..., i] = val / ((n + 1) * full[..., i])
         return val, grad
 
-    if symbol.kind == "full_sigma_k":
-        k = symbol.k
+    if symbol.kind in ("det", "full_sigma_k"):
+        # det is sigma_{n+1} of the extended eigenvalues, without the root
+        k = n + 1 if symbol.kind == "det" else symbol.k
         full = np.concatenate([lam0[..., None], lams], axis=-1)
         sk = _sigma_arrays(full, k)
-        val = sk ** (1.0 / k)
         dsk = _sigma_gradient_arrays(full, k)
+        if symbol.kind == "det":
+            return sk, dsk
+        val = sk ** (1.0 / k)
         grad[...] = (val / (k * sk))[..., None] * dsk
         return val, grad
 
@@ -298,7 +314,7 @@ def structural_check(symbol: HessianSymbol, samples) -> StructuralReport:
 def _cone_arrays(grid: TorusGrid, phi_prev_vals, vals, dt):
     lam0 = (phi_prev_vals - vals) / dt
     hmat = complex_hessian_matrices(vals, grid)
-    eigs = _eigvalsh_identity_plus(hmat, grid.n_complex)
+    eigs = eigvalsh_identity_plus(hmat, grid.n_complex)
     return lam0, hmat, eigs
 
 
@@ -352,30 +368,58 @@ def _hermitian_from_eig_weights(hmat: np.ndarray, eigs: np.ndarray,
 
 def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
                        ef_next: np.ndarray, symbol: HessianSymbol, floor: float):
+    """Newton callbacks that share one cone state per distinct iterate.
+
+    The state (lambda_0, H, eigenvalues of I + H) of the last iterate seen
+    is kept together with a reference to that array, so the admissibility
+    check, residual and linearization of one iterate compute its Hessian
+    once.  The Newton driver never modifies an iterate in place, which makes
+    the array's identity a safe key.
+    """
     n = grid.n_complex
+    last = [None, None]   # [iterate, its cone state]
+
+    def state(vals: np.ndarray):
+        if last[0] is not vals:
+            last[:] = [vals, _cone_arrays(grid, phi_prev_vals, vals, dt)]
+        return last[1]
 
     def residual(vals: np.ndarray) -> np.ndarray:
-        lam0, _, eigs = _cone_arrays(grid, phi_prev_vals, vals, dt)
+        lam0, _, eigs = state(vals)
         val, _ = f_eval_grad_arrays(symbol, lam0, eigs)
         return val - ef_next
 
     def linearization(vals: np.ndarray):
-        lam0, hmat, eigs = _cone_arrays(grid, phi_prev_vals, vals, dt)
+        lam0, hmat, eigs = state(vals)
         _, grad = f_eval_grad_arrays(symbol, lam0, eigs)
         zeroth = grad[..., 0] / dt
         b_field = _hermitian_from_eig_weights(hmat, eigs, grad[..., 1:], n)
         return zeroth, b_field
 
     def admissible(vals: np.ndarray) -> bool:
-        lam0, _, eigs = _cone_arrays(grid, phi_prev_vals, vals, dt)
+        lam0, _, eigs = state(vals)
         return bool(lam0.min() >= floor and eigs.min() >= floor)
 
     return residual, linearization, admissible
 
 
-def _scalar_rate(symbol: HessianSymbol, target: np.ndarray,
-                 eigs: np.ndarray) -> np.ndarray:
-    """Solve f(r, eigs) = target for r > 0 pointwise (monotone Newton)."""
+def _scalar_rate(symbol: HessianSymbol, target: np.ndarray, eigs: np.ndarray,
+                 t: float | None = None) -> np.ndarray:
+    """Solve f(r, eigs) = target for r > 0 pointwise (monotone Newton).
+
+    f increases in r, so a root exists exactly where target > f(0+, eigs);
+    ConeViolation names the first point where it does not.  For det and the
+    lambda_0-split symbols f(0, eigs) = 0, so that test never trips.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_zero, _ = f_eval_grad_arrays(symbol, np.zeros_like(target), eigs)
+    bad = target <= f_zero
+    if bad.any():
+        loc = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ConeViolation(
+            f"e^F = {target[loc]:.6g} <= f(0+, lambda) = {f_zero[loc]:.6g}: "
+            f"no rate lambda_0 > 0 solves the {symbol.kind} step",
+            location=loc, t=t)
     r = np.ones_like(target)
     for _ in range(60):
         val, grad = f_eval_grad_arrays(symbol, r, eigs)
@@ -388,41 +432,61 @@ def _scalar_rate(symbol: HessianSymbol, target: np.ndarray,
     return r
 
 
-def solve_hessian_flow(phi0: ScalarField, rhs, symbol: HessianSymbol,
-                       params: FlowParams) -> Trajectory:
-    """Backward-Euler trajectory of the Hessian flow; cone-respecting Newton."""
-    grid = phi0.grid
+def backward_euler_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
+                        symbol: HessianSymbol, params: FlowParams,
+                        t: float | None = None) -> ScalarField:
+    """One backward-Euler step f((phi_prev - phi)/dt, lambda[I + H[phi]]) = e^F.
+
+    The predictor solves the equation pointwise for the rate with the
+    eigenvalues of phi_prev frozen, falling back to the mean rate when that
+    guess leaves the cone (or when params.initial_guess is "constant");
+    Newton then solves the coupled step.  Raises AdmissibilityLost if
+    phi_prev violates the eigenvalue floor, ConeViolation if e^F lies
+    below the symbol's range at some point, and NewtonDiverged if the
+    residual cannot be reduced or the step is not monotone.
+    """
+    grid = phi_prev.grid
     if symbol.n != grid.n_complex:
         raise ValueError("symbol dimension does not match the grid")
     floor = params.admissibility_floor
+    prev = phi_prev.require_finite("phi_prev").values
+    ef_next = np.exp(f_next.values)
+    eigs = eigvalsh_identity_plus(complex_hessian_matrices(prev, grid),
+                                  grid.n_complex)
+    if eigs.min() < floor:
+        raise AdmissibilityLost("phi_prev violates the eigenvalue floor", t)
+    rate = _scalar_rate(symbol, ef_next, eigs, t)
+    residual, linearization, admissible = _hessian_callbacks(
+        grid, prev, dt, ef_next, symbol, floor)
+    guess = prev - dt * rate
+    if params.initial_guess == "constant" or not admissible(guess):
+        guess = prev - dt * float(rate.mean())
+    vals = newton_step(grid, guess, residual, linearization, admissible,
+                       params, t=t)
+    overshoot = float((vals - prev).max())
+    if overshoot > 10.0 * params.newton_tol:
+        raise NewtonDiverged(
+            f"monotonicity violated by {overshoot:.3e} at a converged step", t)
+    return ScalarField(grid, vals)
+
+
+def solve_hessian_flow(phi0: ScalarField, rhs, symbol: HessianSymbol,
+                       params: FlowParams) -> Trajectory:
+    """Backward-Euler trajectory of the Hessian flow; cone-respecting Newton.
+
+    Raises ConeViolation if phi_0 lies outside the positive cone.
+    """
+    grid = phi0.grid
+    if min_admissibility_eigenvalue(phi0) <= 0.0:
+        raise ConeViolation("phi_0 is not admissible for the positive cone")
     times = step_times(params.T, params.dt)
     values = np.empty((len(times),) + grid.shape)
     values[0] = phi0.values
-
-    eigs0 = _eigvalsh_identity_plus(
-        complex_hessian_matrices(phi0.values, grid), grid.n_complex)
-    if eigs0.min() <= 0.0:
-        raise ConeViolation("phi_0 is not admissible for the positive cone")
-
-    current = phi0.values
+    current = phi0
     for k in range(1, len(times)):
         t_k = float(times[k])
         dt_k = float(times[k] - times[k - 1])
-        ef_next = np.exp(rhs.F_field(grid, t_k).values)
-        residual, linearization, admissible = _hessian_callbacks(
-            grid, current, dt_k, ef_next, symbol, floor)
-
-        hmat = complex_hessian_matrices(current, grid)
-        eigs = _eigvalsh_identity_plus(hmat, grid.n_complex)
-        rate = _scalar_rate(symbol, ef_next, eigs)
-        guess = current - dt_k * rate
-        if not admissible(guess):
-            guess = current - dt_k * float(rate.mean())
-        current = newton_step(grid, guess, residual, linearization,
-                              admissible, params, t=t_k)
-        overshoot = float((current - values[k - 1]).max())
-        if overshoot > 10.0 * params.newton_tol:
-            raise NewtonDiverged(
-                f"monotonicity violated by {overshoot:.3e}", t_k)
-        values[k] = current
+        current = backward_euler_step(current, dt_k, rhs.F_field(grid, t_k),
+                                      symbol, params, t=t_k)
+        values[k] = current.values
     return Trajectory(grid, times, values, dt=params.dt)

@@ -1,8 +1,11 @@
-"""Implicit solver for the parabolic complex Monge-Ampere flow.
+"""The parabolic complex Monge-Ampere flow and its data.
 
 The flow is (-d_t phi) det(I + H[phi]) = e^F with phi(0) = phi_0, solved in
 the admissible class d_t phi <= 0, I + H[phi] >= 0 by backward Euler with a
-full Newton solve per step.  The module also carries the right-hand-side
+full Newton solve per step.  It is the product symbol `det` of the Hessian
+flows, so `implicit_step` and `solve_flow` run the shared stepper of
+`flow_hessian`; `ma_residual` keeps the entrywise determinant as an
+independent oracle.  The module also carries the right-hand-side
 generators, the volume normalization h(t), and the auxiliary normalized
 right-hand sides eta_j(-phi - s) e^F / A_{j,s} used by the estimate layer.
 """
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow_hessian import HessianSymbol, backward_euler_step, solve_hessian_flow
 from .grid import (
     ScalarField,
     TorusGrid,
@@ -20,15 +24,8 @@ from .grid import (
     complex_hessian_matrices,
     integrate,
     spacetime_integral,
-    _eigvalsh_identity_plus,
 )
-from .stepping import (
-    AdmissibilityLost,
-    FlowParams,
-    NewtonDiverged,
-    newton_step,
-    step_times,
-)
+from .stepping import AdmissibilityLost, FlowParams, NewtonDiverged
 
 __all__ = [
     "FlowParams",
@@ -212,21 +209,6 @@ def _det_identity_plus(hmat: np.ndarray, n: int) -> np.ndarray:
     return a * b - np.abs(hmat[..., 0, 1]) ** 2
 
 
-def _inverse_identity_plus(hmat: np.ndarray, n: int, det: np.ndarray) -> np.ndarray:
-    """(I + H)^{-1} for Hermitian H, n <= 2, via the adjugate."""
-    out = np.empty_like(hmat)
-    if n == 1:
-        out[..., 0, 0] = 1.0 / (1.0 + hmat[..., 0, 0].real)
-        return out
-    a = 1.0 + hmat[..., 0, 0].real
-    b = 1.0 + hmat[..., 1, 1].real
-    out[..., 0, 0] = b / det
-    out[..., 1, 1] = a / det
-    out[..., 0, 1] = -hmat[..., 0, 1] / det
-    out[..., 1, 0] = -hmat[..., 1, 0] / det
-    return out
-
-
 def ma_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
                 f_next: ScalarField) -> ScalarField:
     """Backward-Euler residual ((phi_prev - phi_next)/dt) det(I+H) - e^F."""
@@ -237,87 +219,25 @@ def ma_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
     return ScalarField(grid, lam0 * det - np.exp(f_next.values))
 
 
-def _ma_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
-                  ef_next: np.ndarray, floor: float):
-    n = grid.n_complex
-
-    def residual(vals: np.ndarray) -> np.ndarray:
-        lam0 = (phi_prev_vals - vals) / dt
-        hmat = complex_hessian_matrices(vals, grid)
-        det = _det_identity_plus(hmat, n)
-        return lam0 * det - ef_next
-
-    def linearization(vals: np.ndarray):
-        lam0 = (phi_prev_vals - vals) / dt
-        hmat = complex_hessian_matrices(vals, grid)
-        det = _det_identity_plus(hmat, n)
-        inv = _inverse_identity_plus(hmat, n, det)
-        zeroth = det / dt
-        b_field = (lam0 * det)[..., None, None] * inv
-        return zeroth, b_field
-
-    def admissible(vals: np.ndarray) -> bool:
-        hmat = complex_hessian_matrices(vals, grid)
-        eigs = _eigvalsh_identity_plus(hmat, n)
-        return bool(eigs.min() >= floor)
-
-    return residual, linearization, admissible
-
-
-def _initial_guess(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
-                   ef_next: np.ndarray, mode: str, floor: float) -> np.ndarray:
-    """Explicit predictor, falling back to a constant shift (always admissible)."""
-    hmat = complex_hessian_matrices(phi_prev_vals, grid)
-    det = _det_identity_plus(hmat, grid.n_complex)
-    mean_rate = float((ef_next / det).mean())
-    if mode == "predictor":
-        guess = phi_prev_vals - dt * ef_next / det
-        eigs = _eigvalsh_identity_plus(
-            complex_hessian_matrices(guess, grid), grid.n_complex)
-        if eigs.min() >= floor:
-            return guess
-    return phi_prev_vals - dt * mean_rate
-
-
 def implicit_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
                   params: FlowParams, _t: float | None = None) -> ScalarField:
-    """One backward-Euler step of the Monge-Ampere flow.
+    """One backward-Euler step of the Monge-Ampere flow (the `det` symbol).
 
     Raises NewtonDiverged if the residual cannot be reduced, and
     AdmissibilityLost if the eigenvalue floor is violated.
     """
-    grid = phi_prev.grid
-    floor = params.admissibility_floor
-    phi_prev.require_finite("phi_prev")
-    ef_next = np.exp(f_next.values)
-    residual, linearization, admissible = _ma_callbacks(
-        grid, phi_prev.values, dt, ef_next, floor)
-    if not admissible(phi_prev.values):
-        raise AdmissibilityLost("phi_prev violates the eigenvalue floor", _t)
-    guess = _initial_guess(grid, phi_prev.values, dt, ef_next,
-                           params.initial_guess, floor)
-    vals = newton_step(grid, guess, residual, linearization, admissible,
-                       params, t=_t)
-    overshoot = float((vals - phi_prev.values).max())
-    if overshoot > 10.0 * params.newton_tol:
-        raise NewtonDiverged(
-            f"monotonicity violated by {overshoot:.3e} at a converged step", _t)
-    return ScalarField(grid, vals)
+    return backward_euler_step(phi_prev, dt, f_next,
+                               HessianSymbol.det(phi_prev.grid.n_complex),
+                               params, t=_t)
 
 
 def solve_flow(phi0: ScalarField, rhs, params: FlowParams) -> Trajectory:
-    """Integrate the flow on [0, T]; the trajectory is monotone and admissible."""
-    grid = phi0.grid
-    times = step_times(params.T, params.dt)
-    values = np.empty((len(times),) + grid.shape)
-    values[0] = phi0.values
-    current = phi0
-    for k in range(1, len(times)):
-        dt_k = float(times[k] - times[k - 1])
-        f_next = rhs.F_field(grid, float(times[k]))
-        current = implicit_step(current, dt_k, f_next, params, _t=float(times[k]))
-        values[k] = current.values
-    return Trajectory(grid, times, values, dt=params.dt)
+    """Integrate the flow on [0, T]; the trajectory is monotone and admissible.
+
+    Raises ConeViolation if phi_0 lies outside the positive cone.
+    """
+    return solve_hessian_flow(phi0, rhs, HessianSymbol.det(phi0.grid.n_complex),
+                              params)
 
 
 def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:

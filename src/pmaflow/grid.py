@@ -20,6 +20,7 @@ Only n in {1, 2} is supported; axis order of the value arrays is
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +37,7 @@ __all__ = [
     "integrate",
     "complex_hessian",
     "hessian_eigenvalues",
+    "eigvalsh_identity_plus",
     "min_admissibility_eigenvalue",
     "convolve_radial",
     "complex_laplacian",
@@ -247,7 +249,7 @@ class HessianData:
     def eigenvalues_of_identity_plus(self) -> np.ndarray:
         """Ascending eigenvalues of I + H at every point, shape (*shape, n)."""
         if self._eigs is None:
-            self._eigs = _eigvalsh_identity_plus(self.matrices, self.grid.n_complex)
+            self._eigs = eigvalsh_identity_plus(self.matrices, self.grid.n_complex)
         return self._eigs
 
 
@@ -333,7 +335,8 @@ def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid,
     return out
 
 
-def _eigvalsh_identity_plus(matrices: np.ndarray, n: int) -> np.ndarray:
+def eigvalsh_identity_plus(matrices: np.ndarray, n: int) -> np.ndarray:
+    """Ascending eigenvalues of I + H for stacked Hermitian H (n <= 2), closed form."""
     if n == 1:
         return 1.0 + matrices[..., 0, 0].real[..., None]
     a = 1.0 + matrices[..., 0, 0].real
@@ -525,11 +528,22 @@ def save_field(f: ScalarField, path) -> None:
         f.values.astype(np.float64).tofile(fh)
 
 
+def _require_size(fh, path, n_words: int) -> None:
+    """Reject a file whose byte count differs from the one its header implies."""
+    expected = 8 * n_words
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != expected:
+        raise ValueError(f"{path} holds {actual} bytes; its header implies "
+                         f"{expected} (truncated or oversized file)")
+
+
 def load_field(path, derivative_mode: str = "spectral") -> ScalarField:
     with open(path, "rb") as fh:
         head = np.fromfile(fh, dtype=np.int64, count=3)
         if len(head) != 3 or head[0] != _FIELD_MAGIC:
             raise ValueError(f"{path} is not a torus field file")
+        n_points = int(head[2]) ** (2 * int(head[1]))
+        _require_size(fh, path, 4 + n_points)
         period = float(np.fromfile(fh, dtype=np.float64, count=1)[0])
         grid = TorusGrid(int(head[1]), int(head[2]), period, derivative_mode)
         vals = np.fromfile(fh, dtype=np.float64).reshape(grid.shape)
@@ -561,9 +575,11 @@ def load_trajectory(path, derivative_mode: str = "spectral") -> Trajectory:
         head = np.fromfile(fh, dtype=np.int64, count=4)
         if len(head) != 4 or head[0] != _TRAJ_MAGIC:
             raise ValueError(f"{path} is not a trajectory checkpoint")
+        n_times = int(head[3])
+        n_points = int(head[2]) ** (2 * int(head[1]))
+        _require_size(fh, path, 6 + n_times * (1 + n_points))
         period, dt = np.fromfile(fh, dtype=np.float64, count=2)
         grid = TorusGrid(int(head[1]), int(head[2]), float(period), derivative_mode)
-        n_times = int(head[3])
         times = np.fromfile(fh, dtype=np.float64, count=n_times)
         vals = np.fromfile(fh, dtype=np.float64).reshape((n_times,) + grid.shape)
     return Trajectory(grid, times, vals, dt=float(dt))

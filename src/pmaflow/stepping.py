@@ -129,8 +129,12 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
     residual_fn(values) -> residual array;
     linearization_fn(values) -> (zeroth, B) coefficient fields of A above;
     admissible_fn(values) -> True iff the iterate respects the cone floor.
+
+    Iterates are fresh arrays that are never modified in place (the first
+    is `guess` itself), so the callbacks may cache per-iterate state keyed
+    on the array's identity.
     """
-    phi = np.asarray(guess, dtype=float).copy()
+    phi = np.asarray(guess, dtype=float)
     if not admissible_fn(phi):
         raise AdmissibilityLost("initial Newton guess violates the cone floor", t)
     res = residual_fn(phi)

@@ -25,6 +25,8 @@ from pmaflow.flow_hessian import f_eval_grad_arrays
 
 
 ALL_SYMBOLS = [
+    HessianSymbol.det(1),
+    HessianSymbol.det(2),
     HessianSymbol.ma_power(1),
     HessianSymbol.ma_power(2),
     HessianSymbol.lambda0_sigma_k(2, 1),
@@ -271,6 +273,22 @@ def test_rejects_inadmissible_initial_data(grid32):
     with pytest.raises(ConeViolation):
         solve_hessian_flow(bad, RhsSpec.zero(), HessianSymbol.ma_power(1),
                            FlowParams(T=0.1, dt=0.01))
+
+
+def test_unreachable_data_names_location_and_time():
+    # f(0+, lambda) = sigma_2(lambda')^{1/2} ~ 1 for a near-flat phi_0, so
+    # e^F = exp(0.3 cos 2 pi x) < 1 has no admissible rate lambda_0 > 0
+    grid = TorusGrid(2, 8)
+    x = grid.meshgrid()[0]
+    phi0 = grid.scalar_field(0.001 * np.cos(2 * np.pi * x))
+    rhs = RhsSpec.smooth_product(lambda *c: 0.3 * np.cos(2 * np.pi * c[0]),
+                                 lambda t: 1.0)
+    with pytest.raises(ConeViolation) as err:
+        solve_hessian_flow(phi0, rhs, HessianSymbol.full_sigma_k(2, 2),
+                           FlowParams(T=0.02, dt=0.01))
+    assert err.value.t == pytest.approx(0.01)
+    assert "t=0.01" in str(err.value)
+    assert np.cos(2 * np.pi * x[err.value.location]) <= 1e-12
 
 
 def test_symbol_config_keys():

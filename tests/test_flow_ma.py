@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from pmaflow import (
     AdmissibilityLost,
     FlowParams,
+    HessianSymbol,
     NewtonDiverged,
     RhsSpec,
     SLevelTooSmall,
@@ -18,6 +19,7 @@ from pmaflow import (
     ma_residual,
     normalize,
     solve_flow,
+    solve_hessian_flow,
 )
 from pmaflow.estimates import exp_alpha_integral
 from pmaflow.flow_ma import eta_smooth_plus
@@ -175,10 +177,19 @@ def test_comparison_identical_runs(grid32):
     assert comparison_check(a, b) == 0.0
 
 
-def test_comparison_different_newton_starts(generic_flow):
+@pytest.mark.parametrize("equation", ["ma", "full_sigma_k"])
+def test_comparison_different_newton_starts(generic_flow, equation):
+    # the predictor and the constant start take different Newton paths to
+    # one trajectory, for Monge-Ampere and for a sigma symbol alike
     traj, _, _, rhs, params = generic_flow
+    phi0 = traj.grid.constant_field(0.0)
     alt = FlowParams(T=params.T, dt=params.dt, initial_guess="constant")
-    other = solve_flow(traj.grid.constant_field(0.0), rhs, alt)
+    if equation == "ma":
+        other = solve_flow(phi0, rhs, alt)
+    else:
+        sym = HessianSymbol.full_sigma_k(1, 2)
+        traj = solve_hessian_flow(phi0, rhs, sym, params)
+        other = solve_hessian_flow(phi0, rhs, sym, alt)
     assert comparison_check(traj, other) <= 10 * params.newton_tol
 
 
@@ -326,6 +337,12 @@ def test_nontrivial_flow_n2(grid2d):
     from pmaflow import min_admissibility_eigenvalue
     assert (min_admissibility_eigenvalue(traj.field_at(traj.n_times - 1))
             >= params.admissibility_floor * (1 - 1e-6))
+    # the entrywise det(I + H) residual is an oracle independent of the
+    # eigen-projector linearization the solver uses
+    r = ma_residual(traj.field_at(traj.n_times - 2),
+                    traj.field_at(traj.n_times - 1), params.dt,
+                    rhs.F_field(grid2d, float(traj.times[-1])))
+    assert np.abs(r.values).max() <= params.newton_tol
 
 
 def test_solver_in_finite_difference_mode():

@@ -303,6 +303,26 @@ def test_trajectory_binary_roundtrip(tmp_path, trivial_flow):
     assert back.dt == traj.dt
 
 
+@pytest.mark.parametrize("damage", ["8_bytes_short", "one_slice_long"])
+@pytest.mark.parametrize("kind", ["field", "trajectory"])
+def test_load_rejects_wrong_byte_count(tmp_path, trivial_flow, kind, damage):
+    traj = trivial_flow[0]
+    path = tmp_path / "data.bin"
+    if kind == "field":
+        save_field(traj.field_at(0), path)
+        load = load_field
+    else:
+        save_trajectory(traj, path)
+        load = load_trajectory
+    data = path.read_bytes()
+    slice_bytes = 8 * int(np.prod(traj.grid.shape))
+    bad = data[:-8] if damage == "8_bytes_short" else data + data[-slice_bytes:]
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=f"holds {len(bad)} bytes; "
+                                         f"its header implies {len(data)}"):
+        load(path)
+
+
 def test_field_csv_export(tmp_path):
     grid = TorusGrid(1, 4)
     f = grid.scalar_field(np.arange(16.0).reshape(4, 4))
