@@ -17,6 +17,7 @@ from .grid import (
     complex_hessian,
     convolve_radial,
     hessian_eigenvalues,
+    hessian_parts,
     integrate,
     load_field,
     load_trajectory,

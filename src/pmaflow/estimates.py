@@ -27,7 +27,7 @@ import numpy as np
 from .grid import (
     ScalarField,
     Trajectory,
-    complex_hessian_matrices,
+    hessian_parts,
     integrate,
     min_admissibility_eigenvalue,
     spacetime_integral,
@@ -169,13 +169,14 @@ def i_functional(phi: ScalarField) -> float:
     """
     grid = phi.grid
     n = grid.n_complex
-    h = complex_hessian_matrices(phi.values, grid)
+    parts = hessian_parts(phi.values, grid)
     if n == 1:
-        dens = phi.values * (2.0 + h[..., 0, 0].real)
+        dens = phi.values * (2.0 + parts[0])
         return 0.5 * float(dens.mean() * grid.volume)
-    a = 1.0 + h[..., 0, 0].real
-    b = 1.0 + h[..., 1, 1].real
-    det = a * b - np.abs(h[..., 0, 1]) ** 2
+    h11, h22, re, im = parts
+    a = 1.0 + h11
+    b = 1.0 + h22
+    det = a * b - np.hypot(re, im) ** 2
     dens = phi.values * (1.0 + 0.5 * (a + b) + det)
     return float(dens.mean() * grid.volume) / 3.0
 

@@ -30,9 +30,8 @@ from .grid import (
     ScalarField,
     TorusGrid,
     Trajectory,
-    complex_hessian_matrices,
-    eigvalsh_identity_plus,
-    min_admissibility_eigenvalue,
+    hessian_parts,
+    identity_plus_eigenvalues,
 )
 from .stepping import (
     AdmissibilityLost,
@@ -313,9 +312,8 @@ def structural_check(symbol: HessianSymbol, samples) -> StructuralReport:
 
 def _cone_arrays(grid: TorusGrid, phi_prev_vals, vals, dt):
     lam0 = (phi_prev_vals - vals) / dt
-    hmat = complex_hessian_matrices(vals, grid)
-    eigs = eigvalsh_identity_plus(hmat, grid.n_complex)
-    return lam0, hmat, eigs
+    parts = hessian_parts(vals, grid)
+    return lam0, parts, identity_plus_eigenvalues(parts)
 
 
 def hessian_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
@@ -334,49 +332,48 @@ def hessian_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
     return ScalarField(grid, val - np.exp(f_next.values))
 
 
-def _hermitian_from_eig_weights(hmat: np.ndarray, eigs: np.ndarray,
-                                weights: np.ndarray, n: int) -> np.ndarray:
-    """Sum_a w_a q_a q_a^* for A = I + H via spectral projectors (n <= 2)."""
-    out = np.zeros_like(hmat)
-    if n == 1:
-        out[..., 0, 0] = weights[..., 0]
-        return out
+def _trace_weights(parts: tuple, eigs: np.ndarray, grad: np.ndarray) -> tuple:
+    """Real weights of tr(B . H[u]) for B = sum_a grad_a q_a q_a^*.
+
+    q_a are the eigenvectors of A = I + H (the `hessian_parts` of the
+    iterate), so B is built from the spectral projectors
+    P_plus = (A - lam_minus I) / gap and P_minus = (lam_plus I - A) / gap;
+    the weights pair with `hessian_parts(u)` as (b11, b22, 2 Re b12,
+    2 Im b12) for n = 2 and (b11,) for n = 1.
+    """
+    if len(parts) == 1:
+        return (grad[..., 0],)
+    h11, h22, re, im = parts
     lam_minus = eigs[..., 0]
     lam_plus = eigs[..., 1]
     gap = lam_plus - lam_minus
-    a = 1.0 + hmat[..., 0, 0].real
-    b = 1.0 + hmat[..., 1, 1].real
-    c = hmat[..., 0, 1]
     scale = np.maximum(np.abs(lam_plus), np.abs(lam_minus)) + 1e-30
     degenerate = gap <= 1e-12 * scale
     safe_gap = np.where(degenerate, 1.0, gap)
-    # P_plus = (A - lam_minus I) / gap, P_minus = (lam_plus I - A) / gap
-    w_minus = weights[..., 0]
-    w_plus = weights[..., 1]
-    out[..., 0, 0] = (w_plus * (a - lam_minus) + w_minus * (lam_plus - a)) / safe_gap
-    out[..., 1, 1] = (w_plus * (b - lam_minus) + w_minus * (lam_plus - b)) / safe_gap
-    off = (w_plus - w_minus) / safe_gap * c
-    out[..., 0, 1] = off
-    out[..., 1, 0] = np.conj(off)
+    w_minus = grad[..., 0]
+    w_plus = grad[..., 1]
     mean_w = 0.5 * (w_plus + w_minus)
-    for i in range(2):
-        out[..., i, i] = np.where(degenerate, mean_w, out[..., i, i].real)
-    out[..., 0, 1] = np.where(degenerate, 0.0, out[..., 0, 1])
-    out[..., 1, 0] = np.where(degenerate, 0.0, out[..., 1, 0])
-    return out
+
+    def diagonal(h):
+        a = 1.0 + h
+        return np.where(degenerate, mean_w,
+                        (w_plus * (a - lam_minus) + w_minus * (lam_plus - a)) / safe_gap)
+
+    off = np.where(degenerate, 0.0, 2.0 * (w_plus - w_minus) / safe_gap)
+    return diagonal(h11), diagonal(h22), off * re, off * im
 
 
 def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
                        ef_next: np.ndarray, symbol: HessianSymbol, floor: float):
     """Newton callbacks that share one cone state per distinct iterate.
 
-    The state (lambda_0, H, eigenvalues of I + H) of the last iterate seen
-    is kept together with a reference to that array, so the admissibility
-    check, residual and linearization of one iterate compute its Hessian
-    once.  The Newton driver never modifies an iterate in place, which makes
-    the array's identity a safe key.
+    The state (lambda_0, hessian_parts, eigenvalues of I + H) of the last
+    iterate seen is kept together with a reference to that array, so the
+    admissibility check, residual and linearization of one iterate compute
+    its Hessian once; `state` itself is returned last.  The Newton driver
+    never modifies an iterate in place, which makes the array's identity a
+    safe key.
     """
-    n = grid.n_complex
     last = [None, None]   # [iterate, its cone state]
 
     def state(vals: np.ndarray):
@@ -390,17 +387,15 @@ def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
         return val - ef_next
 
     def linearization(vals: np.ndarray):
-        lam0, hmat, eigs = state(vals)
+        lam0, parts, eigs = state(vals)
         _, grad = f_eval_grad_arrays(symbol, lam0, eigs)
-        zeroth = grad[..., 0] / dt
-        b_field = _hermitian_from_eig_weights(hmat, eigs, grad[..., 1:], n)
-        return zeroth, b_field
+        return grad[..., 0] / dt, _trace_weights(parts, eigs, grad[..., 1:])
 
     def admissible(vals: np.ndarray) -> bool:
         lam0, _, eigs = state(vals)
         return bool(lam0.min() >= floor and eigs.min() >= floor)
 
-    return residual, linearization, admissible
+    return residual, linearization, admissible, state
 
 
 def _scalar_rate(symbol: HessianSymbol, target: np.ndarray, eigs: np.ndarray,
@@ -432,6 +427,35 @@ def _scalar_rate(symbol: HessianSymbol, target: np.ndarray, eigs: np.ndarray,
     return r
 
 
+def _euler_step(grid: TorusGrid, prev: np.ndarray, eigs: np.ndarray, dt: float,
+                ef_next: np.ndarray, symbol: HessianSymbol, params: FlowParams,
+                t: float | None):
+    """`backward_euler_step` on raw arrays, given the eigenvalues of I + H[prev].
+
+    Returns the new values and the eigenvalues of I + H at them, which the
+    converged Newton state already holds, so a time loop computes the
+    Hessian of each slice once.
+    """
+    if symbol.n != grid.n_complex:
+        raise ValueError("symbol dimension does not match the grid")
+    floor = params.admissibility_floor
+    if eigs.min() < floor:
+        raise AdmissibilityLost("phi_prev violates the eigenvalue floor", t)
+    rate = _scalar_rate(symbol, ef_next, eigs, t)
+    residual, linearization, admissible, state = _hessian_callbacks(
+        grid, prev, dt, ef_next, symbol, floor)
+    guess = prev - dt * rate
+    if params.initial_guess == "constant" or not admissible(guess):
+        guess = prev - dt * float(rate.mean())
+    vals = newton_step(grid, guess, residual, linearization, admissible,
+                       params, t=t)
+    overshoot = float((vals - prev).max())
+    if overshoot > 10.0 * params.newton_tol:
+        raise NewtonDiverged(
+            f"monotonicity violated by {overshoot:.3e} at a converged step", t)
+    return vals, state(vals)[2]
+
+
 def backward_euler_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
                         symbol: HessianSymbol, params: FlowParams,
                         t: float | None = None) -> ScalarField:
@@ -446,27 +470,10 @@ def backward_euler_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
     residual cannot be reduced or the step is not monotone.
     """
     grid = phi_prev.grid
-    if symbol.n != grid.n_complex:
-        raise ValueError("symbol dimension does not match the grid")
-    floor = params.admissibility_floor
     prev = phi_prev.require_finite("phi_prev").values
-    ef_next = np.exp(f_next.values)
-    eigs = eigvalsh_identity_plus(complex_hessian_matrices(prev, grid),
-                                  grid.n_complex)
-    if eigs.min() < floor:
-        raise AdmissibilityLost("phi_prev violates the eigenvalue floor", t)
-    rate = _scalar_rate(symbol, ef_next, eigs, t)
-    residual, linearization, admissible = _hessian_callbacks(
-        grid, prev, dt, ef_next, symbol, floor)
-    guess = prev - dt * rate
-    if params.initial_guess == "constant" or not admissible(guess):
-        guess = prev - dt * float(rate.mean())
-    vals = newton_step(grid, guess, residual, linearization, admissible,
-                       params, t=t)
-    overshoot = float((vals - prev).max())
-    if overshoot > 10.0 * params.newton_tol:
-        raise NewtonDiverged(
-            f"monotonicity violated by {overshoot:.3e} at a converged step", t)
+    eigs = identity_plus_eigenvalues(hessian_parts(prev, grid))
+    vals, _ = _euler_step(grid, prev, eigs, dt, np.exp(f_next.values), symbol,
+                          params, t)
     return ScalarField(grid, vals)
 
 
@@ -477,16 +484,18 @@ def solve_hessian_flow(phi0: ScalarField, rhs, symbol: HessianSymbol,
     Raises ConeViolation if phi_0 lies outside the positive cone.
     """
     grid = phi0.grid
-    if min_admissibility_eigenvalue(phi0) <= 0.0:
+    vals = phi0.require_finite("phi_0").values
+    eigs = identity_plus_eigenvalues(hessian_parts(vals, grid))
+    if eigs.min() <= 0.0:
         raise ConeViolation("phi_0 is not admissible for the positive cone")
     times = step_times(params.T, params.dt)
     values = np.empty((len(times),) + grid.shape)
-    values[0] = phi0.values
-    current = phi0
+    values[0] = vals
     for k in range(1, len(times)):
         t_k = float(times[k])
         dt_k = float(times[k] - times[k - 1])
-        current = backward_euler_step(current, dt_k, rhs.F_field(grid, t_k),
-                                      symbol, params, t=t_k)
-        values[k] = current.values
+        ef_next = np.exp(rhs.F_field(grid, t_k).values)
+        vals, eigs = _euler_step(grid, vals, eigs, dt_k, ef_next, symbol,
+                                 params, t_k)
+        values[k] = vals
     return Trajectory(grid, times, values, dt=params.dt)

@@ -21,6 +21,8 @@ Only n in {1, 2} is supported; axis order of the value arrays is
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,7 +38,10 @@ __all__ = [
     "DEFAULT_KERNEL",
     "integrate",
     "complex_hessian",
+    "complex_hessian_matrices",
+    "hessian_parts",
     "hessian_eigenvalues",
+    "identity_plus_eigenvalues",
     "eigvalsh_identity_plus",
     "min_admissibility_eigenvalue",
     "convolve_radial",
@@ -106,30 +111,39 @@ class TorusGrid:
         return np.meshgrid(*([self.axis()] * self.real_dim), indexing="ij")
 
     @cached_property
-    def _wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers along one axis (Nyquist included)."""
-        n = self.points_per_axis
-        return 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
+    def axes(self) -> tuple:
+        """All axes, passed with `s=` to irfftn (numpy 2 deprecates `s` alone)."""
+        return tuple(range(self.real_dim))
 
     @cached_property
-    def _wavenumbers_odd(self) -> np.ndarray:
-        """Wavenumbers for first-derivative symbols (Nyquist zeroed)."""
-        k = self._wavenumbers.copy()
-        k[self.points_per_axis // 2] = 0.0
-        return k
+    def hessian_symbols(self) -> tuple:
+        """Fourier symbols of the `hessian_parts` components on the rfftn grid.
 
-    def _axis_symbol(self, axis: int, odd: bool) -> np.ndarray:
-        k = self._wavenumbers_odd if odd else self._wavenumbers
-        shape = [1] * self.real_dim
-        shape[axis] = self.points_per_axis
-        return k.reshape(shape)
+        The last axis carries only the non-negative half of the angular
+        wavenumbers.  Mixed-derivative symbols zero the Nyquist mode, whose
+        sign is ambiguous; pure second derivatives keep it.  Each symbol is
+        real and even, so one irfftn of symbol * rfftn(u) is exact.
+        """
+        n, d = self.points_per_axis, self.real_dim
 
-    def second_derivative_symbol(self, axis_a: int, axis_b: int) -> np.ndarray:
-        """Fourier symbol of d^2/(d x_a d x_b); broadcastable to shape."""
-        if axis_a == axis_b:
-            return -self._axis_symbol(axis_a, odd=False) ** 2
-        return -(self._axis_symbol(axis_a, odd=True)
-                 * self._axis_symbol(axis_b, odd=True))
+        def k(axis: int, odd: bool) -> np.ndarray:
+            freq = np.fft.rfftfreq if axis == d - 1 else np.fft.fftfreq
+            w = 2.0 * np.pi * freq(n, d=self.spacing)
+            if odd:
+                w[n // 2] = 0.0
+            return w.reshape([len(w) if a == axis else 1 for a in range(d)])
+
+        def d2(a: int, b: int) -> np.ndarray:
+            if a == b:
+                return -k(a, odd=False) ** 2
+            return -(k(a, odd=True) * k(b, odd=True))
+
+        return _hessian_combinations(d2, self.n_complex)
+
+    @cached_property
+    def quarter_laplacian_symbol(self) -> np.ndarray:
+        """Symbol of tr H = (1/4) real Laplacian on the rfftn grid."""
+        return sum(self.hessian_symbols[:self.n_complex])
 
     def scalar_field(self, values) -> "ScalarField":
         return ScalarField(self, np.asarray(values, dtype=float))
@@ -279,12 +293,18 @@ def spacetime_integral(traj: Trajectory) -> float:
 # complex Hessian
 
 
-def _fft_second_derivative(values, grid: TorusGrid, axis_a: int, axis_b: int,
-                           fhat=None) -> np.ndarray:
-    if fhat is None:
-        fhat = np.fft.fftn(values)
-    sym = grid.second_derivative_symbol(axis_a, axis_b)
-    return np.fft.ifftn(sym * fhat).real
+def _hessian_combinations(d2, n: int) -> tuple:
+    """The independent real components of H from real second partials d2(a, b).
+
+    Axes: x_i -> 2i, y_i -> 2i+1.  n = 1 gives (h11,); n = 2 gives
+    (h11, h22, Re h12, Im h12).
+    """
+    parts = [0.25 * (d2(0, 0) + d2(1, 1))]
+    if n == 2:
+        parts += [0.25 * (d2(2, 2) + d2(3, 3)),
+                  0.25 * (d2(0, 2) + d2(1, 3)),
+                  0.25 * (d2(0, 3) - d2(1, 2))]
+    return tuple(parts)
 
 
 def _fd_second_derivative(values, grid: TorusGrid, axis_a: int, axis_b: int) -> np.ndarray:
@@ -299,10 +319,19 @@ def _fd_second_derivative(values, grid: TorusGrid, axis_a: int, axis_b: int) -> 
     return (vpp - vpm - vmp + vmm) / (4.0 * h**2)
 
 
-def second_derivative(field: ScalarField, axis_a: int, axis_b: int) -> np.ndarray:
-    if field.grid.derivative_mode == "spectral":
-        return _fft_second_derivative(field.values, field.grid, axis_a, axis_b)
-    return _fd_second_derivative(field.values, field.grid, axis_a, axis_b)
+def hessian_parts(values: np.ndarray, grid: TorusGrid) -> tuple:
+    """Independent real components of the complex Hessian of a value array.
+
+    n = 1 gives (h11,); n = 2 gives (h11, h22, Re h12, Im h12).  Spectral
+    mode does one rfftn and one irfftn per component against the grid's
+    cached `hessian_symbols`; finite-difference mode is the cross-check.
+    """
+    if grid.derivative_mode == "spectral":
+        uhat = np.fft.rfftn(values)
+        return tuple(np.fft.irfftn(sym * uhat, s=grid.shape, axes=grid.axes)
+                     for sym in grid.hessian_symbols)
+    return _hessian_combinations(
+        lambda a, b: _fd_second_derivative(values, grid, a, b), grid.n_complex)
 
 
 def complex_hessian(field: ScalarField) -> HessianData:
@@ -312,39 +341,43 @@ def complex_hessian(field: ScalarField) -> HessianData:
     return HessianData(grid, complex_hessian_matrices(field.values, grid))
 
 
-def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid,
-                             fhat=None) -> np.ndarray:
-    """Hessian matrices of a raw value array (hot-path variant)."""
+def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Hessian matrices of a raw value array, assembled from `hessian_parts`."""
     n = grid.n_complex
-    if grid.derivative_mode == "spectral":
-        if fhat is None:
-            fhat = np.fft.fftn(values)
-        d2 = lambda a, b: _fft_second_derivative(values, grid, a, b, fhat=fhat)
-    else:
-        d2 = lambda a, b: _fd_second_derivative(values, grid, a, b)
-
+    parts = hessian_parts(values, grid)
     out = np.zeros(grid.shape + (n, n), dtype=complex)
-    # axes: x_i -> 2i, y_i -> 2i+1
-    for i in range(n):
-        out[..., i, i] = 0.25 * (d2(2 * i, 2 * i) + d2(2 * i + 1, 2 * i + 1))
+    out[..., 0, 0] = parts[0]
     if n == 2:
-        re = 0.25 * (d2(0, 2) + d2(1, 3))
-        im = 0.25 * (d2(0, 3) - d2(1, 2))
+        _, h22, re, im = parts
+        out[..., 1, 1] = h22
         out[..., 0, 1] = re + 1j * im
         out[..., 1, 0] = re - 1j * im
     return out
 
 
+def identity_plus_eigenvalues(parts: tuple) -> np.ndarray:
+    """Ascending eigenvalues of I + H from `hessian_parts`, closed form.
+
+    Shape (*grid.shape, n) with n = 1 for (h11,) and n = 2 for
+    (h11, h22, Re h12, Im h12).
+    """
+    if len(parts) == 1:
+        return 1.0 + parts[0][..., None]
+    h11, h22, re, im = parts
+    a = 1.0 + h11
+    b = 1.0 + h22
+    mean = 0.5 * (a + b)
+    rad = np.sqrt(0.25 * (a - b) ** 2 + np.hypot(re, im) ** 2)
+    return np.stack([mean - rad, mean + rad], axis=-1)
+
+
 def eigvalsh_identity_plus(matrices: np.ndarray, n: int) -> np.ndarray:
     """Ascending eigenvalues of I + H for stacked Hermitian H (n <= 2), closed form."""
-    if n == 1:
-        return 1.0 + matrices[..., 0, 0].real[..., None]
-    a = 1.0 + matrices[..., 0, 0].real
-    b = 1.0 + matrices[..., 1, 1].real
-    off = np.abs(matrices[..., 0, 1])
-    mean = 0.5 * (a + b)
-    rad = np.sqrt(0.25 * (a - b) ** 2 + off**2)
-    return np.stack([mean - rad, mean + rad], axis=-1)
+    parts = (matrices[..., 0, 0].real,)
+    if n == 2:
+        parts += (matrices[..., 1, 1].real, matrices[..., 0, 1].real,
+                  matrices[..., 0, 1].imag)
+    return identity_plus_eigenvalues(parts)
 
 
 def hessian_eigenvalues(hess: HessianData) -> np.ndarray:
@@ -354,13 +387,14 @@ def hessian_eigenvalues(hess: HessianData) -> np.ndarray:
 
 def min_admissibility_eigenvalue(field: ScalarField) -> float:
     """Smallest eigenvalue of I + H[field] over all grid points."""
-    return float(hessian_eigenvalues(complex_hessian(field)).min())
+    field.require_finite("field")
+    parts = hessian_parts(field.values, field.grid)
+    return float(identity_plus_eigenvalues(parts).min())
 
 
 def complex_laplacian(field: ScalarField) -> np.ndarray:
     """Trace of the complex Hessian, sum_i phi_{i ibar} = (1/4) real Laplacian."""
-    h = complex_hessian_matrices(field.values, field.grid)
-    return np.trace(h, axis1=-2, axis2=-1).real
+    return sum(hessian_parts(field.values, field.grid)[:field.grid.n_complex])
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +480,28 @@ def _kernel_on_grid_normalized(grid: TorusGrid, s: float, kernel: RadialKernel) 
     return k / total
 
 
-_KERNEL_FFT_CACHE: dict = {}
+# Bytes of kernel transforms kept, least recently used evicted first.  One
+# n=2, N=16 Kiselman-Legendre transform uses 44 entries (25 MiB); an n=2,
+# N=32 entry alone is about 9 MiB.
+_KERNEL_FFT_CACHE_BYTES = 128 * 2**20
+_KERNEL_FFT_CACHE: OrderedDict = OrderedDict()
+_KERNEL_FFT_LOCK = threading.Lock()
 
 
 def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
     key = (grid.n_complex, grid.points_per_axis, grid.period, float(s), kernel.name)
-    out = _KERNEL_FFT_CACHE.get(key)
-    if out is None:
-        k = _kernel_on_grid_normalized(grid, s, kernel)
-        out = np.fft.rfftn(k)
-        if len(_KERNEL_FFT_CACHE) > 4096:
-            _KERNEL_FFT_CACHE.clear()
+    with _KERNEL_FFT_LOCK:
+        out = _KERNEL_FFT_CACHE.get(key)
+        if out is not None:
+            _KERNEL_FFT_CACHE.move_to_end(key)
+            return out
+    out = np.fft.rfftn(_kernel_on_grid_normalized(grid, s, kernel))
+    with _KERNEL_FFT_LOCK:
         _KERNEL_FFT_CACHE[key] = out
+        _KERNEL_FFT_CACHE.move_to_end(key)
+        held = sum(v.nbytes for v in _KERNEL_FFT_CACHE.values())
+        while _KERNEL_FFT_CACHE and held > _KERNEL_FFT_CACHE_BYTES:
+            held -= _KERNEL_FFT_CACHE.popitem(last=False)[1].nbytes
     return out
 
 
@@ -475,8 +519,7 @@ def convolve_radial(field: ScalarField, s: float,
     field.require_finite("field")
     khat = _kernel_fft(grid, s, kernel)
     fhat = np.fft.rfftn(field.values)
-    axes = tuple(range(grid.real_dim))
-    out = np.fft.irfftn(fhat * khat, s=grid.shape, axes=axes) * grid.cell_volume
+    out = np.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes) * grid.cell_volume
     return ScalarField(grid, out)
 
 

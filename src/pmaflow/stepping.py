@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
-from .grid import TorusGrid, complex_hessian_matrices
+from .grid import TorusGrid, hessian_parts
 
 __all__ = ["FlowParams", "NewtonDiverged", "AdmissibilityLost", "newton_step"]
 
@@ -69,45 +69,42 @@ class AdmissibilityLost(RuntimeError):
         self.t = t
 
 
-def _apply_hessian_trace(u: np.ndarray, grid: TorusGrid, b_field: np.ndarray) -> np.ndarray:
-    """tr(B . H[u]) for a Hermitian coefficient field B of shape (*shape, n, n)."""
-    n = grid.n_complex
-    h = complex_hessian_matrices(u, grid)
-    if n == 1:
-        return b_field[..., 0, 0].real * h[..., 0, 0].real
-    out = (b_field[..., 0, 0].real * h[..., 0, 0].real
-           + b_field[..., 1, 1].real * h[..., 1, 1].real)
-    out += 2.0 * (b_field[..., 0, 1] * np.conj(h[..., 0, 1])).real
+def _hessian_trace(u: np.ndarray, grid: TorusGrid, weights: tuple) -> np.ndarray:
+    """tr(B . H[u]) = sum_j w_j part_j(u) over the components of `hessian_parts`.
+
+    The real weights of a Hermitian B are (b11,) for n = 1 and
+    (b11, b22, 2 Re b12, 2 Im b12) for n = 2.
+    """
+    parts = hessian_parts(u, grid)
+    out = weights[0] * parts[0]
+    for w, part in zip(weights[1:], parts[1:]):
+        out += w * part
     return out
 
 
 def _fourier_preconditioner(grid: TorusGrid, zeroth_mean: float, b_mean: float):
     """Inverse of the constant-coefficient symbol zeroth + b * |k|^2 / 4."""
-    syms = [grid.second_derivative_symbol(a, a) for a in range(grid.real_dim)]
-    lap = np.zeros(grid.shape)
-    for s in syms:
-        lap = lap + s  # broadcast
-    denom = zeroth_mean - 0.25 * b_mean * lap  # lap symbol is negative
-    denom = np.maximum(denom, 1e-300)
+    denom = np.maximum(zeroth_mean - b_mean * grid.quarter_laplacian_symbol, 1e-300)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(np.fft.fftn(v.reshape(grid.shape)) / denom).real.ravel()
+        vhat = np.fft.rfftn(v.reshape(grid.shape))
+        return np.fft.irfftn(vhat / denom, s=grid.shape, axes=grid.axes).ravel()
 
     return apply
 
 
-def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, b_field: np.ndarray,
+def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
                       rhs: np.ndarray, rtol: float, maxiter: int) -> np.ndarray:
-    """Solve zeroth * u - tr(B H[u]) = rhs on the grid."""
+    """Solve zeroth * u - tr(B H[u]) = rhs, B given by its real weights."""
     size = rhs.size
 
     def matvec(v):
         u = v.reshape(grid.shape)
-        return (zeroth * u - _apply_hessian_trace(u, grid, b_field)).ravel()
+        return (zeroth * u - _hessian_trace(u, grid, weights)).ravel()
 
-    zer_mean = float(zeroth.mean())
-    b_mean = float(np.trace(b_field, axis1=-2, axis2=-1).real.mean()) / grid.n_complex
-    prec = _fourier_preconditioner(grid, zer_mean, max(b_mean, 0.0))
+    n = grid.n_complex
+    b_mean = float(sum(weights[:n]).mean()) / n
+    prec = _fourier_preconditioner(grid, float(zeroth.mean()), max(b_mean, 0.0))
 
     A = LinearOperator((size, size), matvec=matvec, dtype=float)
     M = LinearOperator((size, size), matvec=prec, dtype=float)
@@ -127,7 +124,8 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
     """Damped Newton iteration for one backward-Euler step.
 
     residual_fn(values) -> residual array;
-    linearization_fn(values) -> (zeroth, B) coefficient fields of A above;
+    linearization_fn(values) -> (zeroth, weights): zeroth and the real
+        weights of B (see `_hessian_trace`);
     admissible_fn(values) -> True iff the iterate respects the cone floor.
 
     Iterates are fresh arrays that are never modified in place (the first
@@ -143,8 +141,8 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
     for _ in range(params.newton_max_iter):
         if res_norm <= params.newton_tol:
             break
-        zeroth, b_field = linearization_fn(phi)
-        delta = _solve_linearized(grid, zeroth, b_field, res,
+        zeroth, weights = linearization_fn(phi)
+        delta = _solve_linearized(grid, zeroth, weights, res,
                                   params.linear_rtol, params.linear_max_iter)
         frac = params.damping
         accepted = False

@@ -10,6 +10,7 @@ from pmaflow import (
     TorusGrid,
     complex_hessian,
     convolve_radial,
+    hessian_parts,
     hessian_eigenvalues,
     integrate,
     load_field,
@@ -18,7 +19,7 @@ from pmaflow import (
     save_field,
     save_trajectory,
 )
-from pmaflow.grid import HessianData, field_to_csv
+from pmaflow.grid import HessianData, complex_hessian_matrices, field_to_csv
 
 
 def band_limited(grid, rng, max_mode=5, n_modes=6):
@@ -246,6 +247,69 @@ def test_convolve_rejects_wrapping_kernel(grid64):
         convolve_radial(grid64.constant_field(0.0), 0.5)
 
 
+def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
+    from collections import OrderedDict
+    from pmaflow import grid as grid_mod
+
+    grid = TorusGrid(1, 32)
+    f = band_limited(grid, np.random.default_rng(7))
+    radii = (0.1, 0.15, 0.2, 0.25, 0.1, 0.3)
+    expected = [convolve_radial(f, s).values for s in radii]
+    entry = grid_mod._kernel_fft(grid, 0.1, DEFAULT_KERNEL).nbytes
+    bound = int(2.5 * entry)
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE_BYTES", bound)
+    cache = grid_mod._KERNEL_FFT_CACHE
+    for s, want in zip(radii, expected):
+        assert np.array_equal(convolve_radial(f, s).values, want)
+        assert sum(v.nbytes for v in cache.values()) <= bound
+    assert [key[3] for key in cache] == [0.1, 0.3]
+    # a hit renews 0.1, so the next miss evicts 0.3, the least recently used
+    convolve_radial(f, 0.1)
+    convolve_radial(f, 0.25)
+    assert [key[3] for key in cache] == [0.1, 0.25]
+
+
+def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
+    """The thread-pool sweep shares the cache; eviction must not lose updates."""
+    import sys
+    import threading
+    from collections import OrderedDict
+    from pmaflow import grid as grid_mod
+
+    grid = TorusGrid(1, 16)
+    f = band_limited(grid, np.random.default_rng(9))
+    radii = [0.1 + 0.02 * i for i in range(8)]
+    expected = {s: convolve_radial(f, s).values for s in radii}
+    bound = int(3.5 * grid_mod._kernel_fft(grid, 0.1, DEFAULT_KERNEL).nbytes)
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE_BYTES", bound)
+    wrong = []
+
+    def work(offset):
+        for i in range(150):
+            s = radii[(i + offset) % len(radii)]
+            try:
+                if not np.array_equal(convolve_radial(f, s).values, expected[s]):
+                    wrong.append(s)
+            except Exception as exc:   # a lost update surfaces as KeyError
+                wrong.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert sum(v.nbytes for v in grid_mod._KERNEL_FFT_CACHE.values()) <= bound
+
+
 def test_kernel_normalization_and_moment():
     # closed forms for rho(r) = c (1-r^2)^3: c = 4/pi, K = 1/5 in d = 2
     assert float(DEFAULT_KERNEL.density(0.0, 2)) == pytest.approx(4.0 / np.pi, rel=1e-10)
@@ -277,6 +341,74 @@ def test_admissible_generator_respects_margin(seed):
     f = random_admissible_field(grid, rng, margin=0.2)
     from pmaflow import min_admissibility_eigenvalue
     assert min_admissibility_eigenvalue(f) >= 0.2 - 1e-9
+
+
+@pytest.mark.parametrize("n_complex,N", [(1, 16), (2, 8)])
+def test_hessian_parts_match_full_complex_fft(n_complex, N):
+    """White noise, Nyquist modes included, against complex fftn/ifftn.
+
+    The reference differentiates on the full Fourier grid with the Nyquist
+    wavenumber zeroed in first-derivative factors, then takes the real part.
+    """
+    grid = TorusGrid(n_complex, N)
+    u = np.random.default_rng(8).standard_normal(grid.shape)
+    k = 2 * np.pi * np.fft.fftfreq(N, d=grid.spacing)
+    k_odd = np.where(np.arange(N) == N // 2, 0.0, k)
+    mesh = np.meshgrid(*([k] * grid.real_dim), indexing="ij")
+    mesh_odd = np.meshgrid(*([k_odd] * grid.real_dim), indexing="ij")
+    uhat = np.fft.fftn(u)
+
+    def d2(a, b):
+        sym = -mesh[a] ** 2 if a == b else -mesh_odd[a] * mesh_odd[b]
+        return np.fft.ifftn(sym * uhat).real
+
+    want = [0.25 * (d2(0, 0) + d2(1, 1))]
+    if n_complex == 2:
+        want += [0.25 * (d2(2, 2) + d2(3, 3)), 0.25 * (d2(0, 2) + d2(1, 3)),
+                 0.25 * (d2(0, 3) - d2(1, 2))]
+    scale = max(float(np.abs(w).max()) for w in want)
+    for got, ref in zip(hessian_parts(u, grid), want):
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+_MODE = st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * np.pi),
+                  st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_complex=st.sampled_from([1, 2]), modes=st.lists(_MODE, min_size=1, max_size=4))
+def test_hessian_parts_match_closed_form(n_complex, modes):
+    """hessian_parts of a trig polynomial below Nyquist equals its exact Hessian.
+
+    u = sum a cos(2 pi k.x / L + p) has d_a d_b u = -sum a w_a w_b cos(...)
+    with w = 2 pi k / L, and H_{ij} = 1/4 [(u_{x_i x_j} + u_{y_i y_j})
+    + i (u_{x_i y_j} - u_{y_i x_j})].
+    """
+    grid = TorusGrid(n_complex, 8 if n_complex == 2 else 16, period=1.7)
+    coords = grid.meshgrid()
+    d = grid.real_dim
+    vals = np.zeros(grid.shape)
+    d2 = np.zeros((d, d) + grid.shape)
+    for amp, phase, ks in modes:
+        w = 2 * np.pi * np.asarray(ks[:d], dtype=float) / grid.period
+        c = np.cos(sum(wa * x for wa, x in zip(w, coords)) + phase)
+        vals += amp * c
+        d2 -= amp * np.einsum("a,b,...->ab...", w, w, c)
+    exact = [0.25 * (d2[0, 0] + d2[1, 1])]
+    if n_complex == 2:
+        exact += [0.25 * (d2[2, 2] + d2[3, 3]), 0.25 * (d2[0, 2] + d2[1, 3]),
+                  0.25 * (d2[0, 3] - d2[1, 2])]
+    parts = hessian_parts(vals, grid)
+    scale = max(1.0, max(float(np.abs(e).max()) for e in exact))
+    assert len(parts) == len(exact)
+    for got, want in zip(parts, exact):
+        assert np.abs(got - want).max() <= 1e-10 * scale
+    # the public tensor view is assembled from the same parts
+    mats = complex_hessian_matrices(vals, grid)
+    assert np.array_equal(mats[..., 0, 0].real, parts[0])
+    if n_complex == 2:
+        assert np.array_equal(mats[..., 0, 1], parts[2] + 1j * parts[3])
+        assert np.array_equal(mats[..., 1, 0], parts[2] - 1j * parts[3])
 
 
 # ---------------------------------------------------------------------------
