@@ -544,7 +544,7 @@ def _maxprinciple_battery(m: int, out_dir: Path) -> dict:
     for a in (2.0, 3.0, 4.0):
         ua = cap(a)
         shape = (stg.n_steps + 1,) + (stg.n_points,) * m
-        a_field = np.broadcast_to(np.eye(m), shape + (m, m)).copy()
+        a_field = np.broadcast_to(np.eye(m), shape + (m, m))
         f_field = np.full(shape, -(1.0 + 2.0 * a * m))
         lr = lieberman_form_check(stg, ua, a_field, f_field)
         implied.append(lr.implied_constant)

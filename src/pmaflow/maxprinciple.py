@@ -18,11 +18,24 @@ implied constant and its spread.  The curvature test D^2 u <= 0 uses a
 tolerance of `eig_tol` (default 10 h, the discrete curvature noise floor);
 marginally positive determinant fuzz admitted by the tolerance is clamped
 to keep the integrand nonnegative on the mask by construction.
+
+Each time slice is differenced once into the m(m+1)/2 independent
+components d_ab u (a <= b) of the centered spatial Hessian on the core
+nodes.  The largest eigenvalue and the determinants, of -D^2 u and of
+a^{ij}, are closed forms over those components (O. K. Smith's trigonometric
+solution at m = 3), and a^{ij} d_ij u is a sum over them; no (..., m, m)
+tensor is built.  Near a repeated eigenvalue the m = 3 closed form is only
+accurate to about 2.4e-8 max|H_ab|, so points within a guard band of
+_GUARD_BAND max|H_ab| around `eig_tol` are decided by LAPACK's eigvalsh,
+and the contact mask is the one eigvalsh gives, point for point.  a_field
+and f_field may be read-only broadcast views; they are read one slice at
+a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -36,6 +49,12 @@ __all__ = [
     "lieberman_form_check",
     "mask_to_csv",
 ]
+
+
+# Relative half-width, in units of max|H_ab|, of the band around eig_tol in
+# which the m = 3 curvature test falls back to eigvalsh; 40x the closed
+# form's worst error near a repeated eigenvalue.
+_GUARD_BAND = 1e-6
 
 
 class HypothesisViolated(ValueError):
@@ -153,44 +172,100 @@ def _time_derivative(u: np.ndarray, dt: float) -> np.ndarray:
     return du
 
 
-def _spatial_hessian(u_slice: np.ndarray, h: float, m: int) -> np.ndarray:
-    """Centered second differences; shape (*spatial, m, m); edges garbage."""
-    out = np.zeros(u_slice.shape + (m, m))
+def _hessian_parts(u_slice: np.ndarray, h: float, m: int) -> list:
+    """Centered second differences d_ab u on the core nodes [1:-1]^m.
+
+    Returns the symmetric m x m nested list H with H[a][b] the difference
+    field of shape (N - 2,)^m; H[b][a] is the same array as H[a][b], so only
+    the m(m+1)/2 components a <= b are computed.  Edge nodes have no
+    centered difference and are never interior.
+    """
+    def at(*steps):
+        """u on the core nodes moved by (axis, step) pairs; a view."""
+        offsets = [0] * m
+        for axis, step in steps:
+            offsets[axis] = step
+        return u_slice[tuple(slice(1 + o, n - 1 + o)
+                             for o, n in zip(offsets, u_slice.shape))]
+
+    centre = at()
+    H = [[None] * m for _ in range(m)]
     for a in range(m):
-        out[..., a, a] = (np.roll(u_slice, -1, a) - 2.0 * u_slice
-                          + np.roll(u_slice, 1, a)) / h**2
+        H[a][a] = (at((a, 1)) - 2.0 * centre + at((a, -1))) / h**2
         for b in range(a + 1, m):
-            vpp = np.roll(np.roll(u_slice, -1, a), -1, b)
-            vpm = np.roll(np.roll(u_slice, -1, a), 1, b)
-            vmp = np.roll(np.roll(u_slice, 1, a), -1, b)
-            vmm = np.roll(np.roll(u_slice, 1, a), 1, b)
-            out[..., a, b] = out[..., b, a] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
-    return out
+            H[a][b] = H[b][a] = (at((a, 1), (b, 1)) - at((a, 1), (b, -1))
+                                 - at((a, -1), (b, 1)) + at((a, -1), (b, -1))
+                                 ) / (4.0 * h**2)
+    return H
 
 
-def _eig_range(hess: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) eigenvalue fields of the symmetric Hessian stack."""
+def _det(M: list) -> np.ndarray:
+    """Determinant field of the m x m nested list M of arrays, m <= 3."""
+    if len(M) == 1:
+        return M[0][0]
+    if len(M) == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+
+
+def _largest_eigenvalue(H: list) -> np.ndarray:
+    """Largest eigenvalue field of the symmetric nested list H, closed form.
+
+    At m = 3 this is O. K. Smith's trigonometric solution (CACM 4(4), 1961):
+    with q = tr H / 3, p = |H - qI|_F / sqrt(6) and B = (H - qI) / p, the
+    eigenvalues are q + 2p cos(phi + 2 pi j / 3), phi = arccos(det(B) / 2) / 3,
+    and j = 0 is the largest.  A scalar H = qI has p = 0 and B = 0.
+    """
+    m = len(H)
     if m == 1:
-        e = hess[..., 0, 0]
-        return e, e
+        return H[0][0]
     if m == 2:
-        a = hess[..., 0, 0]
-        b = hess[..., 1, 1]
-        c = hess[..., 0, 1]
-        mean = 0.5 * (a + b)
-        rad = np.sqrt(0.25 * (a - b) ** 2 + c * c)
-        return mean - rad, mean + rad
-    eigs = np.linalg.eigvalsh(hess)
-    return eigs[..., 0], eigs[..., -1]
+        a, b, c = H[0][0], H[1][1], H[0][1]
+        return 0.5 * (a + b) + np.sqrt(0.25 * (a - b) ** 2 + c * c)
+    q = (H[0][0] + H[1][1] + H[2][2]) / 3.0
+    d = [H[a][a] - q for a in range(3)]
+    p = np.sqrt((d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+                 + 2.0 * (H[0][1] ** 2 + H[0][2] ** 2 + H[1][2] ** 2)) / 6.0)
+    inv_p = 1.0 / np.where(p > 0.0, p, 1.0)
+    b01, b02, b12 = H[0][1] * inv_p, H[0][2] * inv_p, H[1][2] * inv_p
+    B = [[d[0] * inv_p, b01, b02],
+         [b01, d[1] * inv_p, b12],
+         [b02, b12, d[2] * inv_p]]
+    r = np.clip(0.5 * _det(B), -1.0, 1.0)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
 
 
-def _det_neg_hessian(hess: np.ndarray, m: int) -> np.ndarray:
-    if m == 1:
-        return -hess[..., 0, 0]
-    if m == 2:
-        return (hess[..., 0, 0] * hess[..., 1, 1]
-                - hess[..., 0, 1] ** 2)  # det(-A) = det(A) for m = 2
-    return np.linalg.det(-hess)
+def _curvature_nonpositive(H: list, tol: float) -> np.ndarray:
+    """Pointwise test max eig(H) <= tol, decided as LAPACK's eigvalsh would.
+
+    The m = 3 closed form loses accuracy near a repeated eigenvalue (about
+    2.4e-8 max|H_ab| there, 4e-14 elsewhere), so points whose closed-form
+    value lies within _GUARD_BAND max|H_ab| of tol are decided by eigvalsh.
+    """
+    lam = _largest_eigenvalue(H)
+    if len(H) == 3:
+        scale = reduce(np.maximum, (np.abs(H[a][b])
+                                    for a in range(3) for b in range(a, 3)))
+        near = np.abs(lam - tol) <= _GUARD_BAND * scale
+        if near.any():
+            stack = np.stack([H[a][b][near] for a in range(3)
+                              for b in range(3)], -1).reshape(-1, 3, 3)
+            lam[near] = np.linalg.eigvalsh(stack)[:, -1]
+    return lam <= tol
+
+
+def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
+    if np.shape(arr) != shape:
+        raise ValueError(f"{name} has shape {np.shape(arr)}; the space-time "
+                         f"grid expects {shape}")
+
+
+def _check_finite(name: str, arr: np.ndarray, k: int | None = None) -> None:
+    if not np.all(np.isfinite(arr)):
+        where = "" if k is None else f" at time index {k}"
+        raise ValueError(f"{name} contains non-finite values{where}")
 
 
 def contact_set(stg: SpaceTimeGridReal, u: np.ndarray,
@@ -201,27 +276,28 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray,
     boundary sup combines the t = 0 slice with the spatial boundary at all
     times.  Quadrature is point-mass h^m dt on masked nodes.
     """
-    if not np.all(np.isfinite(u)):
-        raise ValueError("u contains non-finite values")
-    if u.shape != (stg.n_steps + 1,) + (stg.n_points,) * stg.m:
-        raise ValueError("field shape does not match the space-time grid")
+    shape = (stg.n_steps + 1,) + (stg.n_points,) * stg.m
+    _check_shape("u", u, shape)
+    _check_finite("u", u)
     h, dt, m = stg.h, stg.dt, stg.m
     tol = 10.0 * h if eig_tol is None else eig_tol
 
     interior = stg.interior_mask()
     dom = stg.domain_mask()
     boundary = dom & ~interior
+    core = (slice(1, -1),) * m
+    inner = interior[core]
 
     du = _time_derivative(u, dt)
     mask = np.zeros(u.shape, dtype=bool)
     integrand = np.zeros(u.shape)
     for k in range(1, stg.n_steps + 1):
-        hess = _spatial_hessian(u[k], h, m)
-        eig_max = _eig_range(hess, m)[1]
-        on_e = interior & (du[k] >= 0.0) & (eig_max <= tol)
-        mask[k] = on_e
-        det_neg = np.maximum(_det_neg_hessian(hess, m), 0.0)
-        integrand[k] = np.where(on_e, du[k] * det_neg, 0.0)
+        H = _hessian_parts(u[k], h, m)
+        du_k = du[k][core]
+        on_e = inner & (du_k >= 0.0) & _curvature_nonpositive(H, tol)
+        mask[k][core] = on_e
+        det_neg = np.maximum((-1.0) ** m * _det(H), 0.0)
+        integrand[k][core] = np.where(on_e, du_k * det_neg, 0.0)
     integral = float(integrand.sum() * h**m * dt)
 
     sup_interior = float(u[:, dom].max()) if dom.any() else -np.inf
@@ -266,32 +342,46 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
 
     with q = exponent (default m + 1; the theory's applications also use
     2n + 1, so the exponent is exposed).  a_field has shape
-    (K+1, *spatial, m, m), f_field (K+1, *spatial).
+    (K+1, *spatial, m, m), f_field (K+1, *spatial); their slot 0 is not
+    read.  A wrong shape or a non-finite value raises ValueError naming
+    the argument (and the time index for a_field and f_field).
     """
     m = stg.m
     q = float(m + 1 if exponent is None else exponent)
     h, dt = stg.h, stg.dt
     tol = 10.0 * h if eig_tol is None else eig_tol
+    shape = (stg.n_steps + 1,) + (stg.n_points,) * m
+    _check_shape("u", u, shape)
+    _check_shape("a_field", a_field, shape + (m, m))
+    _check_shape("f_field", f_field, shape)
+    _check_finite("u", u)
     interior = stg.interior_mask()
     dom = stg.domain_mask()
     boundary = dom & ~interior
+    core = (slice(1, -1),) * m
+    inner = interior[core]
 
     du = _time_derivative(u, dt)
     bad = 0
     total = 0
     mask_integral = 0.0
     for k in range(1, stg.n_steps + 1):
-        hess = _spatial_hessian(u[k], h, m)
-        lhs = -du[k] + np.einsum("...ij,...ij->...", a_field[k], hess)
-        scale = 1.0 + np.abs(f_field[k])
-        viol = interior & (lhs < f_field[k] - hypothesis_slack * scale)
+        _check_finite("a_field", a_field[k], k)
+        _check_finite("f_field", f_field[k], k)
+        a_k = [[a_field[k][core + (i, j)] for j in range(m)] for i in range(m)]
+        f_k = f_field[k][core]
+        du_k = du[k][core]
+        H = _hessian_parts(u[k], h, m)
+        lhs = -du_k + sum(a_k[i][j] * H[i][j]
+                          for i in range(m) for j in range(m))
+        scale = 1.0 + np.abs(f_k)
+        viol = inner & (lhs < f_k - hypothesis_slack * scale)
         bad += int(viol.sum())
         total += int(interior.sum())
-        eig_max = _eig_range(hess, m)[1]
-        on_e = interior & (du[k] >= 0.0) & (eig_max <= tol)
-        f_minus = np.maximum(-f_field[k], 0.0)
-        det_a = np.linalg.det(a_field[k]) if m > 1 else a_field[k][..., 0, 0]
-        contrib = np.where(on_e, f_minus**q / np.maximum(det_a, 1e-300), 0.0)
+        on_e = inner & (du_k >= 0.0) & _curvature_nonpositive(H, tol)
+        f_minus = np.maximum(-f_k, 0.0)
+        contrib = np.where(on_e, f_minus**q / np.maximum(_det(a_k), 1e-300),
+                           0.0)
         mask_integral += float(contrib.sum() * h**m * dt)
 
     if bad > 0.001 * total:

@@ -185,12 +185,15 @@ def test_cli_regularize_battery(tmp_path):
     assert result["checks"]["sandwich_upper"]
 
 
-def test_cli_maxprinciple_battery(tmp_path):
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cli_maxprinciple_battery(tmp_path, dim):
     out = tmp_path / "mp"
-    assert main(["maxprinciple", "--dim", "2", "--out", str(out)]) == 0
+    assert main(["maxprinciple", "--dim", str(dim), "--out", str(out)]) == 0
     result = json.loads((out / "maxprinciple.json").read_text())
     assert result["checks"]["paraboloid_exact"]
     assert result["checks"]["spread_bounded"]
+    assert abs(result["paraboloid_integral"]
+               - result["paraboloid_exact"]) <= 1e-8
 
 
 def test_cli_execution_error_exit_code(tmp_path):

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmaflow.maxprinciple import (
+    _GUARD_BAND,
     HypothesisViolated,
     SpaceTimeGridReal,
+    _curvature_nonpositive,
+    _det,
+    _largest_eigenvalue,
     contact_set,
     lieberman_form_check,
     sample_space_time,
@@ -83,6 +88,63 @@ def test_contact_set_matches_per_point_oracle():
     integral_oracle *= h**2 * dt
     assert np.array_equal(rep.contact_mask, mask_oracle)
     assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10, abs=1e-12)
+
+
+def _smooth3(seed):
+    c = np.random.default_rng(seed).uniform(-1, 1, 6)
+
+    def fn(t, x, y, z):
+        return ((0.5 + np.sin(t + c[0]))
+                * np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
+                + c[1] * x * y + c[2] * np.cos(np.pi * z + t) + c[3] * t * t
+                + c[4] * (y - 0.5) ** 2 * z + c[5])
+    return fn
+
+
+def _oracle_points3(stg, u):
+    """(k, i, j, l, d_t u, explicit 3x3 difference Hessian) per interior node."""
+    h, dt = stg.h, stg.dt
+    interior = stg.interior_mask()
+    for k in range(1, stg.n_steps + 1):
+        for i, j, l in np.argwhere(interior):
+            if k < stg.n_steps:
+                dudt = (u[k + 1, i, j, l] - u[k - 1, i, j, l]) / (2 * dt)
+            else:
+                dudt = (u[k, i, j, l] - u[k - 1, i, j, l]) / dt
+            v = u[k, i - 1:i + 2, j - 1:j + 2, l - 1:l + 2]
+
+            def at(*steps):
+                idx = [1, 1, 1]
+                for axis, step in steps:
+                    idx[axis] += step
+                return v[tuple(idx)]
+
+            hess = np.empty((3, 3))
+            for a in range(3):
+                hess[a, a] = (at((a, 1)) - 2 * at() + at((a, -1))) / h**2
+                for b in range(a + 1, 3):
+                    hess[a, b] = hess[b, a] = (
+                        at((a, 1), (b, 1)) - at((a, 1), (b, -1))
+                        - at((a, -1), (b, 1)) + at((a, -1), (b, -1))) / (4 * h**2)
+            yield k, (i, j, l), dudt, hess
+
+
+def test_contact_set_matches_per_point_oracle_m3():
+    stg = SpaceTimeGridReal(m=3, n_points=9, T=0.4, n_steps=4)
+    u = sample_space_time(stg, _smooth3(43))
+    rep = contact_set(stg, u)
+
+    mask_oracle = np.zeros_like(rep.contact_mask)
+    integral_oracle = 0.0
+    for k, ijl, dudt, hess in _oracle_points3(stg, u):
+        if dudt >= 0.0 and np.linalg.eigvalsh(hess).max() <= rep.eig_tol:
+            mask_oracle[(k,) + ijl] = True
+            integral_oracle += dudt * max(np.linalg.det(-hess), 0.0)
+    integral_oracle *= stg.h**3 * stg.dt
+    n_points = stg.n_steps * int(stg.interior_mask().sum())
+    assert 0 < mask_oracle.sum() < n_points  # partial contact set
+    assert np.array_equal(rep.contact_mask, mask_oracle)
+    assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
 
 
 def test_integrand_nonnegative_on_mask():
@@ -202,6 +264,149 @@ def test_lieberman_exponent_parameter():
     r5 = lieberman_form_check(stg, u, a_field, f_field, exponent=5.0)
     assert r3.exponent == 3.0 and r5.exponent == 5.0
     assert r3.integral_value != r5.integral_value
+
+
+def test_lieberman_matches_per_point_oracle_m3():
+    stg = SpaceTimeGridReal(m=3, n_points=9, T=0.4, n_steps=4)
+    u = sample_space_time(stg, _smooth3(43))
+    shape = u.shape
+    # symmetric positive, varying in space and time: I + v v^T
+    t, x, y, z = np.meshgrid(stg.times, *([stg.axis()] * 3), indexing="ij")
+    vec = np.stack([x, y - 0.5, z * (1.0 + t)], axis=-1)
+    a_field = np.eye(3) + 0.5 * vec[..., :, None] * vec[..., None, :]
+
+    points = list(_oracle_points3(stg, u))
+    f_field = np.zeros(shape)
+    for k, ijl, dudt, hess in points:
+        lhs = -dudt + float(np.sum(a_field[(k,) + ijl] * hess))
+        f_field[(k,) + ijl] = lhs - 1.0
+    k0, ijl0, _, _ = points[len(points) // 2]
+    f_field[(k0,) + ijl0] += 2.0           # one violated point, under 0.1%
+    rep = lieberman_form_check(stg, u, a_field, f_field)
+
+    integral_oracle = 0.0
+    for k, ijl, dudt, hess in points:
+        if dudt >= 0.0 and np.linalg.eigvalsh(hess).max() <= 10 * stg.h:
+            f_minus = max(-f_field[(k,) + ijl], 0.0)
+            integral_oracle += f_minus**4 / np.linalg.det(a_field[(k,) + ijl])
+    integral_oracle *= stg.h**3 * stg.dt
+    assert rep.hypothesis_violations == 1
+    assert rep.hypothesis_points == len(points)
+    assert integral_oracle > 0.0
+    assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
+
+
+def _lieberman_inputs():
+    stg = SpaceTimeGridReal(m=2, n_points=21, T=0.3, n_steps=6)
+    u = sample_space_time(stg, lambda t, x, y: -t + x)
+    shape = u.shape
+    a_field = np.broadcast_to(np.eye(2), shape + (2, 2))
+    f_field = np.broadcast_to(-1.0, shape)
+    return stg, u, a_field, f_field
+
+
+def _nan_at_interior(arr):
+    arr = np.array(arr)
+    arr[3, 10, 10] = np.nan
+    return arr
+
+
+_BAD_INPUT_MESSAGES = {
+    "u_nan": "u contains non-finite",
+    "u_slices": (r"u has shape \(5, 21, 21\); the space-time grid expects "
+                 r"\(7, 21, 21\)"),
+    "a_nan": "a_field contains non-finite values at time index 3",
+    "a_shape": r"a_field has shape \(7, 21, 21\)",
+    "f_nan": "f_field contains non-finite values at time index 3",
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT_MESSAGES))
+def test_lieberman_rejects_bad_inputs(case):
+    stg, u, a_field, f_field = _lieberman_inputs()
+    if case == "u_nan":
+        u = _nan_at_interior(u)
+    elif case == "u_slices":
+        u = u[:5]
+    elif case == "a_nan":
+        a_field = _nan_at_interior(a_field)
+    elif case == "a_shape":
+        a_field = a_field[..., 0, 0]
+    else:
+        f_field = _nan_at_interior(f_field)
+    with pytest.raises(ValueError, match=_BAD_INPUT_MESSAGES[case]):
+        lieberman_form_check(stg, u, a_field, f_field)
+
+
+def test_lieberman_accepts_read_only_views():
+    stg, u, a_field, f_field = _lieberman_inputs()
+    assert not a_field.flags.writeable and not f_field.flags.writeable
+    rep = lieberman_form_check(stg, u, a_field, f_field)
+    assert rep.hypothesis_violations == 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form curvature of symmetric 3 x 3 stacks
+
+
+def _nested(stack):
+    return [[stack[:, a, b] for b in range(3)] for a in range(3)]
+
+
+def _symmetric(eigs, rng):
+    """Symmetric stack with the given eigenvalues and random eigenvectors."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigs), 3, 3)))
+    stack = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (stack + stack.transpose(0, 2, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), log_scale=st.floats(-6, 6))
+def test_closed_forms_match_lapack(seed, log_scale):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    sym = scale * rng.uniform(-1, 1, size=(64, 3, 3))
+    sym = 0.5 * (sym + sym.transpose(0, 2, 1))
+    size = np.abs(sym).max(axis=(1, 2))
+    lam = _largest_eigenvalue(_nested(sym))
+    assert np.all(np.abs(lam - np.linalg.eigvalsh(sym)[:, -1]) <= 1e-12 * size)
+    assert np.all(np.abs(_det(_nested(sym)) - np.linalg.det(sym))
+                  <= 1e-12 * size**3)
+    general = scale * rng.uniform(-1, 1, size=(64, 3, 3))
+    rows = [[general[:, a, b] for b in range(3)] for a in range(3)]
+    assert np.all(np.abs(_det(rows) - np.linalg.det(general))
+                  <= 1e-12 * np.abs(general).max(axis=(1, 2)) ** 3)
+    c = scale * rng.uniform(-1, 1, size=64)
+    lam_scalar = _largest_eigenvalue(_nested(c[:, None, None] * np.eye(3)))
+    assert np.all(np.abs(lam_scalar - c) <= 1e-12 * np.abs(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), log_scale=st.floats(-6, 6),
+       tol=st.floats(-1.0, 1.0),
+       shape=st.sampled_from(["scalar", "double_top", "double_bottom"]))
+def test_contact_decision_matches_eigvalsh_near_tolerance(
+        seed, log_scale, tol, shape):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    top = tol + rng.uniform(-1e-9, 1e-9, size=64)   # within 1e-9 of eig_tol
+    other = top - scale * rng.uniform(0.1, 2.0, size=64)
+    eigs = {"scalar": [top, top, top],
+            "double_top": [top, top, other],
+            "double_bottom": [top, other, other]}[shape]
+    stack = _symmetric(np.stack(eigs, axis=-1), rng)
+    decided = _curvature_nonpositive(_nested(stack), tol)
+    assert np.array_equal(decided, np.linalg.eigvalsh(stack)[:, -1] <= tol)
+
+
+def test_guard_band_covers_closed_form_error_at_double_eigenvalue():
+    # the closed form's worst case: a doubled top eigenvalue
+    rng = np.random.default_rng(5)
+    eigs = np.tile([1.0, 1.0, -1.0], (20000, 1))
+    stack = _symmetric(eigs, rng)
+    err = np.abs(_largest_eigenvalue(_nested(stack))
+                 - np.linalg.eigvalsh(stack)[:, -1])
+    assert err.max() <= 0.1 * _GUARD_BAND * np.abs(stack).max(axis=(1, 2)).min()
 
 
 def test_mask_csv_export(tmp_path):
