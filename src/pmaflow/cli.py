@@ -545,7 +545,7 @@ def _maxprinciple_battery(m: int, out_dir: Path) -> dict:
         ua = cap(a)
         shape = (stg.n_steps + 1,) + (stg.n_points,) * m
         a_field = np.broadcast_to(np.eye(m), shape + (m, m))
-        f_field = np.full(shape, -(1.0 + 2.0 * a * m))
+        f_field = np.broadcast_to(-(1.0 + 2.0 * a * m), shape)
         lr = lieberman_form_check(stg, ua, a_field, f_field)
         implied.append(lr.implied_constant)
     spread = max(implied) / min(implied)

@@ -45,6 +45,7 @@ __all__ = [
     "eigvalsh_identity_plus",
     "min_admissibility_eigenvalue",
     "convolve_radial",
+    "radial_smoother",
     "complex_laplacian",
     "random_admissible_field",
     "save_field",
@@ -505,6 +506,27 @@ def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
     return out
 
 
+def radial_smoother(field: ScalarField, kernel: RadialKernel = DEFAULT_KERNEL):
+    """Convolutions of one field with the rescaled radial kernel at any scale.
+
+    Checks the field and takes its forward transform once; the returned
+    smooth(s) gives the values of the convolution at scale s, so a ladder
+    of scales costs one inverse transform each.  Kernel transforms come
+    from the byte-bounded cache.
+    """
+    grid = field.grid
+    field.require_finite("field")
+    fhat = np.fft.rfftn(field.values)
+
+    def smooth(s: float) -> np.ndarray:
+        if not (0.0 < s < grid.period / 2.0):
+            raise ValueError(f"kernel radius must lie in (0, L/2), got {s}")
+        khat = _kernel_fft(grid, s, kernel)
+        return np.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes) * grid.cell_volume
+
+    return smooth
+
+
 def convolve_radial(field: ScalarField, s: float,
                     kernel: RadialKernel = DEFAULT_KERNEL) -> ScalarField:
     """Periodic convolution with the rescaled radial kernel at scale s.
@@ -513,14 +535,7 @@ def convolve_radial(field: ScalarField, s: float,
     convolution preserves constants and total integral exactly.  On the
     flat torus this realizes the exp-map mollification (exp is translation).
     """
-    grid = field.grid
-    if not (0.0 < s < grid.period / 2.0):
-        raise ValueError(f"kernel radius must lie in (0, L/2), got {s}")
-    field.require_finite("field")
-    khat = _kernel_fft(grid, s, kernel)
-    fhat = np.fft.rfftn(field.values)
-    out = np.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes) * grid.cell_volume
-    return ScalarField(grid, out)
+    return ScalarField(field.grid, radial_smoother(field, kernel)(s))
 
 
 # ---------------------------------------------------------------------------

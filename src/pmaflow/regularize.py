@@ -31,6 +31,7 @@ from .grid import (
     Trajectory,
     complex_laplacian,
     convolve_radial,
+    radial_smoother,
 )
 
 __all__ = [
@@ -74,6 +75,8 @@ class RegularizationParams:
             raise ValueError("epsilon must be positive")
         if self.K is not None and self.K < 0.0:
             raise ValueError("K must be nonnegative")
+        if self.s_samples < 1:
+            raise ValueError("s_samples must be at least 1")
         if self.kernel is None:
             self.kernel = DEFAULT_KERNEL
 
@@ -94,16 +97,21 @@ def mollify(field: ScalarField, s: float,
     return convolve_radial(field, s, kernel)
 
 
-def _objective_stack(field: ScalarField, s_values: np.ndarray, K: float,
-                     eps: float, log_weight: float,
-                     kernel: RadialKernel) -> np.ndarray:
-    """Transform objective at each ladder scale, stacked on axis 0."""
-    out = np.empty((len(s_values),) + field.grid.shape)
-    for i, s in enumerate(s_values):
-        smoothed = convolve_radial(field, float(s), kernel).values
-        out[i] = (smoothed + K * s * s - K * eps * eps
-                  - log_weight * np.log(s / eps))
-    return out
+def _fold_scales(smooth, scales, K: float, eps: float, log_weight: float,
+                 best: np.ndarray, s_best: np.ndarray) -> None:
+    """Fold the transform objective at each scale into a running minimum.
+
+    Updates best and s_best in place, scale by scale in the given order; the
+    strict < keeps the first minimum, as argmin over the stacked scales would.
+    """
+    for s in scales:
+        obj = smooth(float(s))
+        obj += K * s * s
+        obj -= K * eps * eps
+        obj -= log_weight * np.log(s / eps)
+        better = obj < best
+        np.copyto(best, obj, where=better)
+        s_best[better] = s
 
 
 def kiselman_legendre(field: ScalarField,
@@ -120,13 +128,12 @@ def kiselman_legendre(field: ScalarField,
         raise ValueError("epsilon must stay below half the period")
     K = params.compensator(grid.real_dim)
     log_weight = params.log_weight()
-    kernel = params.kernel
 
     ladder = np.geomspace(eps * params.ladder_floor, eps, params.s_samples)
-    stack = _objective_stack(field, ladder, K, eps, log_weight, kernel)
-    best = stack.min(axis=0)
-    arg = stack.argmin(axis=0)
-    s_best = ladder[arg]
+    smooth = radial_smoother(field, params.kernel)
+    best = np.full(grid.shape, np.inf)
+    s_best = np.full(grid.shape, ladder[0])
+    _fold_scales(smooth, ladder, K, eps, log_weight, best, s_best)
     log_gap = np.log(ladder[1] / ladder[0]) if len(ladder) > 1 else 0.0
 
     for _ in range(params.refine_rounds):
@@ -144,11 +151,7 @@ def kiselman_legendre(field: ScalarField,
         if not children:
             break
         children = np.unique(np.asarray(children))
-        stack = _objective_stack(field, children, K, eps, log_weight, kernel)
-        for i, s_new in enumerate(children):
-            better = stack[i] < best
-            best = np.where(better, stack[i], best)
-            s_best = np.where(better, s_new, s_best)
+        _fold_scales(smooth, children, K, eps, log_weight, best, s_best)
         log_gap /= 3.0
     return ScalarField(grid, best)
 
@@ -187,40 +190,36 @@ def _trailing_average(times: np.ndarray, values: np.ndarray,
     """Trailing averages of the piecewise-linear interpolant in time.
 
     values has shape (K+1, ...); the interpolant is constant (= values[0])
-    before t = 0, so output[0] = values[0] exactly.
+    before t = 0, so output[0] = values[0] exactly.  Each window integral
+    is a difference of prefix integrals of the interpolant, taken at t and
+    at t - eps for all output times at once.
     """
+    if len(times) < 2:
+        return values.copy()
     flat = values.reshape(len(times), -1)
-
-    def segment_integral(a: float, b: float) -> np.ndarray:
-        """Integral of the interpolant over [a, b] (a <= b)."""
-        total = np.zeros(flat.shape[1])
-        if b <= 0.0:
-            return (b - a) * flat[0]
-        if a < 0.0:
-            total += (-a) * flat[0]
-            a = 0.0
-        # uniform-enough: walk the segments overlapping [a, b]
-        k0 = int(np.searchsorted(times, a, side="right") - 1)
-        k0 = max(k0, 0)
-        t_lo = a
-        for k in range(k0, len(times) - 1):
-            if t_lo >= b:
-                break
-            t_hi = min(float(times[k + 1]), b)
-            if t_hi <= t_lo:
-                continue
-            span = times[k + 1] - times[k]
-            w_lo = (t_lo - times[k]) / span
-            w_hi = (t_hi - times[k]) / span
-            v_lo = (1 - w_lo) * flat[k] + w_lo * flat[k + 1]
-            v_hi = (1 - w_hi) * flat[k] + w_hi * flat[k + 1]
-            total += 0.5 * (v_lo + v_hi) * (t_hi - t_lo)
-            t_lo = t_hi
-        return total
-
-    out = np.empty_like(flat)
-    for i, t in enumerate(times):
-        out[i] = segment_integral(float(t) - eps, float(t)) / eps
+    span = np.diff(times)
+    # out[k] = integral of the interpolant from times[0] to times[k]
+    out = np.zeros_like(flat)
+    np.add(flat[:-1], flat[1:], out=out[1:])
+    out[1:] *= 0.5 * span[:, None]
+    np.cumsum(out, axis=0, out=out)
+    # minus the integral up to max(t - eps, 0), which is interpolated
+    # within the segment holding that point
+    start = np.maximum(times - eps, 0.0)
+    k = np.clip(np.searchsorted(times, start, side="right") - 1, 0, len(span) - 1)
+    dx = start - times[k]
+    c = 0.5 * dx * dx / span[k]
+    term = out[k]   # one scratch array, reused for each term
+    out -= term
+    for rows, weight in ((k, dx - c), (k + 1, c)):
+        np.take(flat, rows, axis=0, out=term, mode="clip")   # unbuffered
+        term *= weight[:, None]
+        out -= term
+    # plus the constant extension over the part of the window before 0
+    np.multiply(np.maximum(eps - times, 0.0)[:, None], flat[0], out=term)
+    out += term
+    out /= eps
+    out[times <= 0.0] = flat[0]
     return out.reshape(values.shape)
 
 

@@ -247,6 +247,25 @@ def test_convolve_rejects_wrapping_kernel(grid64):
         convolve_radial(grid64.constant_field(0.0), 0.5)
 
 
+def test_radial_smoother_matches_convolve_radial(grid64):
+    from pmaflow.grid import radial_smoother
+    f = band_limited(grid64, np.random.default_rng(8))
+    smooth = radial_smoother(f)
+    for s in (0.02, 0.15, 0.3, 0.02):
+        assert np.array_equal(smooth(s), convolve_radial(f, s).values)
+    for s in (0.0, -0.1, 0.5):
+        with pytest.raises(ValueError, match="kernel radius"):
+            smooth(s)
+
+
+def test_radial_smoother_rejects_non_finite_field(grid64):
+    from pmaflow.grid import radial_smoother
+    values = np.zeros(grid64.shape)
+    values[0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        radial_smoother(ScalarField(grid64, values))
+
+
 def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
     from collections import OrderedDict
     from pmaflow import grid as grid_mod

@@ -11,7 +11,7 @@ from pmaflow import (
     integrate,
     random_admissible_field,
 )
-from pmaflow.grid import complex_laplacian, spacetime_integral
+from pmaflow.grid import complex_laplacian, convolve_radial, spacetime_integral
 from pmaflow.regularize import (
     RegularizationParams,
     ball_lower_bound_check,
@@ -118,6 +118,134 @@ def test_kiselman_rejects_large_epsilon(grid64):
         kiselman_legendre(grid64.constant_field(0.0), params)
 
 
+def _stacked_kiselman_legendre(field, params):
+    """Reference transform: every ladder objective stacked, then min/argmin."""
+    grid = field.grid
+    eps = params.epsilon
+    K = params.compensator(grid.real_dim)
+    log_weight = params.log_weight()
+
+    def stack(s_values):
+        out = np.empty((len(s_values),) + grid.shape)
+        for i, s in enumerate(s_values):
+            smoothed = convolve_radial(field, float(s), params.kernel).values
+            out[i] = (smoothed + K * s * s - K * eps * eps
+                      - log_weight * np.log(s / eps))
+        return out
+
+    ladder = np.geomspace(eps * params.ladder_floor, eps, params.s_samples)
+    objective = stack(ladder)
+    best = objective.min(axis=0)
+    s_best = ladder[objective.argmin(axis=0)]
+    log_gap = np.log(ladder[1] / ladder[0]) if len(ladder) > 1 else 0.0
+    for _ in range(params.refine_rounds):
+        if log_gap < 1e-12:
+            break
+        uniq, counts = np.unique(s_best, return_counts=True)
+        if len(uniq) > 16:
+            uniq = uniq[np.argsort(counts)[-16:]]
+        children = []
+        for s0 in uniq:
+            for m in (-2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0):
+                s_new = s0 * np.exp(m * log_gap)
+                if eps * params.ladder_floor * 0.5 <= s_new <= eps:
+                    children.append(s_new)
+        if not children:
+            break
+        children = np.unique(np.asarray(children))
+        objective = stack(children)
+        for i, s_new in enumerate(children):
+            better = objective[i] < best
+            best = np.where(better, objective[i], best)
+            s_best = np.where(better, s_new, s_best)
+        log_gap /= 3.0
+    return best
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("overrides", [{}, {"log_coefficient": 0.0},
+                                       {"refine_rounds": 0}],
+                         ids=["default", "no_log", "no_refine"])
+def test_kiselman_matches_stacked_oracle(n, N, overrides):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(40 + n)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5, **overrides)
+    for _ in range(2):
+        f = random_admissible_field(grid, rng, margin=0.3)
+        np.testing.assert_array_equal(kiselman_legendre(f, params).values,
+                                      _stacked_kiselman_legendre(f, params))
+
+
+@pytest.mark.parametrize("s_samples", [4, 32, 96])
+def test_kiselman_one_forward_transform_per_call(monkeypatch, s_samples):
+    from pmaflow import grid as grid_mod
+
+    grid = TorusGrid(1, 32)
+    f = random_admissible_field(grid, np.random.default_rng(41), margin=0.3)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5, s_samples=s_samples)
+    kiselman_legendre(f, params)   # warm the kernel-transform cache
+    calls = []
+    rfftn = grid_mod.np.fft.rfftn
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(grid_mod.np.fft, "rfftn", counting)
+    kiselman_legendre(f, params)
+    assert calls == [grid.shape]
+
+
+def test_fold_scales_keeps_first_minimum_like_argmin():
+    from pmaflow.regularize import _fold_scales
+    rng = np.random.default_rng(45)
+    scales = np.geomspace(0.01, 0.2, 9)
+    table = {s: rng.integers(0, 3, size=50).astype(float) for s in scales}
+    stacked = np.stack([table[s] for s in scales])
+    best = np.full(50, np.inf)
+    s_best = np.zeros(50)
+    # K = 0 and no log weight: the objective is the smoothed value, ties abound
+    _fold_scales(lambda s: table[s].copy(), scales, 0.0, 0.2, 0.0, best, s_best)
+    np.testing.assert_array_equal(best, stacked.min(axis=0))
+    np.testing.assert_array_equal(s_best, scales[stacked.argmin(axis=0)])
+
+
+def test_kiselman_rejects_non_finite_field(grid32):
+    values = np.zeros(grid32.shape)
+    values[3, 5] = np.nan
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        kiselman_legendre(ScalarField(grid32, values), params)
+
+
+def test_kiselman_rejects_empty_ladder():
+    with pytest.raises(ValueError, match="s_samples"):
+        RegularizationParams(epsilon=0.125, gamma=0.5, s_samples=0)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
+def test_kiselman_memory_independent_of_ladder_length(n, N):
+    """The ladder is folded into a running minimum, never stacked."""
+    import tracemalloc
+
+    grid = TorusGrid(n, N)
+    f = random_admissible_field(grid, np.random.default_rng(42), margin=0.3)
+    peaks = []
+    for s_samples in (32, 128):
+        params = RegularizationParams(epsilon=0.125, gamma=0.5,
+                                      s_samples=s_samples)
+        kiselman_legendre(f, params)   # warm the kernel-transform cache
+        tracemalloc.start()
+        try:
+            kiselman_legendre(f, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    field_bytes = f.values.nbytes
+    assert peaks[0] <= 12 * field_bytes
+    assert peaks[1] <= peaks[0] + field_bytes
+
+
 # ---------------------------------------------------------------------------
 # theta_scale_bound
 
@@ -208,6 +336,60 @@ def test_time_average_l1_slope(generic_flow):
             traj.grid, traj.times, np.maximum(avg.values - traj.values, 0.0))))
     slope = np.polyfit(np.log(epss), np.log(l1s), 1)[0]
     assert slope >= 0.95
+
+
+def _segment_walk_average(times, values, eps):
+    """Reference trailing average: walk the segments under each window."""
+    flat = values.reshape(len(times), -1)
+
+    def segment_integral(a, b):
+        total = np.zeros(flat.shape[1])
+        if b <= 0.0:
+            return (b - a) * flat[0]
+        if a < 0.0:
+            total += (-a) * flat[0]
+            a = 0.0
+        k0 = max(int(np.searchsorted(times, a, side="right") - 1), 0)
+        t_lo = a
+        for k in range(k0, len(times) - 1):
+            if t_lo >= b:
+                break
+            t_hi = min(float(times[k + 1]), b)
+            if t_hi <= t_lo:
+                continue
+            span = times[k + 1] - times[k]
+            w_lo = (t_lo - times[k]) / span
+            w_hi = (t_hi - times[k]) / span
+            v_lo = (1 - w_lo) * flat[k] + w_lo * flat[k + 1]
+            v_hi = (1 - w_hi) * flat[k] + w_hi * flat[k + 1]
+            total += 0.5 * (v_lo + v_hi) * (t_hi - t_lo)
+            t_lo = t_hi
+        return total
+
+    out = np.empty_like(flat)
+    for i, t in enumerate(times):
+        out[i] = segment_integral(float(t) - eps, float(t)) / eps
+    return out.reshape(values.shape)
+
+
+@pytest.mark.parametrize("eps", [0.003, 0.04, 0.31, 0.9, 2.5])
+def test_trailing_average_matches_segment_walk(eps):
+    from pmaflow.regularize import _trailing_average
+    rng = np.random.default_rng(43)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.05, 40))])
+    values = rng.normal(size=(len(times), 3, 2)) + 2.0 * times[:, None, None]
+    got = _trailing_average(times, values, eps)
+    want = _segment_walk_average(times, values, eps)
+    assert np.array_equal(got[0], values[0])
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_time_average_single_time(grid32):
+    values = random_admissible_field(
+        grid32, np.random.default_rng(44), margin=0.3).values[None]
+    avg = time_average(Trajectory(grid32, np.array([0.0]), values), 0.1)
+    assert np.array_equal(avg.values, values)
 
 
 # ---------------------------------------------------------------------------
