@@ -34,6 +34,7 @@ from .grid import (
     TorusGrid,
     Trajectory,
     min_admissibility_eigenvalue,
+    radial_smoother,
     random_admissible_field,
     save_trajectory,
 )
@@ -486,8 +487,9 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float,
     gap = -np.inf
     for k in range(traj.n_times):
         f = traj.field_at(k)
-        trans = reg.kiselman_legendre(f, params)
-        upper = reg.mollify(f, epsilon).values
+        smooth = radial_smoother(f, params.kernel)
+        trans = reg.kiselman_legendre(f, params, smooth)
+        upper = smooth(epsilon)
         worst_low = min(worst_low,
                         float((trans.values - (f.values - K * epsilon**2)).min()))
         worst_high = max(worst_high, float((trans.values - upper).max()))

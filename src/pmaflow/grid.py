@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 
 __all__ = [
@@ -113,7 +114,7 @@ class TorusGrid:
 
     @cached_property
     def axes(self) -> tuple:
-        """All axes, passed with `s=` to irfftn (numpy 2 deprecates `s` alone)."""
+        """All axes, passed with `s=` to every irfftn."""
         return tuple(range(self.real_dim))
 
     @cached_property
@@ -328,8 +329,9 @@ def hessian_parts(values: np.ndarray, grid: TorusGrid) -> tuple:
     cached `hessian_symbols`; finite-difference mode is the cross-check.
     """
     if grid.derivative_mode == "spectral":
-        uhat = np.fft.rfftn(values)
-        return tuple(np.fft.irfftn(sym * uhat, s=grid.shape, axes=grid.axes)
+        uhat = scipy.fft.rfftn(values)
+        return tuple(scipy.fft.irfftn(sym * uhat, s=grid.shape, axes=grid.axes,
+                                      overwrite_x=True)
                      for sym in grid.hessian_symbols)
     return _hessian_combinations(
         lambda a, b: _fd_second_derivative(values, grid, a, b), grid.n_complex)
@@ -496,7 +498,7 @@ def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
         if out is not None:
             _KERNEL_FFT_CACHE.move_to_end(key)
             return out
-    out = np.fft.rfftn(_kernel_on_grid_normalized(grid, s, kernel))
+    out = scipy.fft.rfftn(_kernel_on_grid_normalized(grid, s, kernel))
     with _KERNEL_FFT_LOCK:
         _KERNEL_FFT_CACHE[key] = out
         _KERNEL_FFT_CACHE.move_to_end(key)
@@ -516,13 +518,14 @@ def radial_smoother(field: ScalarField, kernel: RadialKernel = DEFAULT_KERNEL):
     """
     grid = field.grid
     field.require_finite("field")
-    fhat = np.fft.rfftn(field.values)
+    fhat = scipy.fft.rfftn(field.values)
 
     def smooth(s: float) -> np.ndarray:
         if not (0.0 < s < grid.period / 2.0):
             raise ValueError(f"kernel radius must lie in (0, L/2), got {s}")
         khat = _kernel_fft(grid, s, kernel)
-        return np.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes) * grid.cell_volume
+        return scipy.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes,
+                                overwrite_x=True) * grid.cell_volume
 
     return smooth
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .grid import (
     DEFAULT_KERNEL,
@@ -114,13 +115,15 @@ def _fold_scales(smooth, scales, K: float, eps: float, log_weight: float,
         s_best[better] = s
 
 
-def kiselman_legendre(field: ScalarField,
-                      params: RegularizationParams) -> ScalarField:
+def kiselman_legendre(field: ScalarField, params: RegularizationParams,
+                      smooth=None) -> ScalarField:
     """Pointwise infimum of the Kiselman-Legendre objective over the s-ladder.
 
     Satisfies the sandwich phi - K eps^2 <= output <= rho_eps phi for
     admissible phi (the upper bound is the s = eps ladder term, always
-    included exactly).
+    included exactly).  smooth, if given, is `radial_smoother(field,
+    params.kernel)`, so a caller that also needs rho_s phi at other scales
+    shares its forward transform.
     """
     grid = field.grid
     eps = params.epsilon
@@ -130,7 +133,8 @@ def kiselman_legendre(field: ScalarField,
     log_weight = params.log_weight()
 
     ladder = np.geomspace(eps * params.ladder_floor, eps, params.s_samples)
-    smooth = radial_smoother(field, params.kernel)
+    if smooth is None:
+        smooth = radial_smoother(field, params.kernel)
     best = np.full(grid.shape, np.inf)
     s_best = np.full(grid.shape, ladder[0])
     _fold_scales(smooth, ladder, K, eps, log_weight, best, s_best)
@@ -350,9 +354,9 @@ def ball_lower_bound_check(field: ScalarField, eps: float,
     for w in offs:
         r2 = r2 + w * w
     mask = (r2 <= r_half**2 + 1e-12).astype(float)
-    axes = tuple(range(grid.real_dim))
-    mass = np.fft.irfftn(np.fft.rfftn(lap) * np.fft.rfftn(mask),
-                         s=grid.shape, axes=axes).real * grid.cell_volume
+    mass = scipy.fft.irfftn(scipy.fft.rfftn(lap) * scipy.fft.rfftn(mask),
+                            s=grid.shape, axes=grid.axes,
+                            overwrite_x=True) * grid.cell_volume
     rhs = 4.0 * c_kernel / eps ** (2 * n - 2) * mass - 2.0 * n * omega_d * eps**2
     margin = lhs - rhs
     return {"min_margin": float(margin.min()), "c_kernel": float(c_kernel),

@@ -8,7 +8,15 @@ supplies the per-iterate coefficient fields of the linearized operator
 
 where H[u] is the complex Hessian of the update.  The linearized flow
 operator is uniformly parabolic on admissible iterates, so A is solved with
-BiCGStab preconditioned by the constant-coefficient symbol in Fourier space.
+BiCGStab preconditioned by the constant-coefficient symbol in Fourier space
+(real transforms from `scipy.fft`).
+
+The Newton iteration is inexact: iteration k solves its linear system only to
+the relative tolerance eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 of Eisenstat and
+Walker's choice 2 (`_forcing_term`), in the residual max-norm the stopping
+test uses, capped at 0.1 and never below FlowParams.linear_rtol.  Early
+iterates take cheap, loose solves; eta_k falls with the residual.
+
 Line search halves the step until the residual drops and the iterate stays
 inside the admissible cone (no projection; steps that cross the cone are
 rejected wholesale).
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
 from .grid import TorusGrid, hessian_parts
@@ -36,7 +45,7 @@ class FlowParams:
     newton_max_iter: int = 50
     damping: float = 1.0
     admissibility_floor: float = 1e-8
-    linear_rtol: float = 1e-8
+    linear_rtol: float = 1e-8       # floor of the Krylov forcing term eta_k
     linear_max_iter: int = 400
     initial_guess: str = "predictor"  # or "constant"
 
@@ -87,15 +96,48 @@ def _fourier_preconditioner(grid: TorusGrid, zeroth_mean: float, b_mean: float):
     denom = np.maximum(zeroth_mean - b_mean * grid.quarter_laplacian_symbol, 1e-300)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        vhat = np.fft.rfftn(v.reshape(grid.shape))
-        return np.fft.irfftn(vhat / denom, s=grid.shape, axes=grid.axes).ravel()
+        vhat = scipy.fft.rfftn(v.reshape(grid.shape))
+        vhat /= denom
+        return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes,
+                                overwrite_x=True).ravel()
 
     return apply
 
 
+# Eisenstat-Walker choice 2: eta_k = _EW_GAMMA (|F_k| / |F_{k-1}|)^2, at
+# most _ETA_MAX; the first Newton iteration of a step uses _ETA_0.
+_ETA_0 = 0.1
+_ETA_MAX = 0.1
+_EW_GAMMA = 0.9
+_EW_SAFEGUARD = 0.1
+
+
+def _forcing_term(res_norm: float, prev_norm: float | None, eta_prev: float,
+                  floor: float) -> float:
+    """Krylov tolerance of the next Newton iteration (Eisenstat-Walker 2).
+
+    prev_norm is the residual norm one iteration earlier, None on the first
+    iteration, which takes _ETA_0.  The safeguard keeps eta >= 0.9
+    eta_prev^2 while that exceeds 0.1; the result is capped at _ETA_MAX and
+    never below floor.
+    """
+    if prev_norm is None:
+        eta = _ETA_0
+    else:
+        eta = _EW_GAMMA * (res_norm / prev_norm) ** 2
+        guard = _EW_GAMMA * eta_prev * eta_prev
+        if guard > _EW_SAFEGUARD:
+            eta = max(eta, guard)
+    return max(min(eta, _ETA_MAX), floor)
+
+
 def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
-                      rhs: np.ndarray, rtol: float, maxiter: int) -> np.ndarray:
-    """Solve zeroth * u - tr(B H[u]) = rhs, B given by its real weights."""
+                      rhs: np.ndarray, rtol: float, maxiter: int) -> tuple:
+    """Solve zeroth * u - tr(B H[u]) = rhs, B given by its real weights.
+
+    Returns (u, info) with scipy's info: 0 when BiCGStab or the GMRES
+    fallback reached rtol, nonzero when both stalled.
+    """
     size = rhs.size
 
     def matvec(v):
@@ -114,14 +156,15 @@ def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
     if info != 0:
         sol, info = gmres(A, rhs.ravel(), x0=sol, rtol=rtol, atol=0.0,
                           maxiter=maxiter, M=M)
-        if info != 0:
-            raise NewtonDiverged(f"linearized solve stalled (info={info})")
-    return sol.reshape(grid.shape)
+    return sol.reshape(grid.shape), info
 
 
 def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_fn,
                 admissible_fn, params: FlowParams, t: float | None = None) -> np.ndarray:
-    """Damped Newton iteration for one backward-Euler step.
+    """Damped inexact Newton iteration for one backward-Euler step.
+
+    Stops when the max-norm of the residual is at most params.newton_tol;
+    iteration k solves its linear system to the forcing term eta_k.
 
     residual_fn(values) -> residual array;
     linearization_fn(values) -> (zeroth, weights): zeroth and the real
@@ -137,13 +180,21 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
         raise AdmissibilityLost("initial Newton guess violates the cone floor", t)
     res = residual_fn(phi)
     res_norm = float(np.abs(res).max())
+    prev_norm, eta = None, _ETA_0
 
-    for _ in range(params.newton_max_iter):
+    for it in range(params.newton_max_iter):
         if res_norm <= params.newton_tol:
             break
+        eta = _forcing_term(res_norm, prev_norm, eta, params.linear_rtol)
+        prev_norm = res_norm
         zeroth, weights = linearization_fn(phi)
-        delta = _solve_linearized(grid, zeroth, weights, res,
-                                  params.linear_rtol, params.linear_max_iter)
+        delta, info = _solve_linearized(grid, zeroth, weights, res,
+                                        eta, params.linear_max_iter)
+        if info != 0:
+            raise NewtonDiverged(
+                f"linearized solve stalled (info={info}) at Newton iteration "
+                f"{it} with forcing term eta={eta:.3g} and "
+                f"linear_max_iter={params.linear_max_iter}", t)
         frac = params.damping
         accepted = False
         for _ in range(25):

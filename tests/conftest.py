@@ -7,6 +7,22 @@ from pmaflow import FlowParams, RhsSpec, TorusGrid, solve_flow
 from pmaflow.manufactured import ManufacturedSolution
 
 
+@pytest.fixture
+def forward_transforms(monkeypatch):
+    """The shapes of the `scipy.fft.rfftn` calls made during the test."""
+    import scipy.fft
+
+    calls = []
+    rfftn = scipy.fft.rfftn
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def grid32():
     return TorusGrid(1, 32)

@@ -7,6 +7,7 @@ import pytest
 
 from pmaflow.cli import RunConfig, main, run, sweep
 from pmaflow.estimates import EstimateReport
+from pmaflow.grid import load_trajectory
 
 
 def trivial_config(**overrides):
@@ -183,6 +184,50 @@ def test_cli_regularize_battery(tmp_path):
     result = json.loads((out / "regularize.json").read_text())
     assert result["checks"]["sandwich_lower"]
     assert result["checks"]["sandwich_upper"]
+
+
+def test_regularize_battery_one_forward_transform_per_slice(
+        tmp_path, monkeypatch, forward_transforms):
+    """The sandwich takes rho_eps phi from the transform's own smoother."""
+    from pmaflow import cli
+    from pmaflow import regularize as reg
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(trivial_config(
+        grid={"n_complex": 1, "points_per_axis": 16},
+        flow={"T": 0.06, "dt": 0.02, "initial_condition": "random_band"},
+        rhs={"kind": "smooth_product", "spatial_amplitude": 0.4}).to_json())
+    sv = tmp_path / "sv"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(sv)]) == 0
+    traj_path = sv / "trajectory.bin"
+    traj = load_trajectory(traj_path)
+    assert traj.n_times == 4
+    cli._regularize_battery(traj_path, 0.125, 0.5, tmp_path)   # warm the kernel cache
+
+    # the theta-scale bound and the ball-mass profile transform on their own
+    apart = []
+
+    def count_apart(fn):
+        def wrapped(*args, **kwargs):
+            before = len(forward_transforms)
+            out = fn(*args, **kwargs)
+            apart.append(len(forward_transforms) - before)
+            return out
+        return wrapped
+
+    for name in ("theta_scale_bound", "ball_mass_profile"):
+        monkeypatch.setattr(reg, name, count_apart(getattr(reg, name)))
+    forward_transforms.clear()
+    result = cli._regularize_battery(traj_path, 0.125, 0.5, tmp_path)
+    assert len(forward_transforms) - sum(apart) == traj.n_times
+    assert set(forward_transforms) == {traj.grid.shape}
+
+    # the same upper sandwich as mollifying every slice on its own
+    params = reg.RegularizationParams(epsilon=0.125, gamma=0.5)
+    excess = max(float((reg.kiselman_legendre(f, params).values
+                        - reg.mollify(f, 0.125).values).max())
+                 for f in map(traj.field_at, range(traj.n_times)))
+    assert result["sandwich_upper_excess"] == excess
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -177,23 +177,14 @@ def test_kiselman_matches_stacked_oracle(n, N, overrides):
 
 
 @pytest.mark.parametrize("s_samples", [4, 32, 96])
-def test_kiselman_one_forward_transform_per_call(monkeypatch, s_samples):
-    from pmaflow import grid as grid_mod
-
+def test_kiselman_one_forward_transform_per_call(forward_transforms, s_samples):
     grid = TorusGrid(1, 32)
     f = random_admissible_field(grid, np.random.default_rng(41), margin=0.3)
     params = RegularizationParams(epsilon=0.125, gamma=0.5, s_samples=s_samples)
     kiselman_legendre(f, params)   # warm the kernel-transform cache
-    calls = []
-    rfftn = grid_mod.np.fft.rfftn
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return rfftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(grid_mod.np.fft, "rfftn", counting)
+    forward_transforms.clear()
     kiselman_legendre(f, params)
-    assert calls == [grid.shape]
+    assert forward_transforms == [grid.shape]
 
 
 def test_fold_scales_keeps_first_minimum_like_argmin():

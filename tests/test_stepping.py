@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from pmaflow import FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_hessian_flow
-from pmaflow import flow_hessian
+from pmaflow import flow_hessian, stepping
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
 from pmaflow.grid import complex_hessian_matrices, random_admissible_field
-from pmaflow.stepping import _fourier_preconditioner, _hessian_trace
+from pmaflow.stepping import (
+    NewtonDiverged,
+    _forcing_term,
+    _fourier_preconditioner,
+    _hessian_trace,
+)
 
 CASES = [(1, 16), (2, 8)]
 
@@ -119,3 +125,107 @@ def test_solve_reuses_converged_hessians(monkeypatch):
         current = backward_euler_step(current, t[k] - t[k - 1], rhs.F_field(grid, t[k]),
                                       symbol, params, t=t[k])
         assert np.array_equal(current.values, traj.values[k])
+
+
+# ---------------------------------------------------------------------------
+# inexact Newton: Eisenstat-Walker forcing terms
+
+
+def test_forcing_term_choice_two():
+    floor = 1e-8
+    assert _forcing_term(1.0, None, 0.0, floor) == stepping._ETA_0
+    assert _forcing_term(1.0, None, 0.0, 0.5) == 0.5          # floor beats eta_0
+    assert _forcing_term(1e-3, 1e-2, 0.05, floor) == pytest.approx(0.9e-2, rel=1e-14)
+    assert _forcing_term(9e-3, 1e-2, 0.05, floor) == 0.1      # capped
+    assert _forcing_term(1e-9, 1e-2, 0.05, floor) == floor    # floored
+    # the safeguard holds eta up while 0.9 eta_{k-1}^2 > 0.1, then the cap
+    assert _forcing_term(1e-5, 1e-2, 0.5, floor) == 0.1
+    assert _forcing_term(1e-5, 1e-2, 0.3, floor) == pytest.approx(0.9e-6, rel=1e-14)
+
+
+def _recording_solves(monkeypatch):
+    """Per Newton step, the (max |rhs|, eta) of each linearized solve."""
+    steps = []
+    solve, newton = stepping._solve_linearized, flow_hessian.newton_step
+
+    def recording(grid, zeroth, weights, rhs, rtol, maxiter):
+        steps[-1].append((float(np.abs(rhs).max()), rtol))
+        return solve(grid, zeroth, weights, rhs, rtol, maxiter)
+
+    def new_step(*args, **kwargs):
+        steps.append([])
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_solve_linearized", recording)
+    monkeypatch.setattr(flow_hessian, "newton_step", new_step)
+    return steps
+
+
+def _sigma_n2_problem():
+    grid = TorusGrid(2, 12)
+    symbol = HessianSymbol.sigma_quotient(2, 2, 1)
+    phi0 = random_admissible_field(grid, np.random.default_rng(5), margin=0.3)
+    rhs = RhsSpec.smooth_product(
+        lambda x1, y1, x2, y2: 0.4 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2),
+        lambda t: 1.0)
+    return phi0, rhs, symbol, FlowParams(T=0.02, dt=0.01)
+
+
+def test_forcing_sequence_follows_residual_ratios(monkeypatch):
+    phi0, rhs, symbol, params = _sigma_n2_problem()
+    steps = _recording_solves(monkeypatch)
+    solve_hessian_flow(phi0, rhs, symbol, params)
+    assert len(steps) == 2
+    etas = [eta for step in steps for _, eta in step]
+    assert all(params.linear_rtol <= eta <= 0.1 for eta in etas)
+    assert min(etas) < 1e-3
+    for step in steps:
+        assert len(step) >= 3
+        assert step[0][1] == stepping._ETA_0
+        for (prev, _), (norm, eta) in zip(step, step[1:]):
+            want = max(min(0.9 * (norm / prev) ** 2, 0.1), params.linear_rtol)
+            assert eta == pytest.approx(want, rel=1e-14)
+
+
+def _counting_matvecs(monkeypatch):
+    """Count the matvecs of every Krylov solve, BiCGStab and GMRES alike."""
+    count = [0]
+
+    def counted(solver):
+        def wrapped(A, *args, **kwargs):
+            def matvec(v):
+                count[0] += 1
+                return A.matvec(v)
+            return solver(LinearOperator(A.shape, matvec=matvec, dtype=float),
+                          *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(stepping, "bicgstab", counted(stepping.bicgstab))
+    monkeypatch.setattr(stepping, "gmres", counted(stepping.gmres))
+    return count
+
+
+def test_inexact_newton_matches_tight_solves_with_fewer_matvecs(monkeypatch):
+    phi0, rhs, symbol, params = _sigma_n2_problem()
+    count = _counting_matvecs(monkeypatch)
+    inexact = solve_hessian_flow(phi0, rhs, symbol, params)
+    inexact_matvecs = count[0]
+
+    count[0] = 0
+    monkeypatch.setattr(stepping, "_forcing_term", lambda *args: args[-1])
+    tight = solve_hessian_flow(phi0, rhs, symbol, params)
+    assert np.abs(inexact.values - tight.values).max() <= 10 * params.newton_tol
+    assert inexact_matvecs < count[0]
+
+
+def test_stalled_krylov_solve_names_time_and_forcing():
+    phi0, rhs, symbol, _ = _sigma_n2_problem()
+    params = FlowParams(T=0.01, dt=0.01, linear_max_iter=1)
+    with pytest.raises(NewtonDiverged) as info:
+        backward_euler_step(phi0, 0.01, rhs.F_field(phi0.grid, 0.01), symbol,
+                            params, t=0.01)
+    msg = str(info.value)
+    assert "linearized solve stalled" in msg
+    assert "t=0.01" in msg and "linear_max_iter=1" in msg
+    assert "Newton iteration" in msg and "eta=" in msg
+    assert info.value.t == 0.01
