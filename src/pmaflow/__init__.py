@@ -9,14 +9,11 @@ their a priori bounds.
 
 from .grid import (
     DEFAULT_KERNEL,
-    HessianData,
     RadialKernel,
     ScalarField,
     TorusGrid,
     Trajectory,
-    complex_hessian,
     convolve_radial,
-    hessian_eigenvalues,
     hessian_parts,
     integrate,
     load_field,
@@ -34,7 +31,6 @@ from .flow_ma import (
     TabulatedRhs,
     build_auxiliary_rhs,
     comparison_check,
-    implicit_step,
     ma_residual,
     normalize,
     solve_flow,

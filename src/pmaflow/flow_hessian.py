@@ -6,7 +6,7 @@ time slot -d_t phi and lambda_1..lambda_n are the eigenvalues of
 I + H[phi].  Supported symbols:
 
     det               f = lambda_0 lambda_1 ... lambda_n  (Monge-Ampere)
-    ma_power          f = (prod_i lambda_i)^{1/(n+1)}
+    ma_power          f = (prod_i lambda_i)^{1/(n+1)} = sigma_{n+1}^{1/(n+1)}
     lambda0_sigma_k   g = (lambda_0 sigma_k^{1/k}(lambda'))^{n/(n+1)}
     sigma_quotient    g = (lambda_0 (sigma_k/sigma_l)^{1/(k-l)}(lambda'))^{n/(n+1)}
     full_sigma_k      f = sigma_k(lambda_0..lambda_n)^{1/k},  1 <= k <= n+1
@@ -155,17 +155,11 @@ class ConePoint:
     def in_gamma_k(self, k: int, include_lambda0: bool = True) -> bool:
         """sigma_j > 0 for j = 1..k on the relevant argument list."""
         lam = self.as_array() if include_lambda0 else np.asarray(self.lambdas)
-        return all(_sigma(lam, j) > 0.0 for j in range(1, k + 1))
+        return all(_sigma_arrays(lam, j) > 0.0 for j in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials (few variables; direct sums)
-
-
-def _sigma(lam: np.ndarray, k: int) -> float:
-    if k == 0:
-        return 1.0
-    return float(sum(np.prod(c) for c in combinations(lam, k)))
 
 
 def _sigma_arrays(lams: np.ndarray, k: int) -> np.ndarray:
@@ -209,16 +203,10 @@ def f_eval_grad_arrays(symbol: HessianSymbol, lam0: np.ndarray,
     lams = np.asarray(lams, dtype=float)
     grad = np.empty(lam0.shape + (n + 1,))
 
-    if symbol.kind == "ma_power":
-        full = np.concatenate([lam0[..., None], lams], axis=-1)
-        val = np.prod(full, axis=-1) ** (1.0 /(n + 1))
-        for i in range(n + 1):
-            grad[..., i] = val / ((n + 1) * full[..., i])
-        return val, grad
-
-    if symbol.kind in ("det", "full_sigma_k"):
-        # det is sigma_{n+1} of the extended eigenvalues, without the root
-        k = n + 1 if symbol.kind == "det" else symbol.k
+    if symbol.kind in ("det", "ma_power", "full_sigma_k"):
+        # det is sigma_{n+1} of the extended eigenvalues, without the root;
+        # ma_power is its (n+1)-th root
+        k = symbol.k if symbol.kind == "full_sigma_k" else n + 1
         full = np.concatenate([lam0[..., None], lams], axis=-1)
         sk = _sigma_arrays(full, k)
         dsk = _sigma_gradient_arrays(full, k)
@@ -257,9 +245,7 @@ def f_eval_grad(symbol: HessianSymbol, point: ConePoint) -> tuple[float, np.ndar
     if symbol.kind == "full_sigma_k":
         ok = point.in_gamma_k(symbol.k, include_lambda0=True)
     elif symbol.kind in ("lambda0_sigma_k_power", "sigma_quotient_power"):
-        lam = np.asarray(point.lambdas)
-        ok = point.lambda0 > 0 and all(
-            _sigma(lam, j) > 0.0 for j in range(1, symbol.k + 1))
+        ok = point.lambda0 > 0 and point.in_gamma_k(symbol.k, include_lambda0=False)
     else:
         ok = point.in_positive_cone()
     if not ok:

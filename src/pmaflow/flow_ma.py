@@ -3,11 +3,12 @@
 The flow is (-d_t phi) det(I + H[phi]) = e^F with phi(0) = phi_0, solved in
 the admissible class d_t phi <= 0, I + H[phi] >= 0 by backward Euler with a
 full Newton solve per step.  It is the product symbol `det` of the Hessian
-flows, so `implicit_step` and `solve_flow` run the shared stepper of
-`flow_hessian`; `ma_residual` keeps the entrywise determinant as an
-independent oracle.  The module also carries the right-hand-side
-generators, the volume normalization h(t), and the auxiliary normalized
-right-hand sides eta_j(-phi - s) e^F / A_{j,s} used by the estimate layer.
+flows, so `solve_flow` runs the shared stepper of `flow_hessian` (one step
+is `backward_euler_step` with `HessianSymbol.det(n)`); `ma_residual` keeps
+the entrywise determinant as an independent oracle.  The module also
+carries the right-hand-side generators, the volume normalization h(t), and
+the auxiliary normalized right-hand sides eta_j(-phi - s) e^F / A_{j,s}
+used by the estimate layer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_hessian import HessianSymbol, backward_euler_step, solve_hessian_flow
+from .flow_hessian import HessianSymbol, solve_hessian_flow
 from .grid import (
     ScalarField,
     TorusGrid,
@@ -36,7 +37,6 @@ __all__ = [
     "NormalizationProfile",
     "SLevelTooSmall",
     "ma_residual",
-    "implicit_step",
     "solve_flow",
     "comparison_check",
     "normalize",
@@ -217,18 +217,6 @@ def ma_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
     hmat = complex_hessian_matrices(phi_next.values, grid)
     det = _det_identity_plus(hmat, grid.n_complex)
     return ScalarField(grid, lam0 * det - np.exp(f_next.values))
-
-
-def implicit_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
-                  params: FlowParams, _t: float | None = None) -> ScalarField:
-    """One backward-Euler step of the Monge-Ampere flow (the `det` symbol).
-
-    Raises NewtonDiverged if the residual cannot be reduced, and
-    AdmissibilityLost if the eigenvalue floor is violated.
-    """
-    return backward_euler_step(phi_prev, dt, f_next,
-                               HessianSymbol.det(phi_prev.grid.n_complex),
-                               params, t=_t)
 
 
 def solve_flow(phi0: ScalarField, rhs, params: FlowParams) -> Trajectory:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,16 +34,12 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "Trajectory",
-    "HessianData",
     "RadialKernel",
     "DEFAULT_KERNEL",
     "integrate",
-    "complex_hessian",
     "complex_hessian_matrices",
     "hessian_parts",
-    "hessian_eigenvalues",
     "identity_plus_eigenvalues",
-    "eigvalsh_identity_plus",
     "min_admissibility_eigenvalue",
     "convolve_radial",
     "radial_smoother",
@@ -249,26 +245,6 @@ class Trajectory:
         return Trajectory(self.grid, self.times.copy(), fn(self.values), dt=self.dt)
 
 
-@dataclass
-class HessianData:
-    """Per-point Hermitian matrix of mixed complex second derivatives.
-
-    `matrices` has shape (*grid.shape, n, n) with n = grid.n_complex and is
-    Hermitian to round-off at every grid point.
-    """
-
-    grid: TorusGrid
-    matrices: np.ndarray
-
-    _eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def eigenvalues_of_identity_plus(self) -> np.ndarray:
-        """Ascending eigenvalues of I + H at every point, shape (*shape, n)."""
-        if self._eigs is None:
-            self._eigs = eigvalsh_identity_plus(self.matrices, self.grid.n_complex)
-        return self._eigs
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -337,15 +313,9 @@ def hessian_parts(values: np.ndarray, grid: TorusGrid) -> tuple:
         lambda a, b: _fd_second_derivative(values, grid, a, b), grid.n_complex)
 
 
-def complex_hessian(field: ScalarField) -> HessianData:
-    """Mixed complex Hessian phi_{i jbar} as a per-point Hermitian matrix."""
-    field.require_finite("field")
-    grid = field.grid
-    return HessianData(grid, complex_hessian_matrices(field.values, grid))
-
-
 def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Hessian matrices of a raw value array, assembled from `hessian_parts`."""
+    """Hessian matrices of a raw value array, assembled from `hessian_parts`:
+    the one tensor view, an oracle for `ma_residual` and the tests."""
     n = grid.n_complex
     parts = hessian_parts(values, grid)
     out = np.zeros(grid.shape + (n, n), dtype=complex)
@@ -372,20 +342,6 @@ def identity_plus_eigenvalues(parts: tuple) -> np.ndarray:
     mean = 0.5 * (a + b)
     rad = np.sqrt(0.25 * (a - b) ** 2 + np.hypot(re, im) ** 2)
     return np.stack([mean - rad, mean + rad], axis=-1)
-
-
-def eigvalsh_identity_plus(matrices: np.ndarray, n: int) -> np.ndarray:
-    """Ascending eigenvalues of I + H for stacked Hermitian H (n <= 2), closed form."""
-    parts = (matrices[..., 0, 0].real,)
-    if n == 2:
-        parts += (matrices[..., 1, 1].real, matrices[..., 0, 1].real,
-                  matrices[..., 0, 1].imag)
-    return identity_plus_eigenvalues(parts)
-
-
-def hessian_eigenvalues(hess: HessianData) -> np.ndarray:
-    """Ascending eigenvalues of I + H per point (the lambda[h_phi] with g = I)."""
-    return hess.eigenvalues_of_identity_plus()
 
 
 def min_admissibility_eigenvalue(field: ScalarField) -> float:

@@ -43,7 +43,6 @@ class FlowParams:
     dt: float = 0.01
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    damping: float = 1.0
     admissibility_floor: float = 1e-8
     linear_rtol: float = 1e-8       # floor of the Krylov forcing term eta_k
     linear_max_iter: int = 400
@@ -54,12 +53,14 @@ class FlowParams:
             raise ValueError("require 0 < dt <= T")
         if self.newton_tol <= 0 or self.admissibility_floor <= 0:
             raise ValueError("tolerances must be positive")
+        if self.linear_max_iter < 1:
+            raise ValueError("linear_max_iter must be at least 1")
         if self.initial_guess not in ("predictor", "constant"):
             raise ValueError(f"unknown initial_guess {self.initial_guess!r}")
 
 
 class NewtonDiverged(RuntimeError):
-    """Newton failed to reduce the residual within the damping ladder."""
+    """Newton failed to reduce the residual within the line-search ladder."""
 
     def __init__(self, message, t=None):
         if t is not None:
@@ -154,8 +155,11 @@ def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
     sol, info = bicgstab(A, rhs.ravel(), x0=x0, rtol=rtol, atol=0.0,
                          maxiter=maxiter, M=M)
     if info != 0:
+        # scipy counts gmres's maxiter in restart cycles: cap the inner
+        # iterations, not the cycles, at maxiter
+        restart = min(20, maxiter)
         sol, info = gmres(A, rhs.ravel(), x0=sol, rtol=rtol, atol=0.0,
-                          maxiter=maxiter, M=M)
+                          restart=restart, maxiter=max(1, maxiter // restart), M=M)
     return sol.reshape(grid.shape), info
 
 
@@ -195,7 +199,7 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
                 f"linearized solve stalled (info={info}) at Newton iteration "
                 f"{it} with forcing term eta={eta:.3g} and "
                 f"linear_max_iter={params.linear_max_iter}", t)
-        frac = params.damping
+        frac = 1.0
         accepted = False
         for _ in range(25):
             trial = phi + frac * delta
@@ -208,8 +212,8 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
                     break
             frac *= 0.5
         if not accepted:
-            raise NewtonDiverged(
-                f"residual not reduced below {res_norm:.3e} with full damping ladder", t)
+            raise NewtonDiverged(f"residual not reduced below {res_norm:.3e} "
+                                 "after the full line-search ladder", t)
     if res_norm > params.newton_tol:
         raise NewtonDiverged(
             f"residual {res_norm:.3e} above tolerance after "

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -60,22 +60,54 @@ def test_full_sigma2_at_ones_n2():
     assert val == pytest.approx(np.sqrt(3.0), rel=1e-14)
 
 
+def _in_cone(symbol, lam):
+    try:
+        f_eval_grad(symbol, ConePoint(lam[0], tuple(lam[1:])))
+    except ConeViolation:
+        return False
+    return True
+
+
+def _negative_slots_from(symbol):
+    """First slot of the list Gamma_k constrains when Gamma_k is wider than
+    the positive cone (k below the list's length), None otherwise."""
+    if symbol.kind == "full_sigma_k" and symbol.k <= symbol.n:
+        return 0
+    if symbol.kind in ("lambda0_sigma_k_power", "sigma_quotient_power") \
+            and symbol.k < symbol.n:
+        return 1
+    return None
+
+
 @pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
-def test_gradient_matches_finite_differences(symbol):
-    rng = np.random.default_rng(11)
-    for point in random_cone_points(symbol.n, 30, rng):
-        val, grad = f_eval_grad(symbol, point)
-        lam = point.as_array()
-        for i in range(symbol.n + 1):
-            h = 1e-6 * max(lam[i], 1.0)
-            plus = lam.copy()
-            plus[i] += h
-            minus = lam.copy()
-            minus[i] -= h
-            vp, _ = f_eval_grad(symbol, ConePoint(plus[0], tuple(plus[1:])))
-            vm, _ = f_eval_grad(symbol, ConePoint(minus[0], tuple(minus[1:])))
-            fd = (vp - vm) / (2.0 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_gradient_matches_finite_differences(symbol, data):
+    """Central differences at points inside the symbol's cone.
+
+    Where Gamma_k is wider than the positive cone, some draws put one
+    negative slot on the list it constrains.  Every point keeps a margin:
+    lowering all slots by 0.05 stays inside the cone, which then holds for
+    every difference step, since Gamma_k + (positive cone) lies in Gamma_k.
+    """
+    n = symbol.n
+    lam = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n + 1,
+                                      max_size=n + 1)))
+    first = _negative_slots_from(symbol)
+    if first is not None and data.draw(st.booleans()):
+        lam[data.draw(st.integers(first, n))] = data.draw(st.floats(-3.0, -0.05))
+    assume(_in_cone(symbol, lam - 0.05))
+    val, grad = f_eval_grad(symbol, ConePoint(lam[0], tuple(lam[1:])))
+    for i in range(n + 1):
+        h = 1e-6 * max(abs(lam[i]), 1.0)
+        plus = lam.copy()
+        plus[i] += h
+        minus = lam.copy()
+        minus[i] -= h
+        vp, _ = f_eval_grad(symbol, ConePoint(plus[0], tuple(plus[1:])))
+        vm, _ = f_eval_grad(symbol, ConePoint(minus[0], tuple(minus[1:])))
+        fd = (vp - vm) / (2.0 * h)
+        assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
 def test_cone_violation_raised():

@@ -15,13 +15,13 @@ from pmaflow import (
     TorusGrid,
     build_auxiliary_rhs,
     comparison_check,
-    implicit_step,
     ma_residual,
     normalize,
     solve_flow,
     solve_hessian_flow,
 )
 from pmaflow.estimates import exp_alpha_integral
+from pmaflow.flow_hessian import backward_euler_step
 from pmaflow.flow_ma import eta_smooth_plus
 from pmaflow.grid import spacetime_integral
 from pmaflow.manufactured import ManufacturedSolution
@@ -67,20 +67,23 @@ def test_residual_exact_on_time_linear_solution(grid64):
 
 
 # ---------------------------------------------------------------------------
-# implicit_step
+# one backward-Euler step of the det symbol
+
+MA1 = HessianSymbol.det(1)
 
 
 def test_step_flat_exact(grid32):
     params = FlowParams(T=1.0, dt=0.01)
-    out = implicit_step(grid32.constant_field(0.0), 0.01,
-                        grid32.constant_field(0.0), params)
+    out = backward_euler_step(grid32.constant_field(0.0), 0.01,
+                              grid32.constant_field(0.0), MA1, params)
     assert np.abs(out.values + 0.01).max() < 1e-12
 
 
 def test_step_time_only_rhs(grid32):
     params = FlowParams(T=1.0, dt=0.02)
     f_next = grid32.constant_field(np.log(1.7))
-    out = implicit_step(grid32.constant_field(0.2), 0.02, f_next, params)
+    out = backward_euler_step(grid32.constant_field(0.2), 0.02, f_next, MA1,
+                              params)
     assert np.abs(out.values - (0.2 - 0.02 * 1.7)).max() <= params.newton_tol
 
 
@@ -90,8 +93,8 @@ def test_step_local_order_two(grid64):
     t0 = 0.05
     errs = []
     for dt in (0.02, 0.01):
-        out = implicit_step(ms.exact_field(t0), dt, ms.F_field(grid64, t0 + dt),
-                            params)
+        out = backward_euler_step(ms.exact_field(t0), dt,
+                                  ms.F_field(grid64, t0 + dt), MA1, params)
         errs.append(float(np.abs(out.values - ms.exact_values(t0 + dt)).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -102,7 +105,7 @@ def test_step_rejects_inadmissible_input(grid32):
     bad = grid32.scalar_field(0.2 * np.cos(2 * np.pi * x))  # min eig < 0
     params = FlowParams(T=1.0, dt=0.01)
     with pytest.raises(AdmissibilityLost):
-        implicit_step(bad, 0.01, grid32.constant_field(0.0), params)
+        backward_euler_step(bad, 0.01, grid32.constant_field(0.0), MA1, params)
 
 
 def test_newton_diverged_on_iteration_budget(grid32):
@@ -110,7 +113,7 @@ def test_newton_diverged_on_iteration_budget(grid32):
     x, _ = grid32.meshgrid()
     f_next = grid32.scalar_field(1.5 * np.cos(2 * np.pi * x))
     with pytest.raises(NewtonDiverged):
-        implicit_step(grid32.constant_field(0.0), 0.5, f_next, params)
+        backward_euler_step(grid32.constant_field(0.0), 0.5, f_next, MA1, params)
 
 
 # ---------------------------------------------------------------------------

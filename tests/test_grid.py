@@ -1,17 +1,20 @@
 """Grid, quadrature, complex Hessian, and convolution tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pmaflow import (
     DEFAULT_KERNEL,
     ScalarField,
     TorusGrid,
-    complex_hessian,
+    Trajectory,
     convolve_radial,
     hessian_parts,
-    hessian_eigenvalues,
     integrate,
     load_field,
     load_trajectory,
@@ -19,7 +22,11 @@ from pmaflow import (
     save_field,
     save_trajectory,
 )
-from pmaflow.grid import HessianData, complex_hessian_matrices, field_to_csv
+from pmaflow.grid import (
+    complex_hessian_matrices,
+    field_to_csv,
+    identity_plus_eigenvalues,
+)
 
 
 def band_limited(grid, rng, max_mode=5, n_modes=6):
@@ -78,16 +85,16 @@ def test_quadrature_exact_below_nyquist(grid32):
 
 
 def test_hessian_of_constant_is_zero(grid32):
-    h = complex_hessian(grid32.constant_field(3.7))
-    assert np.abs(h.matrices).max() < 1e-12
+    h = complex_hessian_matrices(grid32.constant_field(3.7).values, grid32)
+    assert np.abs(h).max() < 1e-12
 
 
 def test_hessian_cosine_eigenfunction(grid64):
     x, _ = grid64.meshgrid()
     f = grid64.scalar_field(np.cos(2 * np.pi * x))
-    h = complex_hessian(f)
+    h = complex_hessian_matrices(f.values, grid64)
     expected = -np.pi**2 * np.cos(2 * np.pi * x)
-    assert np.abs(h.matrices[..., 0, 0].real - expected).max() < 1e-10
+    assert np.abs(h[..., 0, 0].real - expected).max() < 1e-10
 
 
 def _fd4_second(values, grid, a, b):
@@ -112,7 +119,7 @@ def test_hessian_matches_fd4_oracle(n_complex, N):
         grid = TorusGrid(n_complex, size)
         rng_local = np.random.default_rng(1)
         f = band_limited(grid, rng_local, max_mode=2, n_modes=3)
-        h = complex_hessian(f)
+        h = complex_hessian_matrices(f.values, grid)
         n = grid.n_complex
         err = 0.0
         for i in range(n):
@@ -122,7 +129,7 @@ def test_hessian_matches_fd4_oracle(n_complex, N):
                 im = 0.25 * (_fd4_second(f.values, grid, 2 * i, 2 * j + 1)
                              - _fd4_second(f.values, grid, 2 * i + 1, 2 * j))
                 oracle = re + 1j * im
-                err = max(err, float(np.abs(h.matrices[..., i, j] - oracle).max()))
+                err = max(err, float(np.abs(h[..., i, j] - oracle).max()))
         errs.append(err)
     order = np.log2(errs[0] / errs[1])
     assert order >= 3.5
@@ -135,8 +142,8 @@ def test_spectral_vs_finite_difference_order():
         fd = TorusGrid(1, N, derivative_mode="finite_difference_2nd")
         x, _ = spec.meshgrid()
         vals = np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x)
-        h_spec = complex_hessian(spec.scalar_field(vals)).matrices
-        h_fd = complex_hessian(fd.scalar_field(vals)).matrices
+        h_spec = complex_hessian_matrices(vals, spec)
+        h_fd = complex_hessian_matrices(vals, fd)
         errs.append(float(np.abs(h_spec - h_fd).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -147,17 +154,15 @@ def test_spectral_vs_finite_difference_order():
 
 
 def test_eigenvalues_of_zero_hessian(grid32):
-    h = complex_hessian(grid32.constant_field(0.0))
-    eigs = hessian_eigenvalues(h)
+    eigs = identity_plus_eigenvalues(
+        hessian_parts(grid32.constant_field(0.0).values, grid32))
     assert np.allclose(eigs, 1.0, atol=1e-12)
 
 
 def test_eigenvalues_constant_diagonal_sorted(grid2d):
     a, b = 0.7, -0.2
-    mats = np.zeros(grid2d.shape + (2, 2), dtype=complex)
-    mats[..., 0, 0] = a
-    mats[..., 1, 1] = b
-    eigs = hessian_eigenvalues(HessianData(grid2d, mats))
+    zero = np.zeros(grid2d.shape)
+    eigs = identity_plus_eigenvalues((zero + a, zero + b, zero, zero))
     assert np.allclose(eigs[..., 0], 1 + b, atol=1e-14)
     assert np.allclose(eigs[..., 1], 1 + a, atol=1e-14)
 
@@ -165,26 +170,25 @@ def test_eigenvalues_constant_diagonal_sorted(grid2d):
 def test_eigenvalues_match_eigvalsh_oracle(grid2d):
     rng = np.random.default_rng(2)
     f = band_limited(grid2d, rng, max_mode=2, n_modes=4)
-    h = complex_hessian(f)
-    eigs = hessian_eigenvalues(h)
+    eigs = identity_plus_eigenvalues(hessian_parts(f.values, grid2d))
     eye = np.eye(2)
-    oracle = np.linalg.eigvalsh(h.matrices + eye)
+    oracle = np.linalg.eigvalsh(complex_hessian_matrices(f.values, grid2d) + eye)
     assert np.abs(eigs - oracle).max() < 1e-10
 
 
 def test_eigenvalue_trace_identity(grid2d):
     rng = np.random.default_rng(3)
     f = band_limited(grid2d, rng, max_mode=2, n_modes=4)
-    h = complex_hessian(f)
-    eigs = hessian_eigenvalues(h)
-    trace = 2.0 + np.trace(h.matrices, axis1=-2, axis2=-1).real
+    eigs = identity_plus_eigenvalues(hessian_parts(f.values, grid2d))
+    h = complex_hessian_matrices(f.values, grid2d)
+    trace = 2.0 + np.trace(h, axis1=-2, axis2=-1).real
     assert np.abs(eigs.sum(axis=-1) - trace).max() < 1e-10
 
 
 def test_eigenvalues_ascending(grid2d):
     rng = np.random.default_rng(4)
     f = band_limited(grid2d, rng, max_mode=2, n_modes=4)
-    eigs = hessian_eigenvalues(complex_hessian(f))
+    eigs = identity_plus_eigenvalues(hessian_parts(f.values, grid2d))
     assert np.all(np.diff(eigs, axis=-1) >= 0.0)
 
 
@@ -452,6 +456,35 @@ def test_trajectory_binary_roundtrip(tmp_path, trivial_flow):
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.values, traj.values)
     assert back.dt == traj.dt
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -2.2e-310,
+                                 1e300, -1e300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trajectory_roundtrip_bit_exact(data):
+    """save/load keeps every bit of the grid, times, dt and values."""
+    n = data.draw(st.sampled_from([1, 2]))
+    N = data.draw(st.sampled_from([2, 4] if n == 2 else [2, 4, 6, 8]))
+    grid = TorusGrid(n, N, period=data.draw(st.floats(0.1, 10.0)))
+    steps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=3))
+    times = np.cumsum([data.draw(st.floats(-1.0, 1.0))] + steps)
+    dt = data.draw(st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False)))
+    values = data.draw(hnp.arrays(
+        np.float64, (len(times),) + grid.shape,
+        elements=st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False,
+                                                    allow_infinity=False))))
+    traj = Trajectory(grid, times, values, dt=dt)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traj.bin")
+        save_trajectory(traj, path)
+        back = load_trajectory(path)
+    assert back.grid == grid
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.values.tobytes() == traj.values.tobytes()
+    assert np.float64(back.dt).tobytes() == np.float64(traj.dt).tobytes()
 
 
 @pytest.mark.parametrize("damage", ["8_bytes_short", "one_slice_long"])

@@ -1,0 +1,71 @@
+"""Static checks over the pmaflow sources: module boundaries and exports."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import pmaflow
+
+SRC = pathlib.Path(pmaflow.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _module_name(path):
+    return "pmaflow" if path.stem == "__init__" else f"pmaflow.{path.stem}"
+
+
+def _package_imports(tree):
+    """(node, source module) for every `from` import of a pmaflow module."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            yield node, "pmaflow" + (f".{node.module}" if node.module else "")
+        elif node.level == 0 and (node.module or "").split(".")[0] == "pmaflow":
+            yield node, node.module
+
+
+def _static_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_names_cross_module_boundaries(path):
+    """No module imports a _-prefixed name from another pmaflow module, or
+    reads one off a pmaflow module it imported (`from . import grid`)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders, aliases = [], set()
+    for node, source in _package_imports(tree):
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                offenders.append(f"line {node.lineno}: {alias.name} from {source}")
+            if source == "pmaflow":
+                aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            offenders.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_export_resolves(path):
+    """Each __all__ entry names something the module defines, and each name
+    the package root imports is a listed export of its source module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module = importlib.import_module(_module_name(path))
+    missing = [n for n in _static_all(tree) if not hasattr(module, n)]
+    assert missing == []
+    if path.stem != "__init__":
+        return
+    for node, source in _package_imports(tree):
+        exported = _static_all(ast.parse(
+            (SRC / f"{source.rsplit('.', 1)[1]}.py").read_text()))
+        for alias in node.names:
+            assert alias.name in exported, f"{alias.name} is not in {source}.__all__"

@@ -229,3 +229,30 @@ def test_stalled_krylov_solve_names_time_and_forcing():
     assert "t=0.01" in msg and "linear_max_iter=1" in msg
     assert "Newton iteration" in msg and "eta=" in msg
     assert info.value.t == 0.01
+
+
+def test_gmres_fallback_caps_inner_iterations(monkeypatch):
+    # scipy counts gmres's maxiter in restart cycles, so the fallback must
+    # set restart * maxiter <= linear_max_iter; with linear_max_iter=1 this
+    # det step, which converges through gmres without the cap, stalls
+    grid = TorusGrid(2, 8)
+    x1, y1, x2, _ = grid.meshgrid()
+    phi0 = grid.scalar_field(0.02 * (np.cos(2 * np.pi * x1)
+                                     + np.cos(2 * np.pi * (y1 + x2))))
+    f_next = grid.scalar_field(0.5 * np.cos(2 * np.pi * x1))
+    calls = []
+    gmres = stepping.gmres
+
+    def recorded(A, b, **kwargs):
+        calls.append(kwargs)
+        return gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(stepping, "gmres", recorded)
+    params = FlowParams(T=0.02, dt=0.02, linear_max_iter=1)
+    with pytest.raises(NewtonDiverged, match="linearized solve stalled"):
+        backward_euler_step(phi0, 0.02, f_next, HessianSymbol.det(2), params)
+    assert calls
+    for kwargs in calls:
+        assert kwargs.get("restart", 20) * kwargs["maxiter"] <= params.linear_max_iter
+    with pytest.raises(ValueError, match="linear_max_iter"):
+        FlowParams(linear_max_iter=0)
