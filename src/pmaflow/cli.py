@@ -358,13 +358,13 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
 
     if e.moser_trudinger and stats is not None:
         s_anchor = float(stats.s_grid[min(1, len(stats.s_grid) - 1)])
-        mt = est.moser_trudinger(traj, stats, s_anchor, e.beta, e.mt_base)
-        report.mt_integrals = [float(v) for v in mt]
-        report.extra["mt_sup"] = float(np.max(mt))
         # both exponent normalizations are measured; neither is adjudicated
-        for base in ("n_plus_1", "n_plus_2"):
-            vals = est.moser_trudinger(traj, stats, s_anchor, e.beta, base)
+        mt = {base: est.moser_trudinger(traj, stats, s_anchor, e.beta, base)
+              for base in ("n_plus_1", "n_plus_2")}
+        for base, vals in mt.items():
             report.extra[f"mt_sup_{base}"] = float(np.max(vals))
+        report.mt_integrals = [float(v) for v in mt[e.mt_base]]
+        report.extra["mt_sup"] = float(np.max(mt[e.mt_base]))
 
     if e.exp_alpha:
         ea = est.exp_alpha_integral(traj, e.alpha0)

@@ -11,7 +11,8 @@ I + H[phi].  Supported symbols:
     sigma_quotient    g = (lambda_0 (sigma_k/sigma_l)^{1/(k-l)}(lambda'))^{n/(n+1)}
     full_sigma_k      f = sigma_k(lambda_0..lambda_n)^{1/k},  1 <= k <= n+1
 
-sigma_k is the unnormalized elementary symmetric polynomial.  Gradients use
+sigma_k is the unnormalized elementary symmetric polynomial, computed by the
+recurrence e_j <- e_j + lambda_i e_{j-1} over the slots.  Gradients use
 the closed forms d sigma_k / d lambda_i = sigma_{k-1}(lambda without i),
 which stay smooth across eigenvalue multiplicities; eigenvalues are never
 differentiated directly.  Every flow, Monge-Ampere included, is stepped by
@@ -22,7 +23,7 @@ slots >= floor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -155,34 +156,32 @@ class ConePoint:
     def in_gamma_k(self, k: int, include_lambda0: bool = True) -> bool:
         """sigma_j > 0 for j = 1..k on the relevant argument list."""
         lam = self.as_array() if include_lambda0 else np.asarray(self.lambdas)
-        return all(_sigma_arrays(lam, j) > 0.0 for j in range(1, k + 1))
+        return all(e > 0.0 for e in _elementary(list(lam), k)[1:])
 
 
 # ---------------------------------------------------------------------------
-# elementary symmetric polynomials (few variables; direct sums)
+# elementary symmetric polynomials of a few slots
 
 
-def _sigma_arrays(lams: np.ndarray, k: int) -> np.ndarray:
-    """sigma_k over the last axis of a stacked eigenvalue array."""
-    m = lams.shape[-1]
-    if k == 0:
-        return np.ones(lams.shape[:-1])
-    out = np.zeros(lams.shape[:-1])
-    for c in combinations(range(m), k):
-        term = np.ones(lams.shape[:-1])
-        for i in c:
-            term = term * lams[..., i]
-        out += term
-    return out
+def _elementary(slots: list, k: int) -> list:
+    """[sigma_0, ..., sigma_k] of a list of slot arrays (or scalars).
+
+    The recurrence e_j <- e_j + lambda e_{j-1}, one slot at a time from
+    e = (1, 0, ..., 0); entries that stay zero are the scalar 0.0.
+    """
+    e = [1.0] + [0.0] * k
+    for i, lam in enumerate(slots):
+        for j in range(min(i + 1, k), 0, -1):
+            e[j] = e[j] + lam * e[j - 1]
+    return e
 
 
-def _sigma_gradient_arrays(lams: np.ndarray, k: int) -> np.ndarray:
-    """d sigma_k / d lambda_i = sigma_{k-1} with slot i removed; stacked."""
-    m = lams.shape[-1]
-    out = np.empty_like(lams)
-    for i in range(m):
-        rest = np.delete(lams, i, axis=-1)
-        out[..., i] = _sigma_arrays(rest, k - 1)
+def _sigma_gradient(slots: list, k: int) -> np.ndarray:
+    """d sigma_k / d lambda_i = sigma_{k-1} of the other slots, stacked on a
+    trailing axis."""
+    out = np.empty(np.broadcast(*slots).shape + (len(slots),))
+    for i in range(len(slots)):
+        out[..., i] = _elementary(slots[:i] + slots[i + 1:], k - 1)[k - 1]
     return out
 
 
@@ -201,35 +200,32 @@ def f_eval_grad_arrays(symbol: HessianSymbol, lam0: np.ndarray,
     n = symbol.n
     lam0 = np.asarray(lam0, dtype=float)
     lams = np.asarray(lams, dtype=float)
+    slots = [lams[..., i] for i in range(n)]
     grad = np.empty(lam0.shape + (n + 1,))
 
     if symbol.kind in ("det", "ma_power", "full_sigma_k"):
         # det is sigma_{n+1} of the extended eigenvalues, without the root;
         # ma_power is its (n+1)-th root
         k = symbol.k if symbol.kind == "full_sigma_k" else n + 1
-        full = np.concatenate([lam0[..., None], lams], axis=-1)
-        sk = _sigma_arrays(full, k)
-        dsk = _sigma_gradient_arrays(full, k)
+        full = [lam0] + slots
+        sk = _elementary(full, k)[k]
+        dsk = _sigma_gradient(full, k)
         if symbol.kind == "det":
             return sk, dsk
         val = sk ** (1.0 / k)
         grad[...] = (val / (k * sk))[..., None] * dsk
         return val, grad
 
-    # the lambda_0-split examples: g = (lambda_0 * base(lambda'))^{n/(n+1)}
+    # the lambda_0-split examples: g = (lambda_0 * base(lambda'))^{n/(n+1)},
+    # base = (sigma_k / sigma_l)^{1/(k-l)} with l = 0 for lambda0_sigma_k
     p = n / (n + 1.0)
-    if symbol.kind == "lambda0_sigma_k_power":
-        k = symbol.k
-        sk = _sigma_arrays(lams, k)
-        base = sk ** (1.0 / k)
-        dlog_base = _sigma_gradient_arrays(lams, k) / (k * sk[..., None])
-    else:  # sigma_quotient_power
-        k, l = symbol.k, symbol.l
-        sk = _sigma_arrays(lams, k)
-        sl = _sigma_arrays(lams, l)
-        base = (sk / sl) ** (1.0 / (k - l))
-        dlog_base = (_sigma_gradient_arrays(lams, k) / sk[..., None]
-                     - _sigma_gradient_arrays(lams, l) / sl[..., None]) / (k - l)
+    k, l = symbol.k, symbol.l
+    e = _elementary(slots, k)
+    base = (e[k] / e[l]) ** (1.0 / (k - l))
+    dlog_base = _sigma_gradient(slots, k) / e[k][..., None]
+    if l:
+        dlog_base -= _sigma_gradient(slots, l) / e[l][..., None]
+    dlog_base /= k - l
     val = (lam0 * base) ** p
     grad[..., 0] = p * val / lam0
     grad[..., 1:] = (p * val)[..., None] * dlog_base
@@ -386,31 +382,35 @@ def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
 
 def _scalar_rate(symbol: HessianSymbol, target: np.ndarray, eigs: np.ndarray,
                  t: float | None = None) -> np.ndarray:
-    """Solve f(r, eigs) = target for r > 0 pointwise (monotone Newton).
+    """Solve f(r, eigs) = target for r > 0 pointwise, in closed form.
 
-    f increases in r, so a root exists exactly where target > f(0+, eigs);
-    ConeViolation names the first point where it does not.  For det and the
-    lambda_0-split symbols f(0, eigs) = 0, so that test never trips.
+    Raised to a power q, every symbol is affine in the time slot:
+    f^q = a(eigs) + r b(eigs) with b > 0 on the positive cone, so
+    r = (target^q - a) / b.  A root r > 0 exists exactly where
+    target^q > a; ConeViolation names the first point where it does not.
+    For det, ma_power and the lambda_0-split symbols a = 0, so that test
+    never trips.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_zero, _ = f_eval_grad_arrays(symbol, np.zeros_like(target), eigs)
-    bad = target <= f_zero
+    n = symbol.n
+    k = n + 1 if symbol.kind in ("det", "ma_power") else symbol.k
+    e = _elementary([eigs[..., i] for i in range(n)], k)
+    if symbol.kind in ("det", "ma_power", "full_sigma_k"):
+        # sigma_k(r, eigs) = sigma_k(eigs) + r sigma_{k-1}(eigs)
+        q, a, b = (1.0 if symbol.kind == "det" else k), e[k], e[k - 1]
+    else:
+        # g^{(n+1)/n} = r (sigma_k / sigma_l)^{1/(k-l)}(eigs)
+        l = symbol.l
+        q, a, b = (n + 1.0) / n, 0.0, (e[k] / e[l]) ** (1.0 / (k - l))
+    target_q = target ** q
+    bad = target_q <= a
     if bad.any():
         loc = tuple(int(i) for i in np.argwhere(bad)[0])
+        f_zero = float(np.broadcast_to(a, bad.shape)[loc]) ** (1.0 / q)
         raise ConeViolation(
-            f"e^F = {target[loc]:.6g} <= f(0+, lambda) = {f_zero[loc]:.6g}: "
+            f"e^F = {target[loc]:.6g} <= f(0+, lambda) = {f_zero:.6g}: "
             f"no rate lambda_0 > 0 solves the {symbol.kind} step",
             location=loc, t=t)
-    r = np.ones_like(target)
-    for _ in range(60):
-        val, grad = f_eval_grad_arrays(symbol, r, eigs)
-        step = (val - target) / np.maximum(grad[..., 0], 1e-300)
-        r_new = np.maximum(r - step, 0.5 * r)
-        if np.max(np.abs(r_new - r)) <= 1e-14 * np.max(np.abs(r_new)):
-            r = r_new
-            break
-        r = r_new
-    return r
+    return (target_q - a) / b
 
 
 def _euler_step(grid: TorusGrid, prev: np.ndarray, eigs: np.ndarray, dt: float,
@@ -447,13 +447,14 @@ def backward_euler_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
                         t: float | None = None) -> ScalarField:
     """One backward-Euler step f((phi_prev - phi)/dt, lambda[I + H[phi]]) = e^F.
 
-    The predictor solves the equation pointwise for the rate with the
-    eigenvalues of phi_prev frozen, falling back to the mean rate when that
-    guess leaves the cone (or when params.initial_guess is "constant");
-    Newton then solves the coupled step.  Raises AdmissibilityLost if
-    phi_prev violates the eigenvalue floor, ConeViolation if e^F lies
-    below the symbol's range at some point, and NewtonDiverged if the
-    residual cannot be reduced or the step is not monotone.
+    The predictor solves the equation pointwise for the rate, in closed
+    form, with the eigenvalues of phi_prev frozen, falling back to the mean
+    rate when that guess leaves the cone (or when params.initial_guess is
+    "constant"); Newton then solves the coupled step.  Raises
+    AdmissibilityLost if phi_prev violates the eigenvalue floor,
+    ConeViolation if e^F lies below the symbol's range at some point, and
+    NewtonDiverged if the residual cannot be reduced or the step is not
+    monotone.
     """
     grid = phi_prev.grid
     prev = phi_prev.require_finite("phi_prev").values

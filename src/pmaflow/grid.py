@@ -12,7 +12,8 @@ Mixed complex second derivatives are computed from real partials via
 
 so in complex dimension one the complex Hessian is the single value
 (1/4) Laplacian(phi).  Derivatives are spectral (FFT) by default, with a
-second-order centered finite-difference mode kept as a cross-check.
+second-order centered finite-difference mode kept as a cross-check; both
+are applied as Fourier symbols on real FFTs.
 
 Only n in {1, 2} is supported; axis order of the value arrays is
 (x_1, y_1[, x_2, y_2]).
@@ -118,25 +119,38 @@ class TorusGrid:
         """Fourier symbols of the `hessian_parts` components on the rfftn grid.
 
         The last axis carries only the non-negative half of the angular
-        wavenumbers.  Mixed-derivative symbols zero the Nyquist mode, whose
-        sign is ambiguous; pure second derivatives keep it.  Each symbol is
+        wavenumbers.  Spectral mode: pure second derivatives -k_a^2, mixed
+        ones -k_a k_b with the Nyquist mode zeroed, whose sign is ambiguous.
+        Finite-difference mode: the symbols of the centered stencils,
+        -4 sin^2(k_a h/2)/h^2 and -sin(k_a h) sin(k_b h)/h^2.  Each symbol is
         real and even, so one irfftn of symbol * rfftn(u) is exact.
+
+        Axes: x_i -> 2i, y_i -> 2i+1; n = 1 gives (h11,), n = 2 gives
+        (h11, h22, Re h12, Im h12).
         """
-        n, d = self.points_per_axis, self.real_dim
+        n, d, h = self.points_per_axis, self.real_dim, self.spacing
+        fd = self.derivative_mode == "finite_difference_2nd"
 
         def k(axis: int, odd: bool) -> np.ndarray:
             freq = np.fft.rfftfreq if axis == d - 1 else np.fft.fftfreq
-            w = 2.0 * np.pi * freq(n, d=self.spacing)
+            w = 2.0 * np.pi * freq(n, d=h)
             if odd:
                 w[n // 2] = 0.0
             return w.reshape([len(w) if a == axis else 1 for a in range(d)])
 
         def d2(a: int, b: int) -> np.ndarray:
             if a == b:
-                return -k(a, odd=False) ** 2
-            return -(k(a, odd=True) * k(b, odd=True))
+                w = k(a, odd=False)
+                return -(2.0 / h * np.sin(0.5 * h * w)) ** 2 if fd else -w ** 2
+            wa, wb = k(a, odd=True), k(b, odd=True)
+            return -np.sin(h * wa) * np.sin(h * wb) / h ** 2 if fd else -(wa * wb)
 
-        return _hessian_combinations(d2, self.n_complex)
+        parts = [0.25 * (d2(0, 0) + d2(1, 1))]
+        if self.n_complex == 2:
+            parts += [0.25 * (d2(2, 2) + d2(3, 3)),
+                      0.25 * (d2(0, 2) + d2(1, 3)),
+                      0.25 * (d2(0, 3) - d2(1, 2))]
+        return tuple(parts)
 
     @cached_property
     def quarter_laplacian_symbol(self) -> np.ndarray:
@@ -271,46 +285,17 @@ def spacetime_integral(traj: Trajectory) -> float:
 # complex Hessian
 
 
-def _hessian_combinations(d2, n: int) -> tuple:
-    """The independent real components of H from real second partials d2(a, b).
-
-    Axes: x_i -> 2i, y_i -> 2i+1.  n = 1 gives (h11,); n = 2 gives
-    (h11, h22, Re h12, Im h12).
-    """
-    parts = [0.25 * (d2(0, 0) + d2(1, 1))]
-    if n == 2:
-        parts += [0.25 * (d2(2, 2) + d2(3, 3)),
-                  0.25 * (d2(0, 2) + d2(1, 3)),
-                  0.25 * (d2(0, 3) - d2(1, 2))]
-    return tuple(parts)
-
-
-def _fd_second_derivative(values, grid: TorusGrid, axis_a: int, axis_b: int) -> np.ndarray:
-    h = grid.spacing
-    if axis_a == axis_b:
-        return (np.roll(values, -1, axis_a) - 2.0 * values
-                + np.roll(values, 1, axis_a)) / h**2
-    vpp = np.roll(np.roll(values, -1, axis_a), -1, axis_b)
-    vpm = np.roll(np.roll(values, -1, axis_a), 1, axis_b)
-    vmp = np.roll(np.roll(values, 1, axis_a), -1, axis_b)
-    vmm = np.roll(np.roll(values, 1, axis_a), 1, axis_b)
-    return (vpp - vpm - vmp + vmm) / (4.0 * h**2)
-
-
 def hessian_parts(values: np.ndarray, grid: TorusGrid) -> tuple:
     """Independent real components of the complex Hessian of a value array.
 
-    n = 1 gives (h11,); n = 2 gives (h11, h22, Re h12, Im h12).  Spectral
-    mode does one rfftn and one irfftn per component against the grid's
-    cached `hessian_symbols`; finite-difference mode is the cross-check.
+    n = 1 gives (h11,); n = 2 gives (h11, h22, Re h12, Im h12).  One rfftn,
+    then one irfftn per component against the grid's cached
+    `hessian_symbols` (spectral or finite-difference).
     """
-    if grid.derivative_mode == "spectral":
-        uhat = scipy.fft.rfftn(values)
-        return tuple(scipy.fft.irfftn(sym * uhat, s=grid.shape, axes=grid.axes,
-                                      overwrite_x=True)
-                     for sym in grid.hessian_symbols)
-    return _hessian_combinations(
-        lambda a, b: _fd_second_derivative(values, grid, a, b), grid.n_complex)
+    uhat = scipy.fft.rfftn(values)
+    return tuple(scipy.fft.irfftn(sym * uhat, s=grid.shape, axes=grid.axes,
+                                  overwrite_x=True)
+                 for sym in grid.hessian_symbols)
 
 
 def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -7,9 +7,12 @@ supplies the per-iterate coefficient fields of the linearized operator
     A u = zeroth(x) * u - tr(B(x) . H[u]),
 
 where H[u] is the complex Hessian of the update.  The linearized flow
-operator is uniformly parabolic on admissible iterates, so A is solved with
-BiCGStab preconditioned by the constant-coefficient symbol in Fourier space
-(real transforms from `scipy.fft`).
+operator is uniformly parabolic on admissible iterates, so A is solved by
+BiCGStab with right preconditioning: the solver works on the one operator
+A M^{-1}, M the constant-coefficient operator, whose symbol is diagonal in
+Fourier space.  One forward real FFT per application gives the spectrum of
+u = M^{-1} y, and u and every Hessian component of u are inverse transforms
+of it (real transforms from `scipy.fft`).
 
 The Newton iteration is inexact: iteration k solves its linear system only to
 the relative tolerance eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 of Eisenstat and
@@ -30,7 +33,7 @@ import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
-from .grid import TorusGrid, hessian_parts
+from .grid import TorusGrid
 
 __all__ = ["FlowParams", "NewtonDiverged", "AdmissibilityLost", "newton_step"]
 
@@ -79,30 +82,40 @@ class AdmissibilityLost(RuntimeError):
         self.t = t
 
 
-def _hessian_trace(u: np.ndarray, grid: TorusGrid, weights: tuple) -> np.ndarray:
-    """tr(B . H[u]) = sum_j w_j part_j(u) over the components of `hessian_parts`.
+def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple):
+    """The right-preconditioned operator y -> A M^{-1} y, and M^{-1}.
 
-    The real weights of a Hermitian B are (b11,) for n = 1 and
-    (b11, b22, 2 Re b12, 2 Im b12) for n = 2.
+    A u = zeroth * u - sum_j w_j part_j(u) over the components of
+    `hessian_parts`, with the real weights of a Hermitian B: (b11,) for
+    n = 1 and (b11, b22, 2 Re b12, 2 Im b12) for n = 2.  M is the
+    constant-coefficient operator with symbol mean(zeroth) + mean(tr B)/n
+    |k|^2/4 (in the grid's derivative mode).  One rfftn of y gives the
+    spectrum of u = M^{-1} y, from which u and every Hessian component of u
+    are inverse transforms.
     """
-    parts = hessian_parts(u, grid)
-    out = weights[0] * parts[0]
-    for w, part in zip(weights[1:], parts[1:]):
-        out += w * part
-    return out
+    n = grid.n_complex
+    b_mean = max(float(sum(weights[:n]).mean()) / n, 0.0)
+    denom = np.maximum(float(zeroth.mean()) - b_mean * grid.quarter_laplacian_symbol,
+                       1e-300)
 
+    def spectrum(y: np.ndarray) -> np.ndarray:
+        uhat = scipy.fft.rfftn(y.reshape(grid.shape))
+        uhat /= denom
+        return uhat
 
-def _fourier_preconditioner(grid: TorusGrid, zeroth_mean: float, b_mean: float):
-    """Inverse of the constant-coefficient symbol zeroth + b * |k|^2 / 4."""
-    denom = np.maximum(zeroth_mean - b_mean * grid.quarter_laplacian_symbol, 1e-300)
+    def inverse(vhat: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes, overwrite_x=True)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        vhat = scipy.fft.rfftn(v.reshape(grid.shape))
-        vhat /= denom
-        return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes,
-                                overwrite_x=True).ravel()
+    def apply(y: np.ndarray) -> np.ndarray:
+        uhat = spectrum(y)
+        trace = sum(w * inverse(sym * uhat)
+                    for w, sym in zip(weights, grid.hessian_symbols))
+        return (zeroth * inverse(uhat) - trace).ravel()
 
-    return apply
+    def precondition(y: np.ndarray) -> np.ndarray:
+        return inverse(spectrum(y)).ravel()
+
+    return apply, precondition
 
 
 # Eisenstat-Walker choice 2: eta_k = _EW_GAMMA (|F_k| / |F_{k-1}|)^2, at
@@ -136,31 +149,23 @@ def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
                       rhs: np.ndarray, rtol: float, maxiter: int) -> tuple:
     """Solve zeroth * u - tr(B H[u]) = rhs, B given by its real weights.
 
-    Returns (u, info) with scipy's info: 0 when BiCGStab or the GMRES
-    fallback reached rtol, nonzero when both stalled.
+    BiCGStab, and the GMRES fallback, solve (A M^{-1}) y = rhs from
+    y_0 = rhs (so u_0 = M^{-1} rhs) with the one operator of
+    `_preconditioned_operator`; u = M^{-1} y.  Returns (u, info) with
+    scipy's info: 0 when BiCGStab or the fallback reached rtol, nonzero when
+    both stalled.
     """
-    size = rhs.size
-
-    def matvec(v):
-        u = v.reshape(grid.shape)
-        return (zeroth * u - _hessian_trace(u, grid, weights)).ravel()
-
-    n = grid.n_complex
-    b_mean = float(sum(weights[:n]).mean()) / n
-    prec = _fourier_preconditioner(grid, float(zeroth.mean()), max(b_mean, 0.0))
-
-    A = LinearOperator((size, size), matvec=matvec, dtype=float)
-    M = LinearOperator((size, size), matvec=prec, dtype=float)
-    x0 = prec(rhs.ravel())
-    sol, info = bicgstab(A, rhs.ravel(), x0=x0, rtol=rtol, atol=0.0,
-                         maxiter=maxiter, M=M)
+    apply, precondition = _preconditioned_operator(grid, zeroth, weights)
+    A = LinearOperator((rhs.size, rhs.size), matvec=apply, dtype=float)
+    b = rhs.ravel()
+    y, info = bicgstab(A, b, x0=b, rtol=rtol, atol=0.0, maxiter=maxiter)
     if info != 0:
         # scipy counts gmres's maxiter in restart cycles: cap the inner
         # iterations, not the cycles, at maxiter
         restart = min(20, maxiter)
-        sol, info = gmres(A, rhs.ravel(), x0=sol, rtol=rtol, atol=0.0,
-                          restart=restart, maxiter=max(1, maxiter // restart), M=M)
-    return sol.reshape(grid.shape), info
+        y, info = gmres(A, b, x0=y, rtol=rtol, atol=0.0, restart=restart,
+                        maxiter=max(1, maxiter // restart))
+    return precondition(y).reshape(grid.shape), info
 
 
 def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_fn,
@@ -172,7 +177,7 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
 
     residual_fn(values) -> residual array;
     linearization_fn(values) -> (zeroth, weights): zeroth and the real
-        weights of B (see `_hessian_trace`);
+        weights of B (see `_preconditioned_operator`);
     admissible_fn(values) -> True iff the iterate respects the cone floor.
 
     Iterates are fresh arrays that are never modified in place (the first

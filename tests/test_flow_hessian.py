@@ -1,5 +1,7 @@
 """Hessian symbols, structural conditions, and the general flow solver."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,6 +23,7 @@ from pmaflow import (
     structural_check,
     symbol_from_config,
 )
+from pmaflow import flow_hessian
 from pmaflow.flow_hessian import f_eval_grad_arrays
 
 
@@ -108,6 +111,68 @@ def test_gradient_matches_finite_differences(symbol, data):
         vm, _ = f_eval_grad(symbol, ConePoint(minus[0], tuple(minus[1:])))
         fd = (vp - vm) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+def _sigma_oracle(lams, k, shape):
+    """sigma_k as the sum over k-subsets of the slots."""
+    return sum((np.prod([lams[i] for i in c], axis=0)
+                for c in combinations(range(len(lams)), k)), np.zeros(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sigma_recurrence_matches_subset_sums(data):
+    """sigma_k and d sigma_k from the recurrence, against sums over subsets,
+    for m <= 3 slots and every k <= m; Gamma_k points may carry one
+    negative slot."""
+    m = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, m))
+    size = data.draw(st.integers(1, 4))
+    lams = [np.array(data.draw(st.lists(st.floats(0.05, 10.0), min_size=size,
+                                        max_size=size)))
+            for _ in range(m)]
+    if k < m and data.draw(st.booleans()):
+        lams[data.draw(st.integers(0, m - 1))] *= -data.draw(st.floats(0.01, 0.5))
+    e = flow_hessian._elementary(lams, k)
+    grad = flow_hessian._sigma_gradient(lams, k)
+    assert grad.shape == (size, m)
+    scale = max(1.0, float(np.abs(lams).max())) ** k
+    for j in range(k + 1):
+        assert np.allclose(e[j], _sigma_oracle(lams, j, size), rtol=0.0,
+                           atol=1e-13 * scale)
+    for i in range(m):
+        rest = lams[:i] + lams[i + 1:]
+        assert np.allclose(grad[..., i], _sigma_oracle(rest, k - 1, size), rtol=0.0,
+                           atol=1e-13 * scale)
+
+
+def _iterative_rate(symbol, target, eigs):
+    """The pointwise monotone Newton iteration for f(r, eigs) = target."""
+    r = np.ones_like(target)
+    for _ in range(60):
+        val, grad = f_eval_grad_arrays(symbol, r, eigs)
+        step = (val - target) / np.maximum(grad[..., 0], 1e-300)
+        r_new = np.maximum(r - step, 0.5 * r)
+        if np.max(np.abs(r_new - r)) <= 1e-14 * np.max(np.abs(r_new)):
+            return r_new
+        r = r_new
+    return r
+
+
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS,
+                         ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+def test_closed_form_rate_matches_newton_iteration(symbol):
+    rng = np.random.default_rng(21)
+    eigs = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(64, symbol.n)))
+    # targets above f(0+, eigs), so every point has a rate r > 0
+    f_zero, _ = f_eval_grad_arrays(symbol, np.full(64, 1e-300), eigs)
+    target = f_zero + np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=64))
+    got = flow_hessian._scalar_rate(symbol, target, eigs)
+    want = _iterative_rate(symbol, target, eigs)
+    assert np.all(got > 0.0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    val, _ = f_eval_grad_arrays(symbol, got, eigs)
+    assert np.allclose(val, target, rtol=1e-13, atol=0.0)
 
 
 def test_cone_violation_raised():

@@ -394,6 +394,36 @@ def test_hessian_parts_match_full_complex_fft(n_complex, N):
         assert np.abs(got - ref).max() <= 1e-12 * scale
 
 
+def _roll_second_derivative(values, h, a, b):
+    """The centered three-point (a == b) and four-point (a != b) stencils."""
+    if a == b:
+        return (np.roll(values, -1, a) - 2.0 * values + np.roll(values, 1, a)) / h**2
+    vpp = np.roll(np.roll(values, -1, a), -1, b)
+    vpm = np.roll(np.roll(values, -1, a), 1, b)
+    vmp = np.roll(np.roll(values, 1, a), -1, b)
+    vmm = np.roll(np.roll(values, 1, a), 1, b)
+    return (vpp - vpm - vmp + vmm) / (4.0 * h**2)
+
+
+@pytest.mark.parametrize("n_complex,N", [(1, 16), (2, 8)])
+def test_finite_difference_symbols_match_roll_stencils(n_complex, N):
+    """Finite-difference mode applies the centered stencils as Fourier
+    symbols; white noise, Nyquist modes included."""
+    grid = TorusGrid(n_complex, N, period=1.3, derivative_mode="finite_difference_2nd")
+    u = np.random.default_rng(9).standard_normal(grid.shape)
+
+    def d2(a, b):
+        return _roll_second_derivative(u, grid.spacing, a, b)
+
+    want = [0.25 * (d2(0, 0) + d2(1, 1))]
+    if n_complex == 2:
+        want += [0.25 * (d2(2, 2) + d2(3, 3)), 0.25 * (d2(0, 2) + d2(1, 3)),
+                 0.25 * (d2(0, 3) - d2(1, 2))]
+    scale = max(float(np.abs(w).max()) for w in want)
+    for got, ref in zip(hessian_parts(u, grid), want):
+        assert np.abs(got - ref).max() <= 1e-14 * scale
+
+
 _MODE = st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * np.pi),
                   st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 

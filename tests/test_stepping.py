@@ -2,18 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from pmaflow import FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_hessian_flow
 from pmaflow import flow_hessian, stepping
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
-from pmaflow.grid import complex_hessian_matrices, random_admissible_field
-from pmaflow.stepping import (
-    NewtonDiverged,
-    _forcing_term,
-    _fourier_preconditioner,
-    _hessian_trace,
-)
+from pmaflow.grid import (complex_hessian_matrices, hessian_parts,
+                          random_admissible_field)
+from pmaflow.stepping import NewtonDiverged, _forcing_term, _preconditioned_operator
 
 CASES = [(1, 16), (2, 8)]
 
@@ -41,12 +37,16 @@ def _trace_oracle(b, u, grid):
 
 @pytest.mark.parametrize("n_complex,N", CASES)
 def test_matvec_matches_complex_tensor_trace(n_complex, N):
+    """A M^{-1} y = zeroth u - tr(B . H[u]) at u = M^{-1} y."""
     grid = TorusGrid(n_complex, N)
     rng = np.random.default_rng(11)
     b = _random_hermitian(grid, rng)
-    u = rng.standard_normal(grid.shape)   # white noise, Nyquist modes included
-    got = _hessian_trace(u, grid, _weights(b))
-    want = _trace_oracle(b, u, grid)
+    zeroth = 1.0 + rng.random(grid.shape)
+    y = rng.standard_normal(grid.shape)   # white noise, Nyquist modes included
+    apply, precondition = _preconditioned_operator(grid, zeroth, _weights(b))
+    u = precondition(y).reshape(grid.shape)
+    got = apply(y).reshape(grid.shape)
+    want = zeroth * u - _trace_oracle(b, u, grid)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -79,11 +79,11 @@ def test_preconditioner_inverts_constant_coefficient_operator(n_complex, N):
     rng = np.random.default_rng(13)
     zeroth, b = 1.7, 0.6
     u = rng.standard_normal(grid.shape)
-    # A u = zeroth u - tr(b I . H[u]) with the matvec's weights
+    # A u = zeroth u - tr(b I . H[u]) has constant coefficients, so A = M
+    # and the fused operator A M^{-1} is the identity
     weights = (np.full(grid.shape, b),) * n_complex + (0.0,) * (2 * n_complex - 2)
-    au = zeroth * u - _hessian_trace(u, grid, weights)
-    prec = _fourier_preconditioner(grid, zeroth, b)
-    back = prec(au.ravel()).reshape(grid.shape)
+    apply, prec = _preconditioned_operator(grid, np.full(grid.shape, zeroth), weights)
+    back = apply(u.ravel()).reshape(grid.shape)
     assert np.abs(back - u).max() <= 1e-12 * np.abs(u).max()
 
     # full complex FFT oracle with the symbol zeroth + b |k|^2 / 4
@@ -92,6 +92,75 @@ def test_preconditioner_inverts_constant_coefficient_operator(n_complex, N):
     oracle = np.fft.ifftn(np.fft.fftn(u) / (zeroth + 0.25 * b * k2)).real
     got = prec(u.ravel()).reshape(grid.shape)
     assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def _linearization_at(symbol, N, seed):
+    """(grid, zeroth, weights) of a Newton iterate near a random admissible field."""
+    grid = TorusGrid(symbol.n, N)
+    rng = np.random.default_rng(seed)
+    prev = random_admissible_field(grid, rng, margin=0.3).values
+    vals = prev - 0.01 * (1.0 + 0.1 * rng.random(grid.shape))
+    _, linearization, _, _ = flow_hessian._hessian_callbacks(
+        grid, prev, 0.01, np.ones(grid.shape), symbol, 1e-8)
+    return (grid,) + linearization(vals)
+
+
+@pytest.mark.parametrize("symbol", [HessianSymbol.det(1),
+                                    HessianSymbol.sigma_quotient(2, 2, 1)],
+                         ids=lambda s: f"{s.kind}{s.n}")
+def test_one_forward_transform_per_operator_application(monkeypatch, forward_transforms,
+                                                        symbol):
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8, 15)
+    apply, _ = _preconditioned_operator(grid, zeroth, weights)
+    y = np.random.default_rng(16).standard_normal(zeroth.size)
+    forward_transforms.clear()
+    apply(y)
+    assert forward_transforms == [grid.shape]
+
+    # a whole solve: one per application, and one for u = M^{-1} y
+    count = _counting_matvecs(monkeypatch)
+    forward_transforms.clear()
+    _, info = stepping._solve_linearized(grid, zeroth, weights, y.reshape(grid.shape),
+                                         1e-10, 400)
+    assert info == 0 and count[0] > 0
+    assert len(forward_transforms) == count[0] + 1
+
+
+@pytest.mark.parametrize("symbol", [HessianSymbol.det(1), HessianSymbol.det(2),
+                                    HessianSymbol.sigma_quotient(2, 2, 1)],
+                         ids=lambda s: f"{s.kind}{s.n}")
+def test_fused_solve_matches_separate_operators(symbol):
+    """The fused right-preconditioned solve agrees with BiCGStab given A and
+    M separately (the complex-FFT oracle of M) at the same rtol."""
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8, 17)
+    rhs = np.random.default_rng(18).standard_normal(grid.shape)
+    rtol = 1e-10
+
+    def a_op(v):
+        u = v.reshape(grid.shape)
+        trace = sum(w * part for w, part in zip(weights, hessian_parts(u, grid)))
+        return (zeroth * u - trace).ravel()
+
+    n = grid.n_complex
+    b_mean = max(float(sum(weights[:n]).mean()) / n, 0.0)
+    k = 2 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    k2 = sum(np.meshgrid(*([k * k] * grid.real_dim), indexing="ij"))
+    symbol_m = float(zeroth.mean()) + 0.25 * b_mean * k2
+
+    def m_inv(v):
+        return np.fft.ifftn(np.fft.fftn(v.reshape(grid.shape)) / symbol_m).real.ravel()
+
+    size = rhs.size
+    want, info = bicgstab(LinearOperator((size, size), matvec=a_op, dtype=float),
+                          rhs.ravel(), x0=m_inv(rhs.ravel()), rtol=rtol, atol=0.0,
+                          maxiter=400,
+                          M=LinearOperator((size, size), matvec=m_inv, dtype=float))
+    assert info == 0
+    got, info = stepping._solve_linearized(grid, zeroth, weights, rhs, rtol, 400)
+    assert info == 0
+    # BiCGStab stops on its recursive residual; the true one stays close
+    assert np.linalg.norm(a_op(got) - rhs.ravel()) <= 2 * rtol * np.linalg.norm(rhs)
+    assert np.abs(got.ravel() - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_solve_reuses_converged_hessians(monkeypatch):
