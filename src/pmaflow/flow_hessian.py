@@ -310,7 +310,7 @@ def hessian_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
         loc = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ConeViolation("backward-Euler pair leaves the positive cone",
                             location=loc)
-    val, _ = f_eval_grad_arrays(symbol, lam0, eigs)
+    val = _symbol_value(symbol, lam0, eigs)
     return ScalarField(grid, val - np.exp(f_next.values))
 
 
@@ -365,8 +365,7 @@ def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
 
     def residual(vals: np.ndarray) -> np.ndarray:
         lam0, _, eigs = state(vals)
-        val, _ = f_eval_grad_arrays(symbol, lam0, eigs)
-        return val - ef_next
+        return _symbol_value(symbol, lam0, eigs) - ef_next
 
     def linearization(vals: np.ndarray):
         lam0, parts, eigs = state(vals)
@@ -380,27 +379,42 @@ def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
     return residual, linearization, admissible, state
 
 
-def _scalar_rate(symbol: HessianSymbol, target: np.ndarray, eigs: np.ndarray,
-                 t: float | None = None) -> np.ndarray:
-    """Solve f(r, eigs) = target for r > 0 pointwise, in closed form.
+def _rate_affine_form(symbol: HessianSymbol, eigs: np.ndarray) -> tuple:
+    """(q, a, b) with f(r, eigs)^q = a(eigs) + r b(eigs), pointwise.
 
-    Raised to a power q, every symbol is affine in the time slot:
-    f^q = a(eigs) + r b(eigs) with b > 0 on the positive cone, so
-    r = (target^q - a) / b.  A root r > 0 exists exactly where
-    target^q > a; ConeViolation names the first point where it does not.
-    For det, ma_power and the lambda_0-split symbols a = 0, so that test
-    never trips.
+    Raised to the power q, every symbol is affine in the time slot r, with
+    b > 0 on the positive cone; for det, ma_power and the lambda_0-split
+    symbols a = 0.
     """
     n = symbol.n
     k = n + 1 if symbol.kind in ("det", "ma_power") else symbol.k
     e = _elementary([eigs[..., i] for i in range(n)], k)
     if symbol.kind in ("det", "ma_power", "full_sigma_k"):
         # sigma_k(r, eigs) = sigma_k(eigs) + r sigma_{k-1}(eigs)
-        q, a, b = (1.0 if symbol.kind == "det" else k), e[k], e[k - 1]
-    else:
-        # g^{(n+1)/n} = r (sigma_k / sigma_l)^{1/(k-l)}(eigs)
-        l = symbol.l
-        q, a, b = (n + 1.0) / n, 0.0, (e[k] / e[l]) ** (1.0 / (k - l))
+        return (1.0 if symbol.kind == "det" else k), e[k], e[k - 1]
+    # g^{(n+1)/n} = r (sigma_k / sigma_l)^{1/(k-l)}(eigs)
+    l = symbol.l
+    return (n + 1.0) / n, 0.0, (e[k] / e[l]) ** (1.0 / (k - l))
+
+
+def _symbol_value(symbol: HessianSymbol, lam0: np.ndarray,
+                  eigs: np.ndarray) -> np.ndarray:
+    """The value of `f_eval_grad_arrays` without its gradient:
+    f = (a + lambda_0 b)^{1/q} from `_rate_affine_form`."""
+    q, a, b = _rate_affine_form(symbol, eigs)
+    val = a + lam0 * b
+    return val if q == 1.0 else val ** (1.0 / q)
+
+
+def _scalar_rate(symbol: HessianSymbol, target: np.ndarray, eigs: np.ndarray,
+                 t: float | None = None) -> np.ndarray:
+    """Solve f(r, eigs) = target for r > 0 pointwise, in closed form.
+
+    With f^q = a + r b (`_rate_affine_form`), r = (target^q - a) / b.  A
+    root r > 0 exists exactly where target^q > a; ConeViolation names the
+    first point where it does not.  Where a = 0 that test never trips.
+    """
+    q, a, b = _rate_affine_form(symbol, eigs)
     target_q = target ** q
     bad = target_q <= a
     if bad.any():

@@ -175,21 +175,96 @@ def test_level_stats_beyond_range_all_zero(trivial_flow):
     assert np.all(stats.phi_of_s == 0.0)
 
 
+def _ladder_oracle(traj, eF, s_grid, comparator=None, delta=None):
+    """The ladders as one masked sum per time slice and level."""
+    w = traj.time_weights()
+    cell = traj.grid.cell_volume
+    x = -traj.values if comparator is None else \
+        (1.0 - delta) * comparator.values - traj.values
+    mass = np.zeros(len(s_grid))
+    excess = np.zeros(len(s_grid))
+    vol = np.zeros(len(s_grid))
+    for i, s in enumerate(s_grid):
+        for k in range(traj.n_times):
+            exc = x[k] - s
+            excess[i] += w[k] * float((np.maximum(exc, 0) * eF.values[k]).sum()) * cell
+            mass[i] += w[k] * float(((exc > 0) * eF.values[k]).sum()) * cell
+            vol[i] += w[k] * float((exc > 0).sum()) * cell
+    return vol, mass, excess
+
+
 def test_level_stats_matches_summation_oracle(generic_flow):
     traj, eF, _, _, _ = generic_flow
     s_grid = np.array([0.05, 0.1, 0.2])
     stats = level_stats(traj, eF, s_grid)
-    w = traj.time_weights()
-    cell = traj.grid.cell_volume
-    for i, s in enumerate(s_grid):
-        a_oracle = 0.0
-        p_oracle = 0.0
-        for k in range(traj.n_times):
-            exc = -traj.values[k] - s
-            a_oracle += w[k] * float((np.maximum(exc, 0) * eF.values[k]).sum()) * cell
-            p_oracle += w[k] * float(((exc > 0) * eF.values[k]).sum()) * cell
-        assert stats.A_s[i] == pytest.approx(a_oracle, rel=1e-12, abs=1e-14)
-        assert stats.phi_of_s[i] == pytest.approx(p_oracle, rel=1e-12, abs=1e-14)
+    _, p_oracle, a_oracle = _ladder_oracle(traj, eF, s_grid)
+    assert stats.A_s == pytest.approx(a_oracle, rel=1e-12, abs=1e-14)
+    assert stats.phi_of_s == pytest.approx(p_oracle, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_times=st.integers(1, 3),
+       levels=st.lists(st.integers(-24, 24), min_size=1, max_size=6, unique=True),
+       delta=st.one_of(st.sampled_from([0.0, 0.5, 0.75]), st.floats(0.0, 0.9)),
+       with_comparator=st.booleans())
+def test_level_stats_property_matches_summation_oracle(seed, n_times, levels, delta,
+                                                       with_comparator):
+    """Ladders of random slabs of one to three slices against the masked sums.
+
+    Values are dyadic half of the time, so many lie exactly on a level (the
+    first point of every slice always does, for phi and for the comparator
+    gap when 1 - delta is a power of two), and the levels always reach
+    below the minimum and above the maximum of the slab.
+    """
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid(1, 8)
+    shape = (n_times,) + grid.shape
+    s_grid = np.array(sorted(set(levels) | {-80, 80})) / 8.0
+
+    def draw():
+        dyadic = rng.integers(-24, 25, size=shape) / 8.0
+        return np.where(rng.random(shape) < 0.5, dyadic, rng.uniform(-3.0, 3.0, shape))
+
+    phi_vals = draw()
+    phi_vals[:, 0, 0] = -s_grid[rng.integers(len(s_grid))]
+    times = np.cumsum(rng.uniform(0.1, 1.0, n_times)) - 0.1
+    traj = Trajectory(grid, times, phi_vals)
+    eF = Trajectory(grid, times, np.exp(0.3 * rng.normal(size=shape)))
+    comparator = None
+    if with_comparator:
+        v_vals = draw()
+        v_vals[:, 0, 0] = (s_grid[rng.integers(len(s_grid))] + phi_vals[:, 0, 0]) \
+            / (1.0 - delta)
+        comparator = Trajectory(grid, times, v_vals)
+    stats = level_stats(traj, eF, s_grid, comparator=comparator, delta=delta)
+    _, mass, excess = _ladder_oracle(traj, eF, s_grid)
+    assert stats.phi_of_s == pytest.approx(mass, rel=1e-12, abs=1e-300)
+    assert stats.A_s == pytest.approx(excess, rel=1e-12, abs=1e-300)
+    assert stats.A_s[-1] == 0.0 and stats.phi_of_s[-1] == 0.0
+    if comparator is not None:
+        vol, _, excess = _ladder_oracle(traj, eF, s_grid, comparator, delta)
+        assert stats.omega_vol == pytest.approx(vol, rel=1e-12, abs=1e-300)
+        assert stats.A_s_delta == pytest.approx(excess, rel=1e-12, abs=1e-300)
+
+
+def test_level_stats_memory_below_the_slab():
+    """The ladders of a README-shaped slab (101 x 64^2) need no slab-sized
+    temporary: tracemalloc's peak stays below the slab's own bytes."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    grid = TorusGrid(1, 64)
+    times = np.linspace(0.0, 1.0, 101)
+    traj = Trajectory(grid, times, rng.normal(size=(101,) + grid.shape))
+    eF = Trajectory(grid, times, np.exp(0.3 * rng.normal(size=traj.values.shape)))
+    s_grid = np.linspace(0.0, 2.0, 17)
+    tracemalloc.start()
+    try:
+        level_stats(traj, eF, s_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < traj.values.nbytes
 
 
 def test_level_chebyshev_inequality(generic_flow):

@@ -273,6 +273,59 @@ def test_residual_cone_violation_reports_location(grid32):
     assert err.value.location is not None
 
 
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_value_only_evaluation_matches_f_eval_grad_arrays(symbol, data):
+    """f = (a + lambda_0 b)^{1/q} against the value of `f_eval_grad_arrays`
+    at points inside the symbol's cone, with the negative-slot Gamma_k
+    points of the gradient test.  The sigma_k sums may run in another
+    order, so the tolerance carries their condition number
+    sigma_k(|lambda|) / sigma_k(lambda), which is 1 on the positive cone.
+    """
+    n = symbol.n
+    lam = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n + 1,
+                                      max_size=n + 1)))
+    first = _negative_slots_from(symbol)
+    if first is not None and data.draw(st.booleans()):
+        lam[data.draw(st.integers(first, n))] = data.draw(st.floats(-3.0, -0.05))
+    assume(_in_cone(symbol, lam))
+    lam0, lams = np.array(lam[0]), lam[1:]
+    cond = 1.0
+    if symbol.kind in ("det", "ma_power", "full_sigma_k"):
+        k = symbol.k if symbol.kind == "full_sigma_k" else n + 1
+        cond = flow_hessian._elementary(list(np.abs(lam)), k)[k] \
+            / flow_hessian._elementary(list(lam), k)[k]
+    value = flow_hessian._symbol_value(symbol, lam0, lams)
+    expected = f_eval_grad_arrays(symbol, lam0, lams)[0]
+    assert value == pytest.approx(expected, rel=1e-14 * cond, abs=0.0)
+
+
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+def test_residuals_never_build_the_gradient(symbol, monkeypatch):
+    """`hessian_residual` and the Newton residual callback evaluate the
+    symbol's value only: they run with `_sigma_gradient` made to raise."""
+    grid = TorusGrid(symbol.n, 8)
+    dt = 0.01
+    prev = 0.02 * np.cos(2.0 * np.pi * grid.meshgrid()[0])
+    nxt = prev - 1.5 * dt
+    F = 0.1 * np.sin(2.0 * np.pi * grid.meshgrid()[-1])
+    lam0, _, eigs = flow_hessian._cone_arrays(grid, prev, nxt, dt)
+    expected = f_eval_grad_arrays(symbol, lam0, eigs)[0] - np.exp(F)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a residual evaluation built the gradient")
+
+    monkeypatch.setattr(flow_hessian, "_sigma_gradient", forbidden)
+    direct = hessian_residual(grid.scalar_field(prev), grid.scalar_field(nxt), dt,
+                              grid.scalar_field(F), symbol).values
+    residual, *_ = flow_hessian._hessian_callbacks(grid, prev, dt, np.exp(F),
+                                                   symbol, 0.0)
+    scale = np.abs(expected).max() + 1.0
+    for got in (direct, residual(nxt)):
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-14 * scale)
+
+
 # ---------------------------------------------------------------------------
 # solve_hessian_flow
 
