@@ -33,7 +33,8 @@ from .grid import (
     ScalarField,
     TorusGrid,
     Trajectory,
-    min_admissibility_eigenvalue,
+    hessian_parts,
+    identity_plus_eigenvalues,
     radial_smoother,
     random_admissible_field,
     save_trajectory,
@@ -256,13 +257,24 @@ def _solve(cfg: RunConfig) -> tuple[Trajectory, object, FlowParams]:
 # invariant checks
 
 
-def _trajectory_checks(traj: Trajectory, params: FlowParams) -> dict:
+def _trajectory_checks(traj: Trajectory, params: FlowParams,
+                       i_values: list | None = None) -> dict:
+    """Flow invariants of a solved trajectory.
+
+    Takes each slice's Hessian once, one slice at a time; when `i_values`
+    is a list, I(phi) of every slice is appended to it from that Hessian.
+    """
     slack = 10.0 * params.newton_tol
     mono = float(np.diff(traj.values, axis=0).max()) if traj.n_times > 1 else 0.0
     sup0 = float(traj.values[0].max())
     sup_excess = float(traj.values.max() - sup0)
-    min_eig = min(min_admissibility_eigenvalue(traj.field_at(k))
-                  for k in range(traj.n_times))
+    min_eig = np.inf
+    for k in range(traj.n_times):
+        phi = traj.field_at(k).require_finite("field")
+        parts = hessian_parts(phi.values, traj.grid)
+        min_eig = min(min_eig, float(identity_plus_eigenvalues(parts).min()))
+        if i_values is not None:
+            i_values.append(est.i_functional(phi, parts))
     return {
         "monotone": mono <= slack,
         "sup_bound": sup_excess <= slack,
@@ -310,9 +322,10 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
     save_trajectory(traj, out_dir / "trajectory.bin")
 
     eF, F = rhs.sample(grid, traj.times)
-    checks = _trajectory_checks(traj, params)
-
     e = config.estimates
+    i_values = [] if e.i_series else None
+    checks = _trajectory_checks(traj, params, i_values)
+
     report = est.EstimateReport()
     report.extra["label"] = config.label
     report.extra["seed"] = config.seed
@@ -328,7 +341,7 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
         report.entropy_p = est.entropy(eF, F, e.entropy_p, e.entropy_weight)
 
     if e.i_series:
-        series, resid = est.i_series(traj, eF)
+        series, resid = est.i_series(traj, eF, i_values)
         report.I_series = [float(v) for v in series]
         report.I_derivative_residual = resid
         with open(out_dir / "i_series.csv", "w", newline="") as fh:

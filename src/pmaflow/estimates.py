@@ -161,15 +161,17 @@ def entropy(eF: Trajectory, F: Trajectory, p: float, weight_power: float = 1.0,
 # the I functional and its dissipation identity
 
 
-def i_functional(phi: ScalarField) -> float:
+def i_functional(phi: ScalarField, parts: tuple | None = None) -> float:
     """Energy I(phi) = 1/(n+1) int phi sum_j w0^{n-j} ^ w_phi^j.
 
     Flat-coordinate expansion: n = 1 gives (1/2) int phi (2 + H);
-    n = 2 gives (1/3) int phi (1 + tr(I+H)/2 + det(I+H)).
+    n = 2 gives (1/3) int phi (1 + tr(I+H)/2 + det(I+H)).  `parts` are
+    the `hessian_parts` of phi when the caller already has them.
     """
     grid = phi.grid
     n = grid.n_complex
-    parts = hessian_parts(phi.values, grid)
+    if parts is None:
+        parts = hessian_parts(phi.values, grid)
     if n == 1:
         dens = phi.values * (2.0 + parts[0])
         return 0.5 * float(dens.mean() * grid.volume)
@@ -181,14 +183,18 @@ def i_functional(phi: ScalarField) -> float:
     return float(dens.mean() * grid.volume) / 3.0
 
 
-def i_series(traj: Trajectory, eF: Trajectory) -> tuple[np.ndarray, float]:
+def i_series(traj: Trajectory, eF: Trajectory,
+             series=None) -> tuple[np.ndarray, float]:
     """I(phi) along the trajectory plus the dissipation-identity residual.
 
     Returns (I values, max over interior times of
     |centered dI/dt + int_M e^F|); the residual is O(dt + h^2) for smooth
-    data since dI/dt = -int e^F along the flow.
+    data since dI/dt = -int e^F along the flow.  `series` gives the I
+    values when the caller computed them in its own pass over the slices.
     """
-    series = np.array([i_functional(traj.field_at(k)) for k in range(traj.n_times)])
+    if series is None:
+        series = [i_functional(traj.field_at(k)) for k in range(traj.n_times)]
+    series = np.array(series)
     if traj.n_times < 3:
         return series, float("nan")
     mass = np.array([integrate(eF.field_at(k)) for k in range(eF.n_times)])

@@ -65,6 +65,32 @@ def test_run_trivial_report(tmp_path):
     assert (tmp_path / "out" / "plots" / "i_functional.gp").exists()
 
 
+def test_run_takes_each_slice_hessian_once_after_the_solve(tmp_path, monkeypatch):
+    """The admissibility check and the I series share one Hessian per slice."""
+    from pmaflow import cli, estimates, grid
+
+    calls, hessian_parts, solve = [], grid.hessian_parts, cli._solve
+
+    def counting(values, g):
+        calls.append(values.shape)
+        return hessian_parts(values, g)
+
+    def solve_then_count(cfg):
+        out = solve(cfg)
+        for module in (cli, estimates, grid):
+            monkeypatch.setattr(module, "hessian_parts", counting, raising=False)
+        return out
+
+    monkeypatch.setattr(cli, "_solve", solve_then_count)
+    cfg = trivial_config(grid={"n_complex": 1, "points_per_axis": 16},
+                         flow={"T": 0.1, "dt": 0.02},
+                         estimates={"i_series": True, "stability": False})
+    report, checks = run(cfg, tmp_path / "out")
+    n_times = len(report.I_series)
+    assert n_times == 6 and checks["admissible"] and checks["i_nonincreasing"]
+    assert calls == [(16, 16)] * n_times
+
+
 def test_run_deterministic_reports(tmp_path):
     cfg = trivial_config(label="det", seed=11)
     run(cfg, tmp_path / "a")

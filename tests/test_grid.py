@@ -341,6 +341,29 @@ def test_kernel_normalization_and_moment():
     assert float(DEFAULT_KERNEL.density(0.0, 4)) == pytest.approx(20.0 / np.pi**2, rel=1e-10)
     assert DEFAULT_KERNEL.second_moment(4) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
+    # d = 6, the tail masses and the ball constant against adaptive quadrature
+    # of the same integrands (the package itself uses a fixed Gauss rule)
+    from math import gamma
+    from scipy.integrate import quad
+
+    def profile(r):
+        return (1.0 - r * r) ** 3
+
+    for d in (2, 4, 6):
+        area = 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
+        c = 1.0 / (area * quad(lambda r: profile(r) * r ** (d - 1), 0.0, 1.0)[0])
+        moment = area * quad(lambda r: c * profile(r) * r ** (d + 1), 0.0, 1.0)[0]
+
+        def tail(t):
+            return area * quad(lambda r: c * profile(r) * r ** (d - 1), min(t, 1.0), 1.0)[0]
+
+        ball = quad(lambda t: t ** (1 - d) * tail(t), 0.5, 1.0)[0]
+        assert float(DEFAULT_KERNEL.density(0.0, d)) == pytest.approx(c, rel=1e-12)
+        assert DEFAULT_KERNEL.second_moment(d) == pytest.approx(moment, rel=1e-12)
+        for t in (0.0, 0.3, 0.5, 0.9, 1.0, 1.5):
+            assert DEFAULT_KERNEL.tail_mass(t, d) == pytest.approx(tail(t), rel=1e-12)
+        assert DEFAULT_KERNEL.ball_lower_constant(d) == pytest.approx(ball, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # hypothesis properties

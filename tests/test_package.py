@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +72,16 @@ def test_every_export_resolves(path):
             (SRC / f"{source.rsplit('.', 1)[1]}.py").read_text()))
         for alias in node.names:
             assert alias.name in exported, f"{alias.name} is not in {source}.__all__"
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    """The CLI loads numpy, scipy.fft and scipy.sparse.linalg only: no
+    scipy.integrate and, through it, no scipy.optimize."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, pmaflow.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
