@@ -16,11 +16,9 @@ from .grid import (
     convolve_radial,
     hessian_parts,
     integrate,
-    load_field,
     load_trajectory,
     min_admissibility_eigenvalue,
     random_admissible_field,
-    save_field,
     save_trajectory,
 )
 from .stepping import AdmissibilityLost, FlowParams, NewtonDiverged

@@ -262,7 +262,8 @@ def _trajectory_checks(traj: Trajectory, params: FlowParams,
     """Flow invariants of a solved trajectory.
 
     Takes each slice's Hessian once, one slice at a time; when `i_values`
-    is a list, I(phi) of every slice is appended to it from that Hessian.
+    is a list, I(phi) of every slice is appended to it from the
+    eigenvalues of that Hessian.
     """
     slack = 10.0 * params.newton_tol
     mono = float(np.diff(traj.values, axis=0).max()) if traj.n_times > 1 else 0.0
@@ -271,10 +272,10 @@ def _trajectory_checks(traj: Trajectory, params: FlowParams,
     min_eig = np.inf
     for k in range(traj.n_times):
         phi = traj.field_at(k).require_finite("field")
-        parts = hessian_parts(phi.values, traj.grid)
-        min_eig = min(min_eig, float(identity_plus_eigenvalues(parts).min()))
+        eigs = identity_plus_eigenvalues(hessian_parts(phi.values, traj.grid))
+        min_eig = min(min_eig, float(eigs.min()))
         if i_values is not None:
-            i_values.append(est.i_functional(phi, parts))
+            i_values.append(est.i_functional(phi, eigs))
     return {
         "monotone": mono <= slack,
         "sup_bound": sup_excess <= slack,

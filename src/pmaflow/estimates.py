@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -27,7 +28,9 @@ import numpy as np
 from .grid import (
     ScalarField,
     Trajectory,
+    elementary_symmetric,
     hessian_parts,
+    identity_plus_eigenvalues,
     integrate,
     min_admissibility_eigenvalue,
     spacetime_integral,
@@ -161,26 +164,21 @@ def entropy(eF: Trajectory, F: Trajectory, p: float, weight_power: float = 1.0,
 # the I functional and its dissipation identity
 
 
-def i_functional(phi: ScalarField, parts: tuple | None = None) -> float:
+def i_functional(phi: ScalarField, eigs: np.ndarray | None = None) -> float:
     """Energy I(phi) = 1/(n+1) int phi sum_j w0^{n-j} ^ w_phi^j.
 
-    Flat-coordinate expansion: n = 1 gives (1/2) int phi (2 + H);
-    n = 2 gives (1/3) int phi (1 + tr(I+H)/2 + det(I+H)).  `parts` are
-    the `hessian_parts` of phi when the caller already has them.
+    In flat coordinates w0^{n-j} ^ w_phi^j / w0^n = sigma_j(lambda) / C(n, j)
+    for the eigenvalues lambda of I + H, so the density is
+    phi sum_{j=0..n} sigma_j(lambda) / C(n, j).  `eigs` are those
+    eigenvalues when the caller already has them.
     """
     grid = phi.grid
     n = grid.n_complex
-    if parts is None:
-        parts = hessian_parts(phi.values, grid)
-    if n == 1:
-        dens = phi.values * (2.0 + parts[0])
-        return 0.5 * float(dens.mean() * grid.volume)
-    h11, h22, re, im = parts
-    a = 1.0 + h11
-    b = 1.0 + h22
-    det = a * b - np.hypot(re, im) ** 2
-    dens = phi.values * (1.0 + 0.5 * (a + b) + det)
-    return float(dens.mean() * grid.volume) / 3.0
+    if eigs is None:
+        eigs = identity_plus_eigenvalues(hessian_parts(phi.values, grid))
+    e = elementary_symmetric([eigs[..., i] for i in range(n)], n)
+    dens = phi.values * sum(e[j] / math.comb(n, j) for j in range(n + 1))
+    return float(dens.mean() * grid.volume) / (n + 1)
 
 
 def i_series(traj: Trajectory, eF: Trajectory,

@@ -3,19 +3,24 @@
 The nonlinearity f is a symmetric monotone function of the extended
 eigenvalue vector (lambda_0, lambda_1, ..., lambda_n) where lambda_0 is the
 time slot -d_t phi and lambda_1..lambda_n are the eigenvalues of
-I + H[phi].  Supported symbols:
+I + H[phi].  Three symbol kinds:
 
-    det               f = lambda_0 lambda_1 ... lambda_n  (Monge-Ampere)
-    ma_power          f = (prod_i lambda_i)^{1/(n+1)} = sigma_{n+1}^{1/(n+1)}
-    lambda0_sigma_k   g = (lambda_0 sigma_k^{1/k}(lambda'))^{n/(n+1)}
-    sigma_quotient    g = (lambda_0 (sigma_k/sigma_l)^{1/(k-l)}(lambda'))^{n/(n+1)}
-    full_sigma_k      f = sigma_k(lambda_0..lambda_n)^{1/k},  1 <= k <= n+1
+    det                   f = lambda_0 lambda_1 ... lambda_n  (Monge-Ampere)
+    full_sigma_k          f = sigma_k(lambda_0..lambda_n)^{1/k},  1 <= k <= n+1
+    sigma_quotient_power  g = (lambda_0 (sigma_k/sigma_l)^{1/(k-l)}(lambda'))^{n/(n+1)},
+                          0 <= l < k <= n
 
-sigma_k is the unnormalized elementary symmetric polynomial, computed by the
-recurrence e_j <- e_j + lambda_i e_{j-1} over the slots.  Gradients use
-the closed forms d sigma_k / d lambda_i = sigma_{k-1}(lambda without i),
-which stay smooth across eigenvalue multiplicities; eigenvalues are never
-differentiated directly.  Every flow, Monge-Ampere included, is stepped by
+`HessianSymbol.ma_power(n)` is full_sigma_k with k = n+1, the root
+(prod_i lambda_i)^{1/(n+1)} of det, and `HessianSymbol.lambda0_sigma_k(n, k)`
+is sigma_quotient_power with l = 0.  Raised to a power q, each symbol is
+affine in the time slot, f^q = a(lambda') + lambda_0 b(lambda')
+(`_rate_affine_form`, the one place a symbol's formula is written).
+
+sigma_k is the unnormalized elementary symmetric polynomial
+(`grid.elementary_symmetric`).  Gradients use the closed forms
+d sigma_k / d lambda_i = sigma_{k-1}(lambda without i), which stay smooth
+across eigenvalue multiplicities; eigenvalues are never differentiated
+directly.  Every flow, Monge-Ampere included, is stepped by
 `backward_euler_step`, which restricts iterates to the positive cone (all
 slots >= floor).
 """
@@ -31,6 +36,7 @@ from .grid import (
     ScalarField,
     TorusGrid,
     Trajectory,
+    elementary_symmetric,
     hessian_parts,
     identity_plus_eigenvalues,
 )
@@ -74,8 +80,8 @@ class ConeViolation(ValueError):
 class HessianSymbol:
     """One of the example nonlinearities, with its integer parameters.
 
-    `degree` records the homogeneity: n+1 for det, 1 for ma_power and
-    full_sigma_k, 2n/(n+1) for the lambda_0-split symbols (each factor
+    `degree` records the homogeneity: n+1 for det, 1 for full_sigma_k,
+    2n/(n+1) for the lambda_0-split sigma_quotient_power (each factor
     contributes degree n/(n+1) out of the (1+1)-homogeneous product).
     """
 
@@ -85,15 +91,12 @@ class HessianSymbol:
     l: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("det", "ma_power", "lambda0_sigma_k_power",
-                             "sigma_quotient_power", "full_sigma_k"):
+        if self.kind not in ("det", "full_sigma_k", "sigma_quotient_power"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.n not in (1, 2):
             raise ValueError("n must be 1 or 2")
-        if self.kind == "lambda0_sigma_k_power" and not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n")
-        if self.kind == "sigma_quotient_power" and not 1 <= self.l < self.k <= self.n:
-            raise ValueError("need 1 <= l < k <= n")
+        if self.kind == "sigma_quotient_power" and not 0 <= self.l < self.k <= self.n:
+            raise ValueError("need 0 <= l < k <= n")
         if self.kind == "full_sigma_k" and not 1 <= self.k <= self.n + 1:
             raise ValueError("need 1 <= k <= n + 1")
 
@@ -101,7 +104,7 @@ class HessianSymbol:
     def degree(self) -> float:
         if self.kind == "det":
             return self.n + 1.0
-        if self.kind in ("ma_power", "full_sigma_k"):
+        if self.kind == "full_sigma_k":
             return 1.0
         return 2.0 * self.n / (self.n + 1.0)
 
@@ -112,11 +115,11 @@ class HessianSymbol:
 
     @classmethod
     def ma_power(cls, n: int) -> "HessianSymbol":
-        return cls("ma_power", n)
+        return cls.full_sigma_k(n, n + 1)
 
     @classmethod
     def lambda0_sigma_k(cls, n: int, k: int) -> "HessianSymbol":
-        return cls("lambda0_sigma_k_power", n, k=k)
+        return cls.sigma_quotient(n, k, 0)
 
     @classmethod
     def sigma_quotient(cls, n: int, k: int, l: int) -> "HessianSymbol":
@@ -150,38 +153,21 @@ class ConePoint:
     def as_array(self) -> np.ndarray:
         return np.array((self.lambda0,) + tuple(self.lambdas), dtype=float)
 
-    def in_positive_cone(self, floor: float = 0.0) -> bool:
-        return bool(self.as_array().min() > floor)
-
     def in_gamma_k(self, k: int, include_lambda0: bool = True) -> bool:
         """sigma_j > 0 for j = 1..k on the relevant argument list."""
         lam = self.as_array() if include_lambda0 else np.asarray(self.lambdas)
-        return all(e > 0.0 for e in _elementary(list(lam), k)[1:])
+        return all(e > 0.0 for e in elementary_symmetric(list(lam), k)[1:])
 
 
-# ---------------------------------------------------------------------------
-# elementary symmetric polynomials of a few slots
-
-
-def _elementary(slots: list, k: int) -> list:
-    """[sigma_0, ..., sigma_k] of a list of slot arrays (or scalars).
-
-    The recurrence e_j <- e_j + lambda e_{j-1}, one slot at a time from
-    e = (1, 0, ..., 0); entries that stay zero are the scalar 0.0.
-    """
-    e = [1.0] + [0.0] * k
-    for i, lam in enumerate(slots):
-        for j in range(min(i + 1, k), 0, -1):
-            e[j] = e[j] + lam * e[j - 1]
-    return e
-
-
-def _sigma_gradient(slots: list, k: int) -> np.ndarray:
+def _sigma_gradient(slots: list, k: int):
     """d sigma_k / d lambda_i = sigma_{k-1} of the other slots, stacked on a
-    trailing axis."""
+    trailing axis; the scalar 0.0 where sigma_k is constant (k = 0, or k
+    above the number of slots)."""
+    if not 0 < k <= len(slots):
+        return 0.0
     out = np.empty(np.broadcast(*slots).shape + (len(slots),))
     for i in range(len(slots)):
-        out[..., i] = _elementary(slots[:i] + slots[i + 1:], k - 1)[k - 1]
+        out[..., i] = elementary_symmetric(slots[:i] + slots[i + 1:], k - 1)[k - 1]
     return out
 
 
@@ -194,56 +180,38 @@ def f_eval_grad_arrays(symbol: HessianSymbol, lam0: np.ndarray,
     """Vectorized (value, gradient) of the symbol.
 
     lam0 has any shape, lams the same shape plus a trailing axis of length n.
-    Gradient is stacked on a trailing axis of length n + 1.  Assumes the
-    points lie in the positive cone; no membership test is done here.
+    Gradient is stacked on a trailing axis of length n + 1.  With
+    f^q = a + lambda_0 b (`_rate_affine_form`), f = (a + lambda_0 b)^{1/q}
+    and grad f = f / (q f^q) (b, da + lambda_0 db).  Assumes the points lie
+    in the symbol's cone; no membership test is done here.
     """
-    n = symbol.n
     lam0 = np.asarray(lam0, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    slots = [lams[..., i] for i in range(n)]
-    grad = np.empty(lam0.shape + (n + 1,))
-
-    if symbol.kind in ("det", "ma_power", "full_sigma_k"):
-        # det is sigma_{n+1} of the extended eigenvalues, without the root;
-        # ma_power is its (n+1)-th root
-        k = symbol.k if symbol.kind == "full_sigma_k" else n + 1
-        full = [lam0] + slots
-        sk = _elementary(full, k)[k]
-        dsk = _sigma_gradient(full, k)
-        if symbol.kind == "det":
-            return sk, dsk
-        val = sk ** (1.0 / k)
-        grad[...] = (val / (k * sk))[..., None] * dsk
-        return val, grad
-
-    # the lambda_0-split examples: g = (lambda_0 * base(lambda'))^{n/(n+1)},
-    # base = (sigma_k / sigma_l)^{1/(k-l)} with l = 0 for lambda0_sigma_k
-    p = n / (n + 1.0)
-    k, l = symbol.k, symbol.l
-    e = _elementary(slots, k)
-    base = (e[k] / e[l]) ** (1.0 / (k - l))
-    dlog_base = _sigma_gradient(slots, k) / e[k][..., None]
-    if l:
-        dlog_base -= _sigma_gradient(slots, l) / e[l][..., None]
-    dlog_base /= k - l
-    val = (lam0 * base) ** p
-    grad[..., 0] = p * val / lam0
-    grad[..., 1:] = (p * val)[..., None] * dlog_base
+    q, a, b, da, db = _rate_affine_form(symbol, np.asarray(lams, dtype=float),
+                                        derivatives=True)
+    fq = a + lam0 * b
+    grad = np.empty(lam0.shape + (symbol.n + 1,))
+    grad[..., 0] = b
+    spatial = grad[..., 1:]   # da + lam0 db, without temporaries
+    np.multiply(lam0[..., None], db, out=spatial)
+    spatial += da
+    if q == 1.0:
+        return fq, grad
+    val = fq ** (1.0 / q)
+    grad *= (val / (q * fq))[..., None]
     return val, grad
 
 
 def f_eval_grad(symbol: HessianSymbol, point: ConePoint) -> tuple[float, np.ndarray]:
     """Symbol value and gradient at a single cone point.
 
-    Raises ConeViolation if the membership predicate fails (positive cone,
-    or Gamma_k for the sigma-type symbols).
+    Raises ConeViolation if the membership predicate fails (Gamma_{n+1},
+    the positive cone, for det; Gamma_k for the sigma-type symbols).
     """
-    if symbol.kind == "full_sigma_k":
-        ok = point.in_gamma_k(symbol.k, include_lambda0=True)
-    elif symbol.kind in ("lambda0_sigma_k_power", "sigma_quotient_power"):
+    if symbol.kind == "sigma_quotient_power":
         ok = point.lambda0 > 0 and point.in_gamma_k(symbol.k, include_lambda0=False)
-    else:
-        ok = point.in_positive_cone()
+    else:   # det is the positive cone Gamma_{n+1}
+        ok = point.in_gamma_k(symbol.k if symbol.kind == "full_sigma_k"
+                              else symbol.n + 1)
     if not ok:
         raise ConeViolation(f"point {point} outside the cone of {symbol.kind}")
     lam0 = np.array(point.lambda0)
@@ -379,22 +347,36 @@ def _hessian_callbacks(grid: TorusGrid, phi_prev_vals: np.ndarray, dt: float,
     return residual, linearization, admissible, state
 
 
-def _rate_affine_form(symbol: HessianSymbol, eigs: np.ndarray) -> tuple:
+def _rate_affine_form(symbol: HessianSymbol, eigs: np.ndarray,
+                      derivatives: bool = False) -> tuple:
     """(q, a, b) with f(r, eigs)^q = a(eigs) + r b(eigs), pointwise.
 
     Raised to the power q, every symbol is affine in the time slot r, with
-    b > 0 on the positive cone; for det, ma_power and the lambda_0-split
-    symbols a = 0.
+    b > 0 on the positive cone; for det and sigma_quotient_power a = 0.
+    With `derivatives`, (q, a, b, da, db) adds the gradients of a and b in
+    eigs, stacked on a trailing axis; only the linearization needs them.
     """
     n = symbol.n
-    k = n + 1 if symbol.kind in ("det", "ma_power") else symbol.k
-    e = _elementary([eigs[..., i] for i in range(n)], k)
-    if symbol.kind in ("det", "ma_power", "full_sigma_k"):
-        # sigma_k(r, eigs) = sigma_k(eigs) + r sigma_{k-1}(eigs)
-        return (1.0 if symbol.kind == "det" else k), e[k], e[k - 1]
+    k = n + 1 if symbol.kind == "det" else symbol.k
+    slots = [eigs[..., i] for i in range(n)]
+    e = elementary_symmetric(slots, k)
+    if symbol.kind != "sigma_quotient_power":
+        # sigma_k(r, eigs) = sigma_k(eigs) + r sigma_{k-1}(eigs); det is
+        # sigma_{n+1} without the root
+        out = (1.0 if symbol.kind == "det" else k), e[k], e[k - 1]
+        if derivatives:
+            out += _sigma_gradient(slots, k), _sigma_gradient(slots, k - 1)
+        return out
     # g^{(n+1)/n} = r (sigma_k / sigma_l)^{1/(k-l)}(eigs)
     l = symbol.l
-    return (n + 1.0) / n, 0.0, (e[k] / e[l]) ** (1.0 / (k - l))
+    b = (e[k] / e[l]) ** (1.0 / (k - l))
+    if not derivatives:
+        return (n + 1.0) / n, 0.0, b
+    dlog_b = _sigma_gradient(slots, k) / e[k][..., None]
+    if l:
+        dlog_b -= _sigma_gradient(slots, l) / e[l][..., None]
+    dlog_b *= (b / (k - l))[..., None]
+    return (n + 1.0) / n, 0.0, b, 0.0, dlog_b
 
 
 def _symbol_value(symbol: HessianSymbol, lam0: np.ndarray,

@@ -54,86 +54,66 @@ class SLevelTooSmall(ValueError):
 
 
 class RhsSpec:
-    """Generator for the data F(t, x) with e^F > 0 everywhere.
+    """Data F = scale * raw_F(grid, t), with e^F > 0 everywhere.
 
-    kinds: "zero", "time_only" (F = g(t)), "smooth_product"
-    (F = spatial(x) * profile(t)), "mollified_log_singularity"
-    (e^F = (r_moll^2 + dist^2(x, center))^-q, constant in t).
+    The constructors build raw_F for the generators: `zero`, `time_only`
+    (F = g(t)), `smooth_product` (F = spatial(x) * profile(t)) and
+    `mollified_log_singularity` (e^F = (r_moll^2 + dist^2(x, center))^-q,
+    constant in t).
 
     `scale` multiplies F; `p0` is the claimed integrability exponent of e^F
     (the conjugate q0 = p0/(p0-1) drives the Holder exponents downstream).
     """
 
-    def __init__(self, kind="zero", g=None, spatial=None, profile=None,
-                 center=None, strength=1.0, moll_radius=0.1, p0=2.0, scale=1.0):
-        self.kind = kind
-        self.g = g
-        self.spatial = spatial
-        self.profile = profile
-        self.center = center
-        self.strength = float(strength)
-        self.moll_radius = float(moll_radius)
-        self.p0 = float(p0)
-        self.scale = float(scale)
-        if kind not in ("zero", "time_only", "smooth_product",
-                        "mollified_log_singularity"):
-            raise ValueError(f"unknown rhs kind {kind!r}")
-        if kind == "mollified_log_singularity" and moll_radius <= 0:
-            raise ValueError("mollification radius must be positive")
+    def __init__(self, raw_F, p0: float = 2.0, scale: float = 1.0):
         if p0 <= 1.0:
             raise ValueError("p0 must exceed 1")
+        self.raw_F = raw_F
+        self.p0 = float(p0)
+        self.scale = float(scale)
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls) -> "RhsSpec":
-        return cls("zero")
+        return cls(lambda grid, t: np.zeros(grid.shape))
 
     @classmethod
     def time_only(cls, g, p0: float = 2.0, scale: float = 1.0) -> "RhsSpec":
-        return cls("time_only", g=g, p0=p0, scale=scale)
+        return cls(lambda grid, t: np.full(grid.shape, float(g(t))), p0, scale)
 
     @classmethod
     def smooth_product(cls, spatial, profile, p0: float = 2.0,
                        scale: float = 1.0) -> "RhsSpec":
-        return cls("smooth_product", spatial=spatial, profile=profile,
-                   p0=p0, scale=scale)
+        def raw_F(grid, t):
+            values = spatial(*grid.meshgrid()) if callable(spatial) else spatial
+            values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
+            return values * float(profile(t))
+
+        return cls(raw_F, p0, scale)
 
     @classmethod
     def mollified_log_singularity(cls, center, strength: float,
                                   moll_radius: float, p0: float = 2.0,
                                   scale: float = 1.0) -> "RhsSpec":
-        return cls("mollified_log_singularity", center=center,
-                   strength=strength, moll_radius=moll_radius, p0=p0,
-                   scale=scale)
+        if moll_radius <= 0:
+            raise ValueError("mollification radius must be positive")
+        strength, moll_radius = float(strength), float(moll_radius)
+
+        def raw_F(grid, t):
+            c = center if center is not None else (0.0,) * grid.real_dim
+            return -strength * np.log(moll_radius**2 + grid.periodic_distance_sq(c))
+
+        return cls(raw_F, p0, scale)
 
     def scaled(self, factor: float) -> "RhsSpec":
-        out = RhsSpec(self.kind, g=self.g, spatial=self.spatial,
-                      profile=self.profile, center=self.center,
-                      strength=self.strength, moll_radius=self.moll_radius,
-                      p0=self.p0, scale=self.scale * factor)
-        return out
+        return RhsSpec(self.raw_F, self.p0, self.scale * factor)
 
     # -- evaluation --------------------------------------------------------
-    def _raw_F(self, grid: TorusGrid, t: float) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(grid.shape)
-        if self.kind == "time_only":
-            return np.full(grid.shape, float(self.g(t)))
-        if self.kind == "smooth_product":
-            spatial = self.spatial
-            if callable(spatial):
-                spatial = spatial(*grid.meshgrid())
-            spatial = np.broadcast_to(np.asarray(spatial, dtype=float), grid.shape)
-            return spatial * float(self.profile(t))
-        center = self.center if self.center is not None else (0.0,) * grid.real_dim
-        d2 = grid.periodic_distance_sq(center)
-        return -self.strength * np.log(self.moll_radius**2 + d2)
-
     def F_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        return ScalarField(grid, self.scale * self._raw_F(grid, t))
+        return ScalarField(grid, self.scale * self.raw_F(grid, t))
 
     def eF_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        return ScalarField(grid, np.exp(self.scale * self._raw_F(grid, t)))
+        return ScalarField(grid, np.exp(self.scale * self.raw_F(grid, t)))
 
     def sample(self, grid: TorusGrid, times) -> tuple[Trajectory, Trajectory]:
         """Trajectories of e^F and F at the given times."""
@@ -154,8 +134,6 @@ class TabulatedRhs:
     Wraps auxiliary data (eta_j-weighted densities) so the flow solver can
     consume them like any other RhsSpec.  Stores e^F values directly.
     """
-
-    kind = "tabulated"
 
     def __init__(self, eF_traj: Trajectory, p0: float = 2.0):
         self.traj = eF_traj

@@ -40,14 +40,12 @@ __all__ = [
     "complex_hessian_matrices",
     "hessian_parts",
     "identity_plus_eigenvalues",
+    "elementary_symmetric",
     "min_admissibility_eigenvalue",
     "convolve_radial",
     "radial_smoother",
     "complex_laplacian",
     "random_admissible_field",
-    "save_field",
-    "load_field",
-    "field_to_csv",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -328,6 +326,19 @@ def identity_plus_eigenvalues(parts: tuple) -> np.ndarray:
     return np.stack([mean - rad, mean + rad], axis=-1)
 
 
+def elementary_symmetric(slots: list, k: int) -> list:
+    """[sigma_0, ..., sigma_k] of a list of slot arrays (or scalars).
+
+    The recurrence e_j <- e_j + lambda e_{j-1}, one slot at a time from
+    e = (1, 0, ..., 0); entries that stay zero are the scalar 0.0.
+    """
+    e = [1.0] + [0.0] * k
+    for i, lam in enumerate(slots):
+        for j in range(min(i + 1, k), 0, -1):
+            e[j] = e[j] + lam * e[j - 1]
+    return e
+
+
 def min_admissibility_eigenvalue(field: ScalarField) -> float:
     """Smallest eigenvalue of I + H[field] over all grid points."""
     field.require_finite("field")
@@ -534,17 +545,7 @@ def random_admissible_field(grid: TorusGrid, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # serialization
 
-_FIELD_MAGIC = np.int64(0x544F5246)  # "TORF"
 _TRAJ_MAGIC = np.int64(0x544F5254)  # "TORT"
-
-
-def save_field(f: ScalarField, path) -> None:
-    """Flat binary layout: magic, n_complex, N, L, then row-major float64."""
-    with open(path, "wb") as fh:
-        np.array([_FIELD_MAGIC, f.grid.n_complex, f.grid.points_per_axis],
-                 dtype=np.int64).tofile(fh)
-        np.array([f.grid.period], dtype=np.float64).tofile(fh)
-        f.values.astype(np.float64).tofile(fh)
 
 
 def _require_size(fh, path, n_words: int) -> None:
@@ -554,29 +555,6 @@ def _require_size(fh, path, n_words: int) -> None:
     if actual != expected:
         raise ValueError(f"{path} holds {actual} bytes; its header implies "
                          f"{expected} (truncated or oversized file)")
-
-
-def load_field(path, derivative_mode: str = "spectral") -> ScalarField:
-    with open(path, "rb") as fh:
-        head = np.fromfile(fh, dtype=np.int64, count=3)
-        if len(head) != 3 or head[0] != _FIELD_MAGIC:
-            raise ValueError(f"{path} is not a torus field file")
-        n_points = int(head[2]) ** (2 * int(head[1]))
-        _require_size(fh, path, 4 + n_points)
-        period = float(np.fromfile(fh, dtype=np.float64, count=1)[0])
-        grid = TorusGrid(int(head[1]), int(head[2]), period, derivative_mode)
-        vals = np.fromfile(fh, dtype=np.float64).reshape(grid.shape)
-    return ScalarField(grid, vals)
-
-
-def field_to_csv(f: ScalarField, path) -> None:
-    """CSV with one row per grid point (index columns, then the value)."""
-    idx = np.indices(f.grid.shape).reshape(f.grid.real_dim, -1).T
-    vals = f.values.reshape(-1, 1)
-    header = ",".join(f"i{a}" for a in range(f.grid.real_dim)) + ",value"
-    data = np.hstack([idx, vals])
-    fmt = ["%d"] * f.grid.real_dim + ["%.17g"]
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt=fmt)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -18,22 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .flow_ma import RhsSpec
 from .grid import ScalarField, TorusGrid, Trajectory
 
 __all__ = ["ManufacturedSolution"]
 
 
-class ManufacturedSolution:
-    """Closed-form flow solution with its generating right-hand side."""
-
-    kind = "manufactured"
+class ManufacturedSolution(RhsSpec):
+    """Closed-form flow solution; as an RhsSpec, its generating data F."""
 
     def __init__(self, grid: TorusGrid, curvature: float = 1.0, p0: float = 2.0):
         if grid.n_complex != 1:
             raise ValueError("manufactured family is defined on n = 1 grids")
+        super().__init__(self._F, p0)
         self.grid = grid
         self.curvature = float(curvature)
-        self.p0 = float(p0)
         self._two_pi = 2.0 * np.pi / grid.period
         self._cosx = np.cos(self._two_pi * grid.meshgrid()[0])
 
@@ -62,28 +61,15 @@ class ManufacturedSolution:
         vals = np.stack([self.exact_values(float(t)) for t in times])
         return Trajectory(self.grid, times, vals)
 
-    # -- right-hand-side duck interface (matches RhsSpec) -------------------
-    def _F(self, t: float) -> np.ndarray:
+    def _F(self, grid: TorusGrid, t: float) -> np.ndarray:
+        if grid is not self.grid and grid != self.grid:
+            raise ValueError("manufactured rhs is bound to its grid")
         neg_dt = self._tau_prime(t) * (2.0 + self._cosx) / 2.0
         one_plus_h = 1.0 + self._tau(t) * (self._two_pi**2 / 8.0) * self._cosx
         if np.any(one_plus_h <= 0.0):
             raise ValueError(
                 f"manufactured solution leaves the admissible cone at t={t}")
         return np.log(neg_dt * one_plus_h)
-
-    def F_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        if grid is not self.grid and grid != self.grid:
-            raise ValueError("manufactured rhs is bound to its grid")
-        return ScalarField(self.grid, self._F(t))
-
-    def eF_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        return ScalarField(self.grid, np.exp(self._F(t)))
-
-    def sample(self, grid: TorusGrid, times) -> tuple[Trajectory, Trajectory]:
-        times = np.asarray(times, dtype=float)
-        F = np.stack([self._F(float(t)) for t in times])
-        return (Trajectory(self.grid, times, np.exp(F)),
-                Trajectory(self.grid, times, F))
 
     def sup_error(self, traj: Trajectory) -> float:
         exact = self.exact_trajectory(traj.times)

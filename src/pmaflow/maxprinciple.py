@@ -47,7 +47,6 @@ __all__ = [
     "sample_space_time",
     "contact_set",
     "lieberman_form_check",
-    "mask_to_csv",
 ]
 
 
@@ -305,14 +304,6 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray,
                  float(u[:, boundary].max()) if boundary.any() else -np.inf)
     return ContactSetReport(mask, integral, sup_interior, sup_pb,
                             stg.domain_volume(), tol, integrand)
-
-
-def mask_to_csv(report: ContactSetReport, path) -> None:
-    """Contact-set point list: one row (k, i, j, ...) per masked node."""
-    pts = np.argwhere(report.contact_mask)
-    m = report.contact_mask.ndim - 1
-    header = ",".join(["k"] + [f"i{a}" for a in range(m)])
-    np.savetxt(path, pts, fmt="%d", delimiter=",", header=header, comments="")
 
 
 @dataclass

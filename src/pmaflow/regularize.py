@@ -320,14 +320,6 @@ def ball_mass_profile(field: ScalarField, centers, radii,
             "fitted_constant": fitted[1]}
 
 
-def profile_to_csv(profile: dict, path) -> None:
-    """Ball-mass table as CSV with columns center, r, mass."""
-    with open(path, "w") as fh:
-        fh.write("center,r,mass\n")
-        for ci, r, mass in profile["rows"]:
-            fh.write(f"{ci},{r:.17g},{mass:.17g}\n")
-
-
 def ball_lower_bound_check(field: ScalarField, eps: float,
                            kernel: RadialKernel = DEFAULT_KERNEL) -> dict:
     """Flat-torus surrogate of the mollification lower bound.

@@ -99,7 +99,7 @@ def test_i_series_trivial_flow(trivial_flow):
     assert resid < 1e-10
 
 
-def test_i_functional_matches_term_by_term_oracle(grid32):
+def test_i_functional_matches_term_by_term_oracle(grid32, grid2d):
     rng = np.random.default_rng(21)
     f = random_admissible_field(grid32, rng, margin=0.1)
     # wedge expansion assembled independently: (1/2) int phi (w0 + w_phi)
@@ -107,6 +107,15 @@ def test_i_functional_matches_term_by_term_oracle(grid32):
     term0 = (f.values * 1.0).mean()          # phi against w0
     term1 = (f.values * (1.0 + h)).mean()    # phi against w_phi
     oracle = 0.5 * (term0 + term1) * grid32.volume
+    assert i_functional(f) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    # n = 2: (1/3) int phi (w0^2 + w0 ^ w_phi + w_phi^2)
+    #      = (1/3) int phi (1 + tr(I+H)/2 + det(I+H)), entrywise from H
+    f = random_admissible_field(grid2d, rng, margin=0.1)
+    a = np.eye(2) + complex_hessian_matrices(f.values, grid2d)
+    trace = (a[..., 0, 0] + a[..., 1, 1]).real
+    det = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]).real
+    oracle = (f.values * (1.0 + 0.5 * trace + det)).mean() * grid2d.volume / 3.0
     assert i_functional(f) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 

@@ -25,6 +25,7 @@ from pmaflow import (
 )
 from pmaflow import flow_hessian
 from pmaflow.flow_hessian import f_eval_grad_arrays
+from pmaflow.grid import elementary_symmetric
 
 
 ALL_SYMBOLS = [
@@ -39,6 +40,15 @@ ALL_SYMBOLS = [
     HessianSymbol.full_sigma_k(1, 2),
     HessianSymbol.full_sigma_k(2, 2),
     HessianSymbol.full_sigma_k(2, 3),
+]
+# ids name the constructor each entry was built with: ma_power and
+# lambda0_sigma_k build symbols equal to other entries, so ids derived from
+# the fields would collide
+SYMBOL_IDS = [
+    "det-n1-k0-l0", "det-n2-k0-l0", "ma_power-n1-k0-l0", "ma_power-n2-k0-l0",
+    "lambda0_sigma_k_power-n2-k1-l0", "lambda0_sigma_k_power-n2-k2-l0",
+    "sigma_quotient_power-n2-k2-l1", "full_sigma_k-n1-k1-l0",
+    "full_sigma_k-n1-k2-l0", "full_sigma_k-n2-k2-l0", "full_sigma_k-n2-k3-l0",
 ]
 
 
@@ -76,13 +86,12 @@ def _negative_slots_from(symbol):
     the positive cone (k below the list's length), None otherwise."""
     if symbol.kind == "full_sigma_k" and symbol.k <= symbol.n:
         return 0
-    if symbol.kind in ("lambda0_sigma_k_power", "sigma_quotient_power") \
-            and symbol.k < symbol.n:
+    if symbol.kind == "sigma_quotient_power" and symbol.k < symbol.n:
         return 1
     return None
 
 
-@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=SYMBOL_IDS)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_gradient_matches_finite_differences(symbol, data):
@@ -133,7 +142,7 @@ def test_sigma_recurrence_matches_subset_sums(data):
             for _ in range(m)]
     if k < m and data.draw(st.booleans()):
         lams[data.draw(st.integers(0, m - 1))] *= -data.draw(st.floats(0.01, 0.5))
-    e = flow_hessian._elementary(lams, k)
+    e = elementary_symmetric(lams, k)
     grad = flow_hessian._sigma_gradient(lams, k)
     assert grad.shape == (size, m)
     scale = max(1.0, float(np.abs(lams).max())) ** k
@@ -160,7 +169,7 @@ def _iterative_rate(symbol, target, eigs):
 
 
 @pytest.mark.parametrize("symbol", ALL_SYMBOLS,
-                         ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+                         ids=SYMBOL_IDS)
 def test_closed_form_rate_matches_newton_iteration(symbol):
     rng = np.random.default_rng(21)
     eigs = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(64, symbol.n)))
@@ -200,7 +209,7 @@ def test_ma_power_c0_at_ones(n):
     assert rep.c0_min == pytest.approx((n + 1.0) ** (-(n + 1)), rel=1e-12)
 
 
-@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=SYMBOL_IDS)
 def test_structural_report(symbol):
     rng = np.random.default_rng(13)
     rep = structural_check(symbol, random_cone_points(symbol.n, 40, rng))
@@ -273,7 +282,7 @@ def test_residual_cone_violation_reports_location(grid32):
     assert err.value.location is not None
 
 
-@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=SYMBOL_IDS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_value_only_evaluation_matches_f_eval_grad_arrays(symbol, data):
@@ -292,16 +301,16 @@ def test_value_only_evaluation_matches_f_eval_grad_arrays(symbol, data):
     assume(_in_cone(symbol, lam))
     lam0, lams = np.array(lam[0]), lam[1:]
     cond = 1.0
-    if symbol.kind in ("det", "ma_power", "full_sigma_k"):
+    if symbol.kind in ("det", "full_sigma_k"):
         k = symbol.k if symbol.kind == "full_sigma_k" else n + 1
-        cond = flow_hessian._elementary(list(np.abs(lam)), k)[k] \
-            / flow_hessian._elementary(list(lam), k)[k]
+        cond = elementary_symmetric(list(np.abs(lam)), k)[k] \
+            / elementary_symmetric(list(lam), k)[k]
     value = flow_hessian._symbol_value(symbol, lam0, lams)
     expected = f_eval_grad_arrays(symbol, lam0, lams)[0]
     assert value == pytest.approx(expected, rel=1e-14 * cond, abs=0.0)
 
 
-@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}-n{s.n}-k{s.k}-l{s.l}")
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=SYMBOL_IDS)
 def test_residuals_never_build_the_gradient(symbol, monkeypatch):
     """`hessian_residual` and the Newton residual callback evaluate the
     symbol's value only: they run with `_sigma_gradient` made to raise."""
@@ -361,7 +370,7 @@ def test_top_sigma_reproduces_trivial_solution(grid32):
 @pytest.mark.parametrize("symbol", [HessianSymbol.full_sigma_k(1, 1),
                                     HessianSymbol.ma_power(1),
                                     HessianSymbol.lambda0_sigma_k(1, 1)],
-                         ids=lambda s: s.kind)
+                         ids=["full_sigma_k", "ma_power", "lambda0_sigma_k_power"])
 def test_flat_flow_matches_scalar_ode_oracle(grid32, symbol):
     """Spatially flat data solves f(-phi', 1..1) = e^{F(t)}; check vs quadrature."""
     # keep e^F above f(0+, 1..1) so the flat solution stays in the cone
@@ -442,14 +451,37 @@ def test_unreachable_data_names_location_and_time():
 
 
 def test_symbol_config_keys():
-    assert symbol_from_config("ma", 1).kind == "ma_power"
-    assert symbol_from_config("l0_sigma_k", 2, k=2).k == 2
-    assert symbol_from_config("sigma_quotient", 2, k=2, l=1).l == 1
-    assert symbol_from_config("full_sigma_k", 1, k=2).kind == "full_sigma_k"
+    assert symbol_from_config("ma", 1) == HessianSymbol.ma_power(1)
+    assert symbol_from_config("l0_sigma_k", 2, k=2) == HessianSymbol.lambda0_sigma_k(2, 2)
+    assert symbol_from_config("sigma_quotient", 2, k=2, l=1) \
+        == HessianSymbol.sigma_quotient(2, 2, 1)
+    assert symbol_from_config("full_sigma_k", 1, k=2) == HessianSymbol.full_sigma_k(1, 2)
     with pytest.raises(ValueError):
         symbol_from_config("nope", 1)
     with pytest.raises(ValueError):
         HessianSymbol.sigma_quotient(2, 1, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ma_power_is_top_full_sigma_k(n):
+    assert HessianSymbol.ma_power(n) == HessianSymbol.full_sigma_k(n, n + 1)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
+def test_lambda0_sigma_k_is_quotient_with_l_zero(n, k):
+    assert HessianSymbol.lambda0_sigma_k(n, k) == HessianSymbol.sigma_quotient(n, k, 0)
+
+
+def test_sigma_quotient_config_accepts_l_zero():
+    assert symbol_from_config("sigma_quotient", 2, k=2, l=0) \
+        == HessianSymbol.lambda0_sigma_k(2, 2)
+
+
+@pytest.mark.parametrize("kind, n, k", [("ma_power", 1, 0),
+                                        ("lambda0_sigma_k_power", 2, 1)])
+def test_alias_kinds_are_rejected(kind, n, k):
+    with pytest.raises(ValueError, match="unknown symbol kind"):
+        HessianSymbol(kind, n, k=k)
 
 
 def test_ma_power_reduction_n2(grid2d):

@@ -16,17 +16,11 @@ from pmaflow import (
     convolve_radial,
     hessian_parts,
     integrate,
-    load_field,
     load_trajectory,
     random_admissible_field,
-    save_field,
     save_trajectory,
 )
-from pmaflow.grid import (
-    complex_hessian_matrices,
-    field_to_csv,
-    identity_plus_eigenvalues,
-)
+from pmaflow.grid import complex_hessian_matrices, identity_plus_eigenvalues
 
 
 def band_limited(grid, rng, max_mode=5, n_modes=6):
@@ -491,16 +485,6 @@ def test_hessian_parts_match_closed_form(n_complex, modes):
 # serialization
 
 
-def test_field_binary_roundtrip(tmp_path, grid32):
-    rng = np.random.default_rng(7)
-    f = band_limited(grid32, rng)
-    path = tmp_path / "field.bin"
-    save_field(f, path)
-    g = load_field(path)
-    assert g.grid == grid32
-    assert np.array_equal(g.values, f.values)
-
-
 def test_trajectory_binary_roundtrip(tmp_path, trivial_flow):
     traj = trivial_flow[0]
     path = tmp_path / "traj.bin"
@@ -541,30 +525,15 @@ def test_trajectory_roundtrip_bit_exact(data):
 
 
 @pytest.mark.parametrize("damage", ["8_bytes_short", "one_slice_long"])
-@pytest.mark.parametrize("kind", ["field", "trajectory"])
+@pytest.mark.parametrize("kind", ["trajectory"])
 def test_load_rejects_wrong_byte_count(tmp_path, trivial_flow, kind, damage):
     traj = trivial_flow[0]
     path = tmp_path / "data.bin"
-    if kind == "field":
-        save_field(traj.field_at(0), path)
-        load = load_field
-    else:
-        save_trajectory(traj, path)
-        load = load_trajectory
+    save_trajectory(traj, path)
     data = path.read_bytes()
     slice_bytes = 8 * int(np.prod(traj.grid.shape))
     bad = data[:-8] if damage == "8_bytes_short" else data + data[-slice_bytes:]
     path.write_bytes(bad)
     with pytest.raises(ValueError, match=f"holds {len(bad)} bytes; "
                                          f"its header implies {len(data)}"):
-        load(path)
-
-
-def test_field_csv_export(tmp_path):
-    grid = TorusGrid(1, 4)
-    f = grid.scalar_field(np.arange(16.0).reshape(4, 4))
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "i0,i1,value"
-    assert len(rows) == 17
+        load_trajectory(path)

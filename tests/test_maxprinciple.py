@@ -407,16 +407,3 @@ def test_guard_band_covers_closed_form_error_at_double_eigenvalue():
     err = np.abs(_largest_eigenvalue(_nested(stack))
                  - np.linalg.eigvalsh(stack)[:, -1])
     assert err.max() <= 0.1 * _GUARD_BAND * np.abs(stack).max(axis=(1, 2)).min()
-
-
-def test_mask_csv_export(tmp_path):
-    from pmaflow.maxprinciple import mask_to_csv
-    stg = SpaceTimeGridReal(m=2, n_points=17, T=0.2, n_steps=4,
-                            domain="ball", ball_radius=0.4)
-    u = sample_space_time(stg, paraboloid(1.0, (0.5, 0.5)))
-    rep = contact_set(stg, u)
-    path = tmp_path / "mask.csv"
-    mask_to_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,i0,i1"
-    assert len(lines) == 1 + int(rep.contact_mask.sum())

@@ -485,15 +485,3 @@ def test_ball_lower_bound_surrogate(grid64):
         f = random_admissible_field(grid64, rng, margin=0.3)
         out = ball_lower_bound_check(f, eps=0.125)
         assert out["holds"], out
-
-
-def test_profile_csv_export(tmp_path, grid64):
-    from pmaflow.regularize import profile_to_csv
-    x, _ = grid64.meshgrid()
-    f = grid64.scalar_field(np.cos(2 * np.pi * x))
-    out = ball_mass_profile(f, centers=[(0.0, 0.0)], radii=[0.1, 0.2])
-    path = tmp_path / "profile.csv"
-    profile_to_csv(out, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "center,r,mass"
-    assert len(lines) == 3
