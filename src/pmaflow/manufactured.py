@@ -21,7 +21,16 @@ import numpy as np
 from .flow_ma import RhsSpec
 from .grid import ScalarField, TorusGrid, Trajectory
 
-__all__ = ["ManufacturedSolution"]
+__all__ = ["ManufacturedSolution", "admissible_horizon"]
+
+
+def admissible_horizon(period: float, curvature: float) -> float:
+    """Largest T with 1 + psi_zzbar > 0 on [0, T]: tau(T) = 2 L^2 / pi^2."""
+    bound = 2.0 * period**2 / np.pi**2
+    if curvature == 0.0:
+        return bound
+    c = curvature
+    return (-1.0 + np.sqrt(1.0 + 4.0 * c * bound)) / (2.0 * c)
 
 
 class ManufacturedSolution(RhsSpec):
@@ -38,11 +47,7 @@ class ManufacturedSolution(RhsSpec):
 
     def admissible_horizon(self) -> float:
         """Largest T with 1 + psi_zzbar > 0 on [0, T]."""
-        bound = 2.0 * self.grid.period**2 / np.pi**2
-        if self.curvature == 0.0:
-            return bound
-        c = self.curvature
-        return (-1.0 + np.sqrt(1.0 + 4.0 * c * bound)) / (2.0 * c)
+        return admissible_horizon(self.grid.period, self.curvature)
 
     def _tau(self, t: float) -> float:
         return t + self.curvature * t * t

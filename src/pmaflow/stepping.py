@@ -11,14 +11,18 @@ operator is uniformly parabolic on admissible iterates, so A is solved by
 BiCGStab with right preconditioning: the solver works on the one operator
 A M^{-1}, M the constant-coefficient operator, whose symbol is diagonal in
 Fourier space.  One forward real FFT per application gives the spectrum of
-u = M^{-1} y, and u and every Hessian component of u are inverse transforms
-of it (real transforms from `scipy.fft`).
+u = M^{-1} y.  Since M u = y, the trace of H[u] is known without a
+transform, so only u and n^2 - 1 Hessian components of u (all but h_nn) are
+inverse transforms of it: n^2 per application (real transforms from
+`scipy.fft`).
 
 The Newton iteration is inexact: iteration k solves its linear system only to
 the relative tolerance eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 of Eisenstat and
 Walker's choice 2 (`_forcing_term`), in the residual max-norm the stopping
-test uses, capped at 0.1 and never below FlowParams.linear_rtol.  Early
-iterates take cheap, loose solves; eta_k falls with the residual.
+test uses, capped at 0.1 and never below max(FlowParams.linear_rtol,
+newton_tol / (2 |F_k|_2)).  Early iterates take cheap, loose solves; eta_k
+falls with the residual, but not below the level at which the linear
+residual, |r|_inf <= |r|_2 <= eta_k |F_k|_2, is half the Newton tolerance.
 
 Line search halves the step until the residual drops and the iterate stays
 inside the admissible cone (no projection; steps that cross the cone are
@@ -47,7 +51,8 @@ class FlowParams:
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     admissibility_floor: float = 1e-8
-    linear_rtol: float = 1e-8       # floor of the Krylov forcing term eta_k
+    linear_rtol: float = 1e-8       # least floor of the forcing term eta_k; the
+                                    # floor rises to newton_tol / (2 |F_k|_2)
     linear_max_iter: int = 400
     initial_guess: str = "predictor"  # or "constant"
 
@@ -88,18 +93,39 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
     A u = zeroth * u - sum_j w_j part_j(u) over the components of
     `hessian_parts`, with the real weights of a Hermitian B: (b11,) for
     n = 1 and (b11, b22, 2 Re b12, 2 Im b12) for n = 2.  M is the
-    constant-coefficient operator with symbol mean(zeroth) + mean(tr B)/n
-    |k|^2/4 (in the grid's derivative mode).  One rfftn of y gives the
-    spectrum of u = M^{-1} y, from which u and every Hessian component of u
-    are inverse transforms.
+    constant-coefficient operator zbar u - bbar tr H[u], with zbar =
+    mean(zeroth) and bbar = mean(tr B)/n, whose symbol is zbar + bbar
+    |k|^2/4 (in the grid's derivative mode).
+
+    Since M u = y, tr H[u] = (zbar u - y)/bbar needs no transform.  The
+    last diagonal weight w_nn carries the trace,
+    sum_j w_jj h_jj = w_nn tr H + sum_{j<n} (w_jj - w_nn) h_jj, so
+
+        A M^{-1} y = c_u u + c_y y - sum_j w'_j part'_j(u),
+        c_y = w_nn/bbar,  c_u = zeroth - zbar c_y,
+
+    summed over the n^2 - 1 components other than h_nn: none at n = 1;
+    h11 with weight b11 - b22, Re h12 and Im h12 at n = 2.  One rfftn of y
+    gives the spectrum of u = M^{-1} y, from which u and those components
+    are inverse transforms: n^2 irfftn per application.  Raises ValueError
+    when zbar or bbar is not positive: M is then not invertible, nor A
+    parabolic.
     """
     n = grid.n_complex
-    b_mean = max(float(sum(weights[:n]).mean()) / n, 0.0)
-    denom = np.maximum(float(zeroth.mean()) - b_mean * grid.quarter_laplacian_symbol,
-                       1e-300)
+    z_mean = float(zeroth.mean())
+    b_mean = sum(float(w.mean()) for w in weights[:n]) / n
+    if not (b_mean > 0.0 and z_mean > 0.0):
+        raise ValueError(f"linearized operator not parabolic: mean tr B = "
+                         f"{n * b_mean:.6g}, mean zeroth = {z_mean:.6g}")
+    denom = z_mean - b_mean * grid.quarter_laplacian_symbol
+    c_y = weights[n - 1] / b_mean
+    c_u = zeroth - z_mean * c_y
+    symbols = grid.hessian_symbols
+    rest = [(weights[j] - weights[n - 1], symbols[j]) for j in range(n - 1)]
+    rest += zip(weights[n:], symbols[n:])
 
     def spectrum(y: np.ndarray) -> np.ndarray:
-        uhat = scipy.fft.rfftn(y.reshape(grid.shape))
+        uhat = scipy.fft.rfftn(y)
         uhat /= denom
         return uhat
 
@@ -107,13 +133,13 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
         return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes, overwrite_x=True)
 
     def apply(y: np.ndarray) -> np.ndarray:
+        y = y.reshape(grid.shape)
         uhat = spectrum(y)
-        trace = sum(w * inverse(sym * uhat)
-                    for w, sym in zip(weights, grid.hessian_symbols))
-        return (zeroth * inverse(uhat) - trace).ravel()
+        others = sum(w * inverse(sym * uhat) for w, sym in rest)
+        return (c_u * inverse(uhat) + c_y * y - others).ravel()
 
     def precondition(y: np.ndarray) -> np.ndarray:
-        return inverse(spectrum(y)).ravel()
+        return inverse(spectrum(y.reshape(grid.shape))).ravel()
 
     return apply, precondition
 
@@ -173,7 +199,8 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
     """Damped inexact Newton iteration for one backward-Euler step.
 
     Stops when the max-norm of the residual is at most params.newton_tol;
-    iteration k solves its linear system to the forcing term eta_k.
+    iteration k solves its linear system to the forcing term eta_k, and no
+    tighter than a linear residual of newton_tol / 2 needs.
 
     residual_fn(values) -> residual array;
     linearization_fn(values) -> (zeroth, weights): zeroth and the real
@@ -194,7 +221,11 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
     for it in range(params.newton_max_iter):
         if res_norm <= params.newton_tol:
             break
-        eta = _forcing_term(res_norm, prev_norm, eta, params.linear_rtol)
+        # at eta = newton_tol / (2 |F|_2) the linear residual is at most
+        # newton_tol / 2 already; a tighter solve cannot help the stopping test
+        floor = max(params.linear_rtol,
+                    0.5 * params.newton_tol / float(np.linalg.norm(res)))
+        eta = _forcing_term(res_norm, prev_norm, eta, floor)
         prev_norm = res_norm
         zeroth, weights = linearization_fn(phi)
         delta, info = _solve_linearized(grid, zeroth, weights, res,

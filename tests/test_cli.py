@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pmaflow import cli
 from pmaflow.cli import RunConfig, main, run, sweep
 from pmaflow.estimates import EstimateReport
 from pmaflow.grid import load_trajectory
@@ -48,6 +49,32 @@ def test_config_validates_ranges():
         RunConfig.from_dict({"rhs": {"p0": 1.0}})
 
 
+def _manufactured(T):
+    return {"grid": {"points_per_axis": 16}, "flow": {"T": T, "dt": 0.05},
+            "rhs": {"kind": "manufactured", "time_curvature": 1.0},
+            "estimates": {"holder": False, "stability": False}, "label": "conv"}
+
+
+def test_config_rejects_manufactured_beyond_horizon(monkeypatch):
+    # curvature 1, period 1: tau(T) = T + T^2 = 2/pi^2 at T = 0.172787
+    with pytest.raises(ValueError, match=r"admissible horizon 0\.172787"):
+        RunConfig.from_dict(_manufactured(0.2))
+    # run() validates before it solves anything
+    cfg = RunConfig.from_dict(_manufactured(0.15))
+    cfg.flow.T = 0.2
+    monkeypatch.setattr(cli, "_solve", lambda cfg: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="horizon"):
+        run(cfg, "unused")
+
+
+def test_sweep_records_manufactured_beyond_horizon(tmp_path):
+    rows = sweep(RunConfig.from_dict(_manufactured(0.1)), "flow.T", [0.1, 0.2],
+                 tmp_path / "sw", max_workers=1)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"].startswith("ValueError: flow.T = 0.2 reaches")
+    assert not (tmp_path / "sw" / "flow_T_001" / "trajectory.bin").exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -59,6 +86,9 @@ def test_run_trivial_report(tmp_path):
     times = np.linspace(0, 1, len(series))
     assert np.abs(series + times).max() < 1e-9
     assert report.holder_time[0] == pytest.approx(1.0, abs=1e-9)
+    # phi = -t exactly: I = -t and det(I + H) = 1, so both identities hold
+    assert checks["i_identity"]
+    assert report.extra["I_variation_residual"] <= 1e-12
     assert (tmp_path / "out" / "trajectory.bin").exists()
     assert (tmp_path / "out" / "levelstats.csv").exists()
     assert (tmp_path / "out" / "report.json").exists()
@@ -129,6 +159,26 @@ def test_run_hessian_equation(tmp_path):
     series = np.asarray(report.I_series)
     assert np.abs(series[-1] + 0.2) < 1e-8  # trivial solution of the top symbol
     assert all(v for v in checks.values() if isinstance(v, bool))
+
+
+def test_hessian_estimate_checks_the_variation_identity(tmp_path):
+    """dI/dt = -int e^F is the Monge-Ampere identity; a sigma_2/sigma_1 flow
+    is checked against dI = int dphi det(I + H), and `estimate` exits 0."""
+    cfg = RunConfig.from_dict({
+        "grid": {"n_complex": 2, "points_per_axis": 8},
+        "flow": {"equation": "hessian", "symbol": "sigma_quotient", "k": 2, "l": 1,
+                 "T": 0.04, "dt": 0.01, "initial_condition": "random_band"},
+        "rhs": {"kind": "smooth_product", "spatial_amplitude": 0.4,
+                "profile": "decay"},
+        "seed": 7, "label": "sigma_quotient"})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = EstimateReport.from_json((out / "report.json").read_text())
+    assert report.extra["checks"]["i_identity"] is True
+    assert report.extra["I_variation_residual"] < 0.1 * report.I_derivative_residual
+    assert "I_variation_residual" not in report.extra["check_values"]
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,47 @@ def test_value_only_evaluation_matches_f_eval_grad_arrays(symbol, data):
     assert value == pytest.approx(expected, rel=1e-14 * cond, abs=0.0)
 
 
+def _definition_oracle(symbol, lam):
+    """f(lambda_0, lambda') from the symbol's definition, with every sigma_j
+    a sum over subsets: sigma_{n+1}(lambda) for det, sigma_k(lambda)^{1/k}
+    for full_sigma_k, and (lambda_0 (sigma_k/sigma_l)(lambda')^{1/(k-l)})^{n/(n+1)}
+    for sigma_quotient_power."""
+    slots = list(lam)
+    if symbol.kind == "det":
+        return _sigma_oracle(slots, symbol.n + 1, ())
+    if symbol.kind == "full_sigma_k":
+        return _sigma_oracle(slots, symbol.k, ()) ** (1.0 / symbol.k)
+    k, l = symbol.k, symbol.l
+    ratio = _sigma_oracle(slots[1:], k, ()) / _sigma_oracle(slots[1:], l, ())
+    return (lam[0] * ratio ** (1.0 / (k - l))) ** (symbol.n / (symbol.n + 1.0))
+
+
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=SYMBOL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_symbol_value_matches_subset_sum_definition(symbol, data):
+    """The value-only evaluation against an oracle that shares no code with
+    `_rate_affine_form`, at the cone points of the gradient test.  The
+    tolerance carries the condition number sigma_j(|lambda|)/sigma_j(lambda)
+    of the sums involved, which is 1 on the positive cone."""
+    n = symbol.n
+    lam = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n + 1,
+                                      max_size=n + 1)))
+    first = _negative_slots_from(symbol)
+    if first is not None and data.draw(st.booleans()):
+        lam[data.draw(st.integers(first, n))] = data.draw(st.floats(-3.0, -0.05))
+    assume(_in_cone(symbol, lam))
+    if symbol.kind == "sigma_quotient_power":
+        slots, orders = lam[1:], (symbol.k, symbol.l)
+    else:
+        slots, orders = lam, (n + 1 if symbol.kind == "det" else symbol.k,)
+    cond = max(float(_sigma_oracle(list(np.abs(slots)), j, ())
+                     / _sigma_oracle(list(slots), j, ())) for j in orders)
+    value = flow_hessian._symbol_value(symbol, np.array([lam[0]]), lam[None, 1:])[0]
+    assert value == pytest.approx(_definition_oracle(symbol, lam), rel=1e-13 * cond,
+                                  abs=0.0)
+
+
 @pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=SYMBOL_IDS)
 def test_residuals_never_build_the_gradient(symbol, monkeypatch):
     """`hessian_residual` and the Newton residual callback evaluate the

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from pmaflow import FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_hessian_flow
+from pmaflow import (FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_flow,
+                     solve_hessian_flow)
 from pmaflow import flow_hessian, stepping
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
 from pmaflow.grid import (complex_hessian_matrices, hessian_parts,
@@ -94,15 +95,29 @@ def test_preconditioner_inverts_constant_coefficient_operator(n_complex, N):
     assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
-def _linearization_at(symbol, N, seed):
+def _linearization_at(symbol, N, seed, mode="spectral", dt=0.01):
     """(grid, zeroth, weights) of a Newton iterate near a random admissible field."""
-    grid = TorusGrid(symbol.n, N)
+    grid = TorusGrid(symbol.n, N, derivative_mode=mode)
     rng = np.random.default_rng(seed)
     prev = random_admissible_field(grid, rng, margin=0.3).values
-    vals = prev - 0.01 * (1.0 + 0.1 * rng.random(grid.shape))
+    vals = prev - dt * (1.0 + 0.1 * rng.random(grid.shape))
     _, linearization, _, _ = flow_hessian._hessian_callbacks(
-        grid, prev, 0.01, np.ones(grid.shape), symbol, 1e-8)
+        grid, prev, dt, np.ones(grid.shape), symbol, 1e-8)
     return (grid,) + linearization(vals)
+
+
+def _hermitian_from_weights(weights):
+    """The Hermitian field B whose real weights (`_weights`) these are."""
+    if len(weights) == 1:
+        return weights[0][..., None, None].astype(complex)
+    b11, b22, re2, im2 = weights
+    b12 = 0.5 * (re2 + 1j * im2)
+    return np.stack([np.stack([b11 + 0j, b12], -1),
+                     np.stack([np.conj(b12), b22 + 0j], -1)], -2)
+
+
+MODES = ["spectral", "finite_difference_2nd"]
+N_SYMBOLS = [HessianSymbol.det(1), HessianSymbol.sigma_quotient(2, 2, 1)]
 
 
 @pytest.mark.parametrize("symbol", [HessianSymbol.det(1),
@@ -124,6 +139,80 @@ def test_one_forward_transform_per_operator_application(monkeypatch, forward_tra
                                          1e-10, 400)
     assert info == 0 and count[0] > 0
     assert len(forward_transforms) == count[0] + 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("symbol", N_SYMBOLS, ids=lambda s: f"{s.kind}{s.n}")
+def test_n_squared_inverse_transforms_per_operator_application(monkeypatch, symbol,
+                                                               mode):
+    """tr H[u] comes from M u = y, so an application inverse-transforms u
+    and the n^2 - 1 components other than h_nn only; M^{-1} takes one."""
+    import scipy.fft
+
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8,
+                                              15, mode)
+    apply, precondition = _preconditioned_operator(grid, zeroth, weights)
+    y = np.random.default_rng(16).standard_normal(zeroth.size)
+    calls = []
+    irfftn = scipy.fft.irfftn
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("s"))
+        return irfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "irfftn", counting)
+    apply(y)
+    assert calls == [grid.shape] * grid.n_complex ** 2
+    calls.clear()
+    precondition(y)
+    assert calls == [grid.shape]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("symbol", [HessianSymbol.det(1), HessianSymbol.det(2),
+                                    HessianSymbol.sigma_quotient(2, 2, 1)],
+                         ids=lambda s: f"{s.kind}{s.n}")
+def test_operator_matches_trace_oracle_at_large_zeroth(symbol, mode):
+    """At dt = 0.005 the zeroth-order coefficient f_lambda0/dt is ~200 for
+    det and ~80 for sigma_2/sigma_1, so c_u = zeroth - zbar t/bbar cancels;
+    the operator still matches zeroth u - tr(B . H[u]) through the complex
+    tensor view, at u = M^{-1} y."""
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8,
+                                              19, mode, dt=0.005)
+    assert zeroth.mean() > 50.0
+    y = np.random.default_rng(20).standard_normal(grid.shape)
+    apply, precondition = _preconditioned_operator(grid, zeroth, weights)
+    u = precondition(y).reshape(grid.shape)
+    got = apply(y).reshape(grid.shape)
+    want = zeroth * u - _trace_oracle(_hermitian_from_weights(weights), u, grid)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("b,zeroth", [(-0.5, 1.0), (0.0, 1.0), (1.0, 0.0)],
+                         ids=["negative_trace", "zero_trace", "zero_zeroth"])
+@pytest.mark.parametrize("n_complex,N", CASES)
+def test_non_parabolic_linearization_raises(n_complex, N, b, zeroth):
+    grid = TorusGrid(n_complex, N)
+    weights = (np.full(grid.shape, b),) * n_complex + (0.0,) * (2 * n_complex - 2)
+    with pytest.raises(ValueError, match="linearized operator not parabolic: "
+                                         "mean tr B = "):
+        _preconditioned_operator(grid, np.full(grid.shape, zeroth), weights)
+
+
+@pytest.mark.parametrize("symbol", N_SYMBOLS, ids=lambda s: f"{s.kind}{s.n}")
+def test_solve_at_forcing_floor_leaves_half_newton_tol(symbol):
+    """At eta = newton_tol / (2 |rhs|_2) the true linear residual is at most
+    newton_tol / 2 in the max-norm the Newton stopping test uses."""
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8, 21)
+    params = FlowParams()
+    rhs = 1e-7 * np.random.default_rng(22).standard_normal(grid.shape)
+    floor = 0.5 * params.newton_tol / float(np.linalg.norm(rhs))
+    assert floor > 100 * params.linear_rtol     # the new floor is the one that binds
+    delta, info = stepping._solve_linearized(grid, zeroth, weights, rhs, floor,
+                                             params.linear_max_iter)
+    assert info == 0
+    trace = sum(w * part for w, part in zip(weights, hessian_parts(delta, grid)))
+    assert np.abs(rhs - (zeroth * delta - trace)).max() <= 0.5 * params.newton_tol
 
 
 @pytest.mark.parametrize("symbol", [HessianSymbol.det(1), HessianSymbol.det(2),
@@ -213,12 +302,12 @@ def test_forcing_term_choice_two():
 
 
 def _recording_solves(monkeypatch):
-    """Per Newton step, the (max |rhs|, eta) of each linearized solve."""
+    """Per Newton step, the (max |rhs|, |rhs|_2, eta) of each linearized solve."""
     steps = []
     solve, newton = stepping._solve_linearized, flow_hessian.newton_step
 
     def recording(grid, zeroth, weights, rhs, rtol, maxiter):
-        steps[-1].append((float(np.abs(rhs).max()), rtol))
+        steps[-1].append((float(np.abs(rhs).max()), float(np.linalg.norm(rhs)), rtol))
         return solve(grid, zeroth, weights, rhs, rtol, maxiter)
 
     def new_step(*args, **kwargs):
@@ -245,15 +334,32 @@ def test_forcing_sequence_follows_residual_ratios(monkeypatch):
     steps = _recording_solves(monkeypatch)
     solve_hessian_flow(phi0, rhs, symbol, params)
     assert len(steps) == 2
-    etas = [eta for step in steps for _, eta in step]
+    etas = [eta for step in steps for _, _, eta in step]
     assert all(params.linear_rtol <= eta <= 0.1 for eta in etas)
     assert min(etas) < 1e-3
     for step in steps:
         assert len(step) >= 3
-        assert step[0][1] == stepping._ETA_0
-        for (prev, _), (norm, eta) in zip(step, step[1:]):
-            want = max(min(0.9 * (norm / prev) ** 2, 0.1), params.linear_rtol)
+        assert step[0][2] == stepping._ETA_0
+        for (prev, _, _), (norm, norm2, eta) in zip(step, step[1:]):
+            want = max(min(0.9 * (norm / prev) ** 2, 0.1), params.linear_rtol,
+                       0.5 * params.newton_tol / norm2)
             assert eta == pytest.approx(want, rel=1e-14)
+
+
+def test_forcing_floor_keeps_newton_and_solve_counts(monkeypatch):
+    """The floor tied to newton_tol skips only the over-solving: the Newton
+    iterations (one linear solve each) per step are those of the fixed
+    linear_rtol floor, on an n=2 Hessian flow and an n=1 Monge-Ampere flow."""
+    steps = _recording_solves(monkeypatch)
+    solve_hessian_flow(*_sigma_n2_problem())
+    assert [len(step) for step in steps] == [4, 4]
+
+    steps.clear()
+    grid = TorusGrid(1, 32)
+    rhs = RhsSpec.smooth_product(lambda x, y: 0.4 * np.cos(2 * np.pi * x),
+                                 lambda t: np.exp(-t))
+    solve_flow(grid.constant_field(0.0), rhs, FlowParams(T=0.1, dt=0.01))
+    assert [len(step) for step in steps] == [4] + [3] * 9
 
 
 def _counting_matvecs(monkeypatch):
