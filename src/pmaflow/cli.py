@@ -374,10 +374,13 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
                 w.writerow([f"{t:.17g}", f"{v:.17g}"])
         _write_plot(plots, "i_functional", "../i_series.csv",
                     "energy along the flow", "t", "I(phi)", "1:2")
-        # dI/dt = -int e^F holds for the Monge-Ampere flow only; the first
-        # variation holds for every symbol
-        identity = resid if config.flow.equation == "ma" else variation
-        if np.isfinite(identity) and config.rhs.kind != "mollified_log_singularity":
+        # dI/dt = -int e^F holds for the Monge-Ampere flow only, and is not
+        # checked on singular data; the first variation holds for every
+        # symbol and does not involve F
+        is_ma = config.flow.equation == "ma"
+        identity = resid if is_ma else variation
+        if np.isfinite(identity) and not (
+                is_ma and config.rhs.kind == "mollified_log_singularity"):
             mass_scale = max(float(np.exp(F.values).mean() * grid.volume), 1.0)
             tol = 5.0 * (traj.dt + grid.spacing**2) * mass_scale
             checks["i_identity"] = bool(identity <= tol)
@@ -462,6 +465,8 @@ def sweep(base_config: RunConfig, axis: str, values, out_dir,
     Per-run failures are recorded and the sweep continues; each run writes
     into its own subdirectory, so a crash cannot corrupt its siblings.
     """
+    if max_workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {max_workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -453,8 +453,9 @@ def _kernel_on_grid_normalized(grid: TorusGrid, s: float, kernel: RadialKernel) 
 
 
 # Bytes of kernel transforms kept, least recently used evicted first.  One
-# n=2, N=16 Kiselman-Legendre transform uses 44 entries (25 MiB); an n=2,
-# N=32 entry alone is about 9 MiB.
+# n=2, N=16 Kiselman-Legendre transform uses 16 entries (9 MiB), its scales
+# below the grid spacing taking none; an n=2, N=32 entry alone is about
+# 9 MiB.
 _KERNEL_FFT_CACHE_BYTES = 128 * 2**20
 _KERNEL_FFT_CACHE: OrderedDict = OrderedDict()
 _KERNEL_FFT_LOCK = threading.Lock()
@@ -484,14 +485,24 @@ def radial_smoother(field: ScalarField, kernel: RadialKernel = DEFAULT_KERNEL):
     smooth(s) gives the values of the convolution at scale s, so a ladder
     of scales costs one inverse transform each.  Kernel transforms come
     from the byte-bounded cache.
+
+    A scale below the grid spacing h is the identity and returns a fresh
+    copy of the values, with no kernel, transform or cache entry: every
+    nonzero periodic offset has |w| >= h > s, so the discrete kernel is
+    the unit mass at the origin.  The test h / s > 1 is the kernel
+    builder's own r / s <= 1 at r = h (sqrt(h * h) rounds back to h); a
+    profile vanishing at the origin still raises as the builder does.
     """
     grid = field.grid
     field.require_finite("field")
     fhat = scipy.fft.rfftn(field.values)
+    origin_weight = kernel.density(0.0, grid.real_dim)
 
     def smooth(s: float) -> np.ndarray:
         if not (0.0 < s < grid.period / 2.0):
             raise ValueError(f"kernel radius must lie in (0, L/2), got {s}")
+        if grid.spacing / s > 1.0 and origin_weight > 0.0:
+            return field.values.copy()
         khat = _kernel_fft(grid, s, kernel)
         return scipy.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes,
                                 overwrite_x=True) * grid.cell_volume
@@ -506,6 +517,8 @@ def convolve_radial(field: ScalarField, s: float,
     The discrete kernel is renormalized to unit mass on the grid, so the
     convolution preserves constants and total integral exactly.  On the
     flat torus this realizes the exp-map mollification (exp is translation).
+    Below the grid spacing the kernel covers the origin alone, and the
+    result is the field itself (see `radial_smoother`).
     """
     return ScalarField(field.grid, radial_smoother(field, kernel)(s))
 

@@ -144,6 +144,23 @@ def test_run_singular_rhs_finite_entropy(tmp_path):
     assert np.isfinite(report.holder_time[0])
     assert "lp0_norm" in report.extra
     assert all(v for v in checks.values() if isinstance(v, bool))
+    assert "i_identity" not in checks   # dI/dt = -int e^F is not checked here
+
+
+def test_singular_hessian_estimate_checks_the_variation_identity(tmp_path):
+    """The first variation does not involve F, so singular data keep it."""
+    cfg = RunConfig.from_dict({
+        "grid": {"points_per_axis": 32},
+        "flow": {"equation": "hessian", "symbol": "l0_sigma_k", "k": 1,
+                 "T": 0.25, "dt": 1.0 / 32},
+        "rhs": {"kind": "mollified_log_singularity", "strength": 0.3,
+                "moll_radius": 0.05, "p0": 2.0},
+        "estimates": {"holder": False, "stability": False},
+        "label": "singular_hessian",
+    })
+    report, checks = run(cfg, tmp_path / "s")
+    assert checks["i_identity"] is True
+    assert np.isfinite(report.extra["I_variation_residual"])
 
 
 def test_run_hessian_equation(tmp_path):
@@ -217,6 +234,14 @@ def test_sweep_empty_values(tmp_path):
     rows = sweep(trivial_config(), "flow.dt", [], tmp_path / "sw3")
     assert rows == []
     assert (tmp_path / "sw3" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_rejects_nonpositive_workers(tmp_path, workers):
+    out = tmp_path / "sw5"
+    with pytest.raises(ValueError, match="--workers"):
+        sweep(trivial_config(), "flow.dt", [0.02], out, max_workers=workers)
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):

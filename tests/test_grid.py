@@ -264,6 +264,74 @@ def test_radial_smoother_rejects_non_finite_field(grid64):
         radial_smoother(ScalarField(grid64, values))
 
 
+# n=2 stops at N=24: an N=64 kernel on the 4-torus is 128 MiB per array
+@settings(max_examples=30, deadline=None)
+@given(n_complex=st.sampled_from([1, 2]), half_n=st.integers(4, 32),
+       fraction=st.one_of(st.none(), st.floats(1e-6, 1.0, exclude_max=True)),
+       seed=st.integers(0, 10**6))
+def test_sub_grid_scale_is_the_identity(n_complex, half_n, fraction, seed):
+    """Below the spacing the kernel is the unit mass at the origin, and
+    smooth(s) returns the field's values unchanged."""
+    from pmaflow.grid import _kernel_on_grid_normalized, radial_smoother
+    N = 2 * (half_n if n_complex == 1 else min(half_n, 12))
+    grid = TorusGrid(n_complex, N)
+    h = grid.spacing
+    s = np.nextafter(h, 0.0) if fraction is None else fraction * h
+    kern = _kernel_on_grid_normalized(grid, s, DEFAULT_KERNEL)
+    assert list(zip(*np.nonzero(kern))) == [(0,) * grid.real_dim]
+    f = band_limited(grid, np.random.default_rng(seed), max_mode=3)
+    assert np.array_equal(radial_smoother(f)(s), f.values)
+
+
+def test_grid_spacing_scale_takes_the_kernel(grid32):
+    """At s = h the nearest neighbours sit at r / s = 1 and are kept."""
+    from pmaflow.grid import RadialKernel, _kernel_on_grid_normalized, radial_smoother
+    flat = RadialKernel(lambda r: 1.0 - 0.5 * r * r, name="flat_at_one")
+    h = grid32.spacing
+    kern = _kernel_on_grid_normalized(grid32, h, flat)
+    assert np.count_nonzero(kern) == 2 * grid32.real_dim + 1
+    f = band_limited(grid32, np.random.default_rng(10))
+    out = radial_smoother(f, flat)(h)
+    oracle = sum(kern[i, j] * np.roll(f.values, (i, j), axis=(0, 1))
+                 for i, j in zip(*np.nonzero(kern))) * grid32.cell_volume
+    assert np.abs(out - oracle).max() < 1e-12
+    assert np.abs(out - f.values).max() > 1e-3
+
+
+def test_sub_grid_smooth_returns_a_fresh_array(grid32):
+    from pmaflow.grid import radial_smoother
+    f = band_limited(grid32, np.random.default_rng(11))
+    before = f.values.copy()
+    smooth = radial_smoother(f)
+    s = 0.5 * grid32.spacing
+    out = smooth(s)
+    out += 1.0
+    assert np.array_equal(f.values, before)
+    assert np.array_equal(smooth(s), before)
+
+
+def test_sub_grid_scales_leave_the_kernel_cache_alone(monkeypatch):
+    from collections import OrderedDict
+    from pmaflow import grid as grid_mod
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
+    grid = TorusGrid(2, 8)
+    smooth = grid_mod.radial_smoother(band_limited(grid, np.random.default_rng(12)))
+    h = grid.spacing
+    for s in (1e-4, 0.3 * h, np.nextafter(h, 0.0)):
+        smooth(s)
+    assert not grid_mod._KERNEL_FFT_CACHE
+    smooth(h)
+    assert [key[3] for key in grid_mod._KERNEL_FFT_CACHE] == [h]
+
+
+def test_sub_grid_scale_of_a_profile_vanishing_at_the_origin_raises(grid32):
+    from pmaflow.grid import RadialKernel, radial_smoother
+    hollow = RadialKernel(lambda r: r * r * (1.0 - r * r) ** 3, name="hollow")
+    smooth = radial_smoother(grid32.constant_field(1.0), hollow)
+    with pytest.raises(ValueError, match="below grid resolution"):
+        smooth(0.5 * grid32.spacing)
+
+
 def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
     from collections import OrderedDict
     from pmaflow import grid as grid_mod

@@ -5,13 +5,15 @@ flow whose data is only integrably bounded, build its level ladder, feed
 the ladder to the De Giorgi iteration, and confirm the resulting threshold
 dominates the solution's actual excursion; separately, confirm the fitted
 Holder moduli stay bounded as the data roughens at a fixed integrability
-budget.
+budget.  The Hessian family repeats the L-infinity pipeline at n=2 for
+two symbols that reach data below e^F = 1.
 """
 
 import numpy as np
 import pytest
 
 from pmaflow import FlowParams, RhsSpec, TorusGrid, solve_flow
+from pmaflow.cli import RunConfig, run
 from pmaflow.estimates import (
     DeGiorgiParams,
     de_giorgi_extinction,
@@ -20,6 +22,7 @@ from pmaflow.estimates import (
     holder_moduli,
     level_stats,
 )
+from pmaflow.grid import load_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,81 @@ def singular_runs():
     return params, runs
 
 
+def _ladder_to_extinction(traj, eF, p):
+    """flow -> ladder -> iteration hypothesis at delta = 1/(n+1) - 1/p:
+    the ladder check, the threshold and the true excursion sup(-phi)."""
+    n = traj.grid.n_complex
+    delta = 1.0 / (n + 1.0) - 1.0 / p
+    s0 = float(np.abs(traj.values[0]).max())  # = 0 for zero initial data
+    sup_excursion = float((-traj.values).max())
+    s_grid = np.linspace(s0, 1.5 * sup_excursion, 121)
+    stats = level_stats(traj, eF, s_grid)
+
+    b0 = 0.0
+    for i, s in enumerate(s_grid):
+        r = s_grid[i + 1:] - s
+        if stats.phi_of_s[i] > 0 and r.size:
+            b0 = max(b0, float((r * stats.phi_of_s[i + 1:]).max()
+                               / stats.phi_of_s[i] ** (1 + delta)))
+    dg = DeGiorgiParams(B0=b0, delta=delta, s0=s0,
+                        phi_s0=float(stats.phi_of_s[0]))
+    report = de_giorgi_ladder_check(s_grid, stats.phi_of_s, dg)
+    return report, de_giorgi_extinction(dg), sup_excursion
+
+
+_HESSIAN_RADII = (0.2, 0.1, 0.05)   # 0.025 is unresolved at h = 1/12
+
+
+@pytest.fixture(scope="module")
+def hessian_singular_runs(tmp_path_factory):
+    """n=2 Hessian flows at shrinking mollification radius, through `run`."""
+    runs = {}
+    for symbol, k, l in (("l0_sigma_k", 2, 0), ("sigma_quotient", 2, 1)):
+        for r_moll in _HESSIAN_RADII:
+            cfg = RunConfig.from_dict({
+                "grid": {"n_complex": 2, "points_per_axis": 12},
+                "flow": {"equation": "hessian", "symbol": symbol, "k": k, "l": l,
+                         "T": 0.125, "dt": 1.0 / 32},
+                "rhs": {"kind": "mollified_log_singularity", "strength": 0.3,
+                        "moll_radius": r_moll, "p0": 2.0},
+                "estimates": {"holder": False, "stability": False,
+                              "moser_trudinger": False, "exp_alpha": False,
+                              "level_stats": False},
+                "label": f"{symbol}_{r_moll}"})
+            out = tmp_path_factory.mktemp(f"{symbol}_{r_moll}")
+            _, checks = run(cfg, out)
+            traj = load_trajectory(out / "trajectory.bin")
+            rhs = RhsSpec.mollified_log_singularity((0.5,) * 4, strength=0.3,
+                                                    moll_radius=r_moll, p0=2.0)
+            eF, _ = rhs.sample(traj.grid, traj.times)
+            runs[symbol, r_moll] = (traj, eF, checks)
+    return runs
+
+
+def test_hessian_sup_bounded_as_data_roughens_n2(hessian_singular_runs):
+    for symbol in ("l0_sigma_k", "sigma_quotient"):
+        sups = [float(np.abs(hessian_singular_runs[symbol, r][0].values).max())
+                for r in _HESSIAN_RADII]
+        assert all(np.diff(sups) > 0.0)    # rougher data, larger excursion
+        assert sups[-1] < 1.0
+        assert sups[-1] / sups[0] <= 1.5
+
+
+def test_hessian_level_ladder_to_extinction_threshold_n2(hessian_singular_runs):
+    for traj, eF, _ in hessian_singular_runs.values():
+        # p = 4 keeps delta = 1/3 - 1/p positive at n = 2
+        report, threshold, sup_excursion = _ladder_to_extinction(traj, eF, 4.0)
+        assert report["hypothesis_ok"]
+        assert report["extinct_at_threshold"]
+        assert threshold >= sup_excursion
+
+
+def test_flow_checks_hold_on_hessian_singular_family_n2(hessian_singular_runs):
+    for _, _, checks in hessian_singular_runs.values():
+        assert checks["i_identity"] is True
+        assert all(v for v in checks.values() if isinstance(v, bool))
+
+
 def test_lp0_budget_bounded_as_data_roughens(singular_runs):
     params, runs = singular_runs
     norms = []
@@ -51,29 +129,11 @@ def test_lp0_budget_bounded_as_data_roughens(singular_runs):
 
 
 def test_level_ladder_to_extinction_threshold(singular_runs):
-    # flow -> ladder -> iteration hypothesis -> threshold >= true excursion
     params, runs = singular_runs
     traj, eF, F, _ = runs[0.05]
     p = 3.0
-    n = traj.grid.n_complex
-    delta = 1.0 / (n + 1.0) - 1.0 / p
     assert entropy(eF, F, p=p) < np.inf
-
-    s0 = float(np.abs(traj.values[0]).max())  # = 0 for zero initial data
-    sup_excursion = float((-traj.values).max())
-    s_grid = np.linspace(s0, 1.5 * sup_excursion, 121)
-    stats = level_stats(traj, eF, s_grid)
-
-    b0 = 0.0
-    for i, s in enumerate(s_grid):
-        r = s_grid[i + 1:] - s
-        if stats.phi_of_s[i] > 0 and r.size:
-            b0 = max(b0, float((r * stats.phi_of_s[i + 1:]).max()
-                               / stats.phi_of_s[i] ** (1 + delta)))
-    dg = DeGiorgiParams(B0=b0, delta=delta, s0=s0,
-                        phi_s0=float(stats.phi_of_s[0]))
-    threshold = de_giorgi_extinction(dg)
-    report = de_giorgi_ladder_check(s_grid, stats.phi_of_s, dg)
+    report, threshold, sup_excursion = _ladder_to_extinction(traj, eF, p)
     assert report["hypothesis_ok"]
     assert report["extinct_at_threshold"]
     assert threshold >= sup_excursion  # the iteration dominates the solution

@@ -187,6 +187,62 @@ def test_kiselman_one_forward_transform_per_call(forward_transforms, s_samples):
     assert forward_transforms == [grid.shape]
 
 
+def _fft_smoother(field, kernel):
+    """Reference smoother: every scale, sub-grid ones too, through the kernel
+    transform."""
+    import scipy.fft
+    from pmaflow.grid import _kernel_fft
+    grid = field.grid
+    fhat = scipy.fft.rfftn(field.values)
+
+    def smooth(s):
+        khat = _kernel_fft(grid, s, kernel)
+        return scipy.fft.irfftn(fhat * khat, s=grid.shape,
+                                axes=grid.axes) * grid.cell_volume
+
+    return smooth
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_kiselman_matches_the_all_transform_oracle(n, N):
+    grid = TorusGrid(n, N)
+    f = random_admissible_field(grid, np.random.default_rng(46 + n), margin=0.3)
+    before = f.values.copy()
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
+    out = kiselman_legendre(f, params).values
+    assert np.array_equal(f.values, before)
+    oracle = kiselman_legendre(f, params, smooth=_fft_smoother(f, params.kernel))
+    assert np.abs(out - oracle.values).max() < 1e-12
+
+
+def test_kiselman_inverse_transforms_only_at_resolved_scales(monkeypatch):
+    """One n=2, N=16 transform: one inverse FFT per evaluated scale >= h."""
+    import scipy.fft
+    from pmaflow.grid import radial_smoother
+    grid = TorusGrid(2, 16)
+    f = random_admissible_field(grid, np.random.default_rng(47), margin=0.3)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
+    smooth = radial_smoother(f, params.kernel)
+    scales = []
+
+    def recording(s):
+        scales.append(s)
+        return smooth(s)
+
+    inverse = []
+    irfftn = scipy.fft.irfftn
+
+    def counting(*args, **kwargs):
+        inverse.append(1)
+        return irfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "irfftn", counting)
+    kiselman_legendre(f, params, smooth=recording)
+    resolved = [s for s in scales if s >= grid.spacing]
+    assert 0 < len(resolved) < len(scales)
+    assert len(inverse) == len(resolved)
+
+
 def test_fold_scales_keeps_first_minimum_like_argmin():
     from pmaflow.regularize import _fold_scales
     rng = np.random.default_rng(45)
