@@ -53,13 +53,36 @@ class SLevelTooSmall(ValueError):
 # right-hand sides
 
 
+def _once_per_grid(build):
+    """build(grid) for a factor of F that does not depend on t, evaluated
+    once for the last grid seen and returned read-only thereafter.
+
+    The grid key and its values are stored as one tuple, so threads sharing
+    the spec need no lock: a race computes the values twice, never pairs a
+    key with another grid's values.
+    """
+    last = [(None, None)]
+
+    def cached(grid: TorusGrid) -> np.ndarray:
+        key = (grid.n_complex, grid.points_per_axis, grid.period)
+        seen, values = last[0]
+        if seen != key:
+            values = build(grid)
+            values.flags.writeable = False
+            last[0] = (key, values)
+        return values
+
+    return cached
+
+
 class RhsSpec:
     """Data F = scale * raw_F(grid, t), with e^F > 0 everywhere.
 
     The constructors build raw_F for the generators: `zero`, `time_only`
     (F = g(t)), `smooth_product` (F = spatial(x) * profile(t)) and
     `mollified_log_singularity` (e^F = (r_moll^2 + dist^2(x, center))^-q,
-    constant in t).
+    constant in t).  The last two evaluate their spatial factor once per
+    grid and keep it read-only.
 
     `scale` multiplies F; `p0` is the claimed integrability exponent of e^F
     (the conjugate q0 = p0/(p0-1) drives the Holder exponents downstream).
@@ -84,10 +107,13 @@ class RhsSpec:
     @classmethod
     def smooth_product(cls, spatial, profile, p0: float = 2.0,
                        scale: float = 1.0) -> "RhsSpec":
-        def raw_F(grid, t):
+        @_once_per_grid
+        def spatial_values(grid):
             values = spatial(*grid.meshgrid()) if callable(spatial) else spatial
-            values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
-            return values * float(profile(t))
+            return np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
+
+        def raw_F(grid, t):
+            return spatial_values(grid) * float(profile(t))
 
         return cls(raw_F, p0, scale)
 
@@ -99,11 +125,12 @@ class RhsSpec:
             raise ValueError("mollification radius must be positive")
         strength, moll_radius = float(strength), float(moll_radius)
 
-        def raw_F(grid, t):
+        @_once_per_grid
+        def values(grid):
             c = center if center is not None else (0.0,) * grid.real_dim
             return -strength * np.log(moll_radius**2 + grid.periodic_distance_sq(c))
 
-        return cls(raw_F, p0, scale)
+        return cls(lambda grid, t: values(grid), p0, scale)
 
     def scaled(self, factor: float) -> "RhsSpec":
         return RhsSpec(self.raw_F, self.p0, self.scale * factor)

@@ -462,7 +462,9 @@ _KERNEL_FFT_LOCK = threading.Lock()
 
 
 def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
-    key = (grid.n_complex, grid.points_per_axis, grid.period, float(s), kernel.name)
+    # keyed by the kernel object, not its name: kernels built from different
+    # profiles may share the default name
+    key = (grid.n_complex, grid.points_per_axis, grid.period, float(s), kernel)
     with _KERNEL_FFT_LOCK:
         out = _KERNEL_FFT_CACHE.get(key)
         if out is not None:

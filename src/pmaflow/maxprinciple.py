@@ -19,17 +19,20 @@ tolerance of `eig_tol` (default 10 h, the discrete curvature noise floor);
 marginally positive determinant fuzz admitted by the tolerance is clamped
 to keep the integrand nonnegative on the mask by construction.
 
-Each time slice is differenced once into the m(m+1)/2 independent
-components d_ab u (a <= b) of the centered spatial Hessian on the core
-nodes.  The largest eigenvalue and the determinants, of -D^2 u and of
-a^{ij}, are closed forms over those components (O. K. Smith's trigonometric
-solution at m = 3), and a^{ij} d_ij u is a sum over them; no (..., m, m)
-tensor is built.  Near a repeated eigenvalue the m = 3 closed form is only
-accurate to about 2.4e-8 max|H_ab|, so points within a guard band of
-_GUARD_BAND max|H_ab| around `eig_tol` are decided by LAPACK's eigvalsh,
-and the contact mask is the one eigvalsh gives, point for point.  a_field
-and f_field may be read-only broadcast views; they are read one slice at
-a time.
+Only interior nodes can be on E, so the work is done there alone: for each
+time slice d_t u and the m(m+1)/2 independent components d_ab u (a <= b) of
+the centered spatial Hessian are gathered at the interior nodes' flat
+indices, and no full-size array of d_t u is kept.  The contact test runs
+on the nodes with d_t u >= 0 only, and the determinant of -D^2 u on the
+nodes that pass it.  The largest eigenvalue and the determinants, of
+-D^2 u and of a^{ij}, are closed forms over those components (O. K.
+Smith's trigonometric solution at m = 3), and a^{ij} d_ij u is a sum over
+them; no (..., m, m) tensor is built.  Near a repeated eigenvalue the
+m = 3 closed form is only accurate to about 2.4e-8 max|H_ab|, so points
+within a guard band of _GUARD_BAND max|H_ab| around `eig_tol` are decided
+by LAPACK's eigvalsh, and the contact mask is the one eigvalsh gives,
+point for point.  a_field and f_field may be read-only broadcast views;
+they are read one slice at a time, at the interior nodes.
 """
 
 from __future__ import annotations
@@ -162,40 +165,9 @@ class ContactSetReport:
     integrand: np.ndarray = field(repr=False, default=None)
 
 
-def _time_derivative(u: np.ndarray, dt: float) -> np.ndarray:
-    """Centered in the interior, backward at the final time; slot 0 unused."""
-    du = np.zeros_like(u)
-    if u.shape[0] > 2:
-        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * dt)
-    du[-1] = (u[-1] - u[-2]) / dt
-    return du
-
-
-def _hessian_parts(u_slice: np.ndarray, h: float, m: int) -> list:
-    """Centered second differences d_ab u on the core nodes [1:-1]^m.
-
-    Returns the symmetric m x m nested list H with H[a][b] the difference
-    field of shape (N - 2,)^m; H[b][a] is the same array as H[a][b], so only
-    the m(m+1)/2 components a <= b are computed.  Edge nodes have no
-    centered difference and are never interior.
-    """
-    def at(*steps):
-        """u on the core nodes moved by (axis, step) pairs; a view."""
-        offsets = [0] * m
-        for axis, step in steps:
-            offsets[axis] = step
-        return u_slice[tuple(slice(1 + o, n - 1 + o)
-                             for o, n in zip(offsets, u_slice.shape))]
-
-    centre = at()
-    H = [[None] * m for _ in range(m)]
-    for a in range(m):
-        H[a][a] = (at((a, 1)) - 2.0 * centre + at((a, -1))) / h**2
-        for b in range(a + 1, m):
-            H[a][b] = H[b][a] = (at((a, 1), (b, 1)) - at((a, 1), (b, -1))
-                                 - at((a, -1), (b, 1)) + at((a, -1), (b, -1))
-                                 ) / (4.0 * h**2)
-    return H
+def _take(M: list, sel: np.ndarray) -> list:
+    """The nested list M of point arrays at the points sel."""
+    return [[entry[sel] for entry in row] for row in M]
 
 
 def _det(M: list) -> np.ndarray:
@@ -255,6 +227,44 @@ def _curvature_nonpositive(H: list, tol: float) -> np.ndarray:
     return lam <= tol
 
 
+def _interior_slices(stg: SpaceTimeGridReal, u: np.ndarray,
+                     interior: np.ndarray, tol: float):
+    """Yield (k, idx, du, H, on_e) for the times t_1..t_K on the interior nodes.
+
+    idx holds the flat indices of the nodes in one slice, du the time
+    derivative there (centered, backward at k = K) and H the symmetric m x m
+    nested list of centered second differences d_ab u there; H[b][a] is the
+    same array as H[a][b], so only the m(m+1)/2 components a <= b are
+    gathered.  on_e holds the positions in idx of the nodes on E: the
+    curvature test runs on the nodes with d_t u >= 0 only.  Interior nodes
+    are never on the array's edge, so idx +- stride stays in the slice.
+    """
+    h, dt, m, K = stg.h, stg.dt, stg.m, stg.n_steps
+    idx = np.flatnonzero(interior)
+    strides = [stg.n_points ** (m - 1 - a) for a in range(m)]
+    for k in range(1, K + 1):
+        flat = u[k].ravel()
+        if k < K:
+            du = (u[k + 1].ravel()[idx] - u[k - 1].ravel()[idx]) / (2.0 * dt)
+        else:
+            du = (flat[idx] - u[k - 1].ravel()[idx]) / dt
+
+        def at(*steps):
+            """u at the nodes moved by (axis, step) pairs."""
+            return flat[idx + sum(step * strides[axis] for axis, step in steps)]
+
+        centre = flat[idx]
+        H = [[None] * m for _ in range(m)]
+        for a in range(m):
+            H[a][a] = (at((a, 1)) - 2.0 * centre + at((a, -1))) / h**2
+            for b in range(a + 1, m):
+                H[a][b] = H[b][a] = (at((a, 1), (b, 1)) - at((a, 1), (b, -1))
+                                     - at((a, -1), (b, 1)) + at((a, -1), (b, -1))
+                                     ) / (4.0 * h**2)
+        rising = np.flatnonzero(du >= 0.0)
+        yield k, idx, du, H, rising[_curvature_nonpositive(_take(H, rising), tol)]
+
+
 def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
     if np.shape(arr) != shape:
         raise ValueError(f"{name} has shape {np.shape(arr)}; the space-time "
@@ -284,19 +294,15 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray,
     interior = stg.interior_mask()
     dom = stg.domain_mask()
     boundary = dom & ~interior
-    core = (slice(1, -1),) * m
-    inner = interior[core]
 
-    du = _time_derivative(u, dt)
     mask = np.zeros(u.shape, dtype=bool)
     integrand = np.zeros(u.shape)
-    for k in range(1, stg.n_steps + 1):
-        H = _hessian_parts(u[k], h, m)
-        du_k = du[k][core]
-        on_e = inner & (du_k >= 0.0) & _curvature_nonpositive(H, tol)
-        mask[k][core] = on_e
-        det_neg = np.maximum((-1.0) ** m * _det(H), 0.0)
-        integrand[k][core] = np.where(on_e, du_k * det_neg, 0.0)
+    flat_mask = mask.reshape(len(mask), -1)
+    flat_integrand = integrand.reshape(len(integrand), -1)
+    for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
+        flat_mask[k, idx[on_e]] = True
+        det_neg = np.maximum((-1.0) ** m * _det(_take(H, on_e)), 0.0)
+        flat_integrand[k, idx[on_e]] = du[on_e] * det_neg
     integral = float(integrand.sum() * h**m * dt)
 
     sup_interior = float(u[:, dom].max()) if dom.any() else -np.inf
@@ -349,30 +355,26 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     interior = stg.interior_mask()
     dom = stg.domain_mask()
     boundary = dom & ~interior
-    core = (slice(1, -1),) * m
-    inner = interior[core]
+    # a multi-index: a_field and f_field may be broadcast views, whose
+    # ravel() would copy a whole slice
+    nodes = np.nonzero(interior)
 
-    du = _time_derivative(u, dt)
     bad = 0
     total = 0
     mask_integral = 0.0
-    for k in range(1, stg.n_steps + 1):
+    for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
         _check_finite("a_field", a_field[k], k)
         _check_finite("f_field", f_field[k], k)
-        a_k = [[a_field[k][core + (i, j)] for j in range(m)] for i in range(m)]
-        f_k = f_field[k][core]
-        du_k = du[k][core]
-        H = _hessian_parts(u[k], h, m)
-        lhs = -du_k + sum(a_k[i][j] * H[i][j]
-                          for i in range(m) for j in range(m))
+        a_k = [[a_field[k][nodes + (i, j)] for j in range(m)] for i in range(m)]
+        f_k = f_field[k][nodes]
+        lhs = -du + sum(a_k[i][j] * H[i][j]
+                        for i in range(m) for j in range(m))
         scale = 1.0 + np.abs(f_k)
-        viol = inner & (lhs < f_k - hypothesis_slack * scale)
-        bad += int(viol.sum())
-        total += int(interior.sum())
-        on_e = inner & (du_k >= 0.0) & _curvature_nonpositive(H, tol)
-        f_minus = np.maximum(-f_k, 0.0)
-        contrib = np.where(on_e, f_minus**q / np.maximum(_det(a_k), 1e-300),
-                           0.0)
+        bad += int((lhs < f_k - hypothesis_slack * scale).sum())
+        total += idx.size
+        f_minus = np.maximum(-f_k[on_e], 0.0)
+        det_a = _det(_take(a_k, on_e))
+        contrib = f_minus**q / np.maximum(det_a, 1e-300)
         mask_integral += float(contrib.sum() * h**m * dt)
 
     if bad > 0.001 * total:

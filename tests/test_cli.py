@@ -144,7 +144,7 @@ def test_run_singular_rhs_finite_entropy(tmp_path):
     assert np.isfinite(report.holder_time[0])
     assert "lp0_norm" in report.extra
     assert all(v for v in checks.values() if isinstance(v, bool))
-    assert "i_identity" not in checks   # dI/dt = -int e^F is not checked here
+    assert checks["i_identity"] is True   # dI/dt = -int e^F on singular data
 
 
 def test_singular_hessian_estimate_checks_the_variation_identity(tmp_path):

@@ -309,6 +309,47 @@ def test_rhs_scaled_multiplies_F(grid32):
     assert np.allclose(f2, 2.0 * f1, atol=1e-15)
 
 
+def _uncached_F(kind, grid, t, scale):
+    """F of the two generators with a spatial factor, from scratch."""
+    if kind == "smooth_product":
+        spatial = 0.4 * np.cos(2.0 * np.pi * grid.meshgrid()[0] / grid.period)
+        return scale * (spatial * float(np.exp(-t)))
+    dist = grid.periodic_distance_sq((0.5,) * grid.real_dim)
+    return scale * (-0.3 * np.log(0.05**2 + dist))
+
+
+@pytest.mark.parametrize("kind", ["smooth_product", "mollified_log_singularity"])
+def test_rhs_spatial_factor_computed_once_and_read_only(kind):
+    scale = 1.3
+    calls = []
+
+    def spatial(*xs):
+        calls.append(1)
+        return 0.4 * np.cos(2.0 * np.pi * xs[0])
+
+    if kind == "smooth_product":
+        rhs = RhsSpec.smooth_product(spatial, lambda t: np.exp(-t), scale=scale)
+    else:
+        rhs = RhsSpec.mollified_log_singularity((0.5, 0.5), 0.3, 0.05,
+                                                scale=scale)
+    g16, g8 = TorusGrid(1, 16), TorusGrid(1, 8)
+    for grid, t in ((g16, 0.0), (g16, 0.3), (g8, 0.1), (g16, 0.7), (g16, 0.7)):
+        want = _uncached_F(kind, grid, t, scale)
+        F = rhs.F_field(grid, t).values
+        assert np.array_equal(F, want)
+        assert np.array_equal(rhs.eF_field(grid, t).values, np.exp(want))
+        F += 1.0                 # the caller's copy, not the cache
+    raw = rhs.raw_F(g16, 0.7)
+    if kind == "mollified_log_singularity":
+        assert raw is rhs.raw_F(g16, 0.2)
+        with pytest.raises(ValueError):
+            raw[0, 0] = 0.0
+    assert np.array_equal(rhs.F_field(g16, 0.7).values,
+                          _uncached_F(kind, g16, 0.7, scale))
+    if kind == "smooth_product":
+        assert len(calls) == 3   # once per change of grid, not per time
+
+
 def test_tabulated_rhs_interpolates(grid32):
     times = np.array([0.0, 1.0])
     vals = np.stack([np.full(grid32.shape, 1.0), np.full(grid32.shape, 3.0)])

@@ -395,6 +395,29 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
     assert sum(v.nbytes for v in grid_mod._KERNEL_FFT_CACHE.values()) <= bound
 
 
+def test_kernel_fft_cache_tells_kernels_of_one_name_apart(monkeypatch):
+    """A kernel built from another profile under the default name gets its
+    own spectra, not the default kernel's."""
+    from collections import OrderedDict
+    from pmaflow import grid as grid_mod
+    from pmaflow.grid import RadialKernel
+
+    grid = TorusGrid(1, 32)
+    f = band_limited(grid, np.random.default_rng(13))
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
+    # its own result, on an empty cache
+    own = convolve_radial(f, 0.2, RadialKernel(lambda r: 1.0 - 0.5 * r * r)).values
+    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
+    default = convolve_radial(f, 0.2).values
+    other = RadialKernel(lambda r: 1.0 - 0.5 * r * r)
+    assert other.name == DEFAULT_KERNEL.name
+    got = convolve_radial(f, 0.2, other).values
+    assert np.array_equal(got, own)
+    assert np.abs(got - default).max() > 1e-3
+    assert np.array_equal(convolve_radial(f, 0.2).values, default)
+    assert len(grid_mod._KERNEL_FFT_CACHE) == 2
+
+
 def test_kernel_normalization_and_moment():
     # closed forms for rho(r) = c (1-r^2)^3: c = 4/pi, K = 1/5 in d = 2
     assert float(DEFAULT_KERNEL.density(0.0, 2)) == pytest.approx(4.0 / np.pi, rel=1e-10)

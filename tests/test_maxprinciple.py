@@ -1,5 +1,7 @@
 """Contact sets and the parabolic Alexandrov inequality on real domains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,39 @@ def test_contact_set_matches_per_point_oracle_m3():
     assert 0 < mask_oracle.sum() < n_points  # partial contact set
     assert np.array_equal(rep.contact_mask, mask_oracle)
     assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
+
+
+def _ball3():
+    """m = 3 ball data where d_t u takes both signs and E is partial."""
+    stg = SpaceTimeGridReal(m=3, n_points=13, T=0.4, n_steps=4,
+                            domain="ball", ball_radius=0.45)
+    return stg, sample_space_time(stg, _smooth3(47))
+
+
+def test_contact_set_matches_per_point_oracle_m3_ball():
+    stg, u = _ball3()
+    rep = contact_set(stg, u)
+
+    mask_oracle = np.zeros_like(rep.contact_mask)
+    integrand_oracle = np.zeros_like(rep.integrand)
+    rising = falling = 0
+    for k, ijl, dudt, hess in _oracle_points3(stg, u):
+        rising += dudt >= 0.0
+        falling += dudt < 0.0
+        if dudt >= 0.0 and np.linalg.eigvalsh(hess).max() <= rep.eig_tol:
+            mask_oracle[(k,) + ijl] = True
+            # the module's cofactor expansion of det(-D^2 u), entry by entry
+            integrand_oracle[(k,) + ijl] = dudt * max(
+                -(hess[0, 0] * (hess[1, 1] * hess[2, 2] - hess[1, 2] * hess[2, 1])
+                  - hess[0, 1] * (hess[1, 0] * hess[2, 2] - hess[1, 2] * hess[2, 0])
+                  + hess[0, 2] * (hess[1, 0] * hess[2, 1] - hess[1, 1] * hess[2, 0])),
+                0.0)
+    assert rising > 0 and falling > 0
+    assert 0 < mask_oracle.sum() < rising     # the curvature test bites too
+    assert np.array_equal(rep.contact_mask, mask_oracle)
+    assert np.array_equal(rep.integrand, integrand_oracle)
+    assert rep.integral_value == pytest.approx(
+        integrand_oracle.sum() * stg.h**3 * stg.dt, rel=1e-12)
 
 
 def test_integrand_nonnegative_on_mask():
@@ -294,6 +329,74 @@ def test_lieberman_matches_per_point_oracle_m3():
     assert rep.hypothesis_points == len(points)
     assert integral_oracle > 0.0
     assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
+
+
+def test_lieberman_matches_per_point_oracle_m3_ball():
+    stg, u = _ball3()
+    t, x, y, z = np.meshgrid(stg.times, *([stg.axis()] * 3), indexing="ij")
+    vec = np.stack([x, y - 0.5, z * (1.0 + t)], axis=-1)
+    a_field = np.eye(3) + 0.5 * vec[..., :, None] * vec[..., None, :]
+
+    points = list(_oracle_points3(stg, u))
+    f_field = np.zeros(u.shape)
+    for k, ijl, dudt, hess in points:
+        lhs = -dudt + float(np.sum(a_field[(k,) + ijl] * hess))
+        f_field[(k,) + ijl] = lhs - 1.0 + 0.8 * np.sin(7.0 * k + sum(ijl))
+    k0, ijl0, _, _ = points[len(points) // 3]
+    f_field[(k0,) + ijl0] += 2.0           # one violated point, under 0.1%
+    rep = lieberman_form_check(stg, u, a_field, f_field)
+
+    integral_oracle = 0.0
+    rising = 0
+    for k, ijl, dudt, hess in points:
+        rising += dudt >= 0.0
+        if dudt >= 0.0 and np.linalg.eigvalsh(hess).max() <= 10 * stg.h:
+            f_minus = max(-f_field[(k,) + ijl], 0.0)
+            integral_oracle += f_minus**4 / np.linalg.det(a_field[(k,) + ijl])
+    integral_oracle *= stg.h**3 * stg.dt
+    assert 0 < rising < len(points)
+    assert rep.hypothesis_violations == 1
+    assert rep.hypothesis_points == len(points)
+    assert integral_oracle > 0.0
+    assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
+
+
+def _battery3(a):
+    """The `pmaflow maxprinciple --dim 3` grid and cap u = t - a |x - c|^2."""
+    stg = SpaceTimeGridReal(m=3, n_points=41, T=0.4, n_steps=16,
+                            domain="ball", ball_radius=0.45)
+    return stg, sample_space_time(
+        stg, lambda t, *xs: t - a * sum((x - 0.5) ** 2 for x in xs))
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak bytes it allocated beyond what it kept."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_battery_sized_checks_hold_no_full_size_temporaries():
+    # d_t u and the Hessian are gathered slice by slice on interior nodes:
+    # a full (K+1) x N^3 array of d_t u alone would add u.nbytes
+    stg, u = _battery3(1.0)
+    rep, peak = _traced_peak(lambda: contact_set(stg, u))
+    report_bytes = rep.contact_mask.nbytes + rep.integrand.nbytes
+    assert peak <= report_bytes + 0.9 * u.nbytes
+    del rep
+
+    stg, u = _battery3(2.0)
+    shape = u.shape
+    a_field = np.broadcast_to(np.eye(3), shape + (3, 3))
+    f_field = np.broadcast_to(-(1.0 + 2.0 * 2.0 * 3), shape)
+    rep, peak = _traced_peak(
+        lambda: lieberman_form_check(stg, u, a_field, f_field))
+    assert rep.hypothesis_violations == 0
+    assert peak <= 1.5 * u.nbytes
 
 
 def _lieberman_inputs():
