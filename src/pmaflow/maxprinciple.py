@@ -271,10 +271,24 @@ def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
                          f"grid expects {shape}")
 
 
-def _check_finite(name: str, arr: np.ndarray, k: int | None = None) -> None:
+def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
-        where = "" if k is None else f" at time index {k}"
-        raise ValueError(f"{name} contains non-finite values{where}")
+        raise ValueError(f"{name} contains non-finite values")
+
+
+def _first_nonfinite_time(arr: np.ndarray) -> int | None:
+    """The least k >= 1 with a non-finite value in arr[k], or None.
+
+    Zero-stride (broadcast) axes are collapsed to index 0 first, so a
+    broadcast array's stored values are each read once, not once per view.
+    """
+    arr = np.asarray(arr)[1:]
+    stored = arr[tuple(slice(0, 1) if step == 0 else slice(None)
+                       for step in arr.strides)]
+    for k, values in enumerate(stored, start=1):
+        if not np.isfinite(values).all():
+            return k
+    return None
 
 
 def contact_set(stg: SpaceTimeGridReal, u: np.ndarray,
@@ -352,6 +366,12 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     _check_shape("a_field", a_field, shape + (m, m))
     _check_shape("f_field", f_field, shape)
     _check_finite("u", u)
+    # the earliest bad time index; at a tie a_field, which sorts first
+    bad = [(k, name) for name, arr in (("a_field", a_field), ("f_field", f_field))
+           if (k := _first_nonfinite_time(arr)) is not None]
+    if bad:
+        k, name = min(bad)
+        raise ValueError(f"{name} contains non-finite values at time index {k}")
     interior = stg.interior_mask()
     dom = stg.domain_mask()
     boundary = dom & ~interior
@@ -363,8 +383,6 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     total = 0
     mask_integral = 0.0
     for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
-        _check_finite("a_field", a_field[k], k)
-        _check_finite("f_field", f_field[k], k)
         a_k = [[a_field[k][nodes + (i, j)] for j in range(m)] for i in range(m)]
         f_k = f_field[k][nodes]
         lhs = -du + sum(a_k[i][j] * H[i][j]

@@ -16,6 +16,12 @@ transform, so only u and n^2 - 1 Hessian components of u (all but h_nn) are
 inverse transforms of it: n^2 per application (real transforms from
 `scipy.fft`).
 
+With the preconditioner inside the operator, the Krylov method is plain
+BiCGStab (van der Vorst 1992), written here as a port of scipy's
+(`bicgstab`), so the module imports numpy and `scipy.fft` only.
+`scipy.sparse.linalg` is imported by the GMRES fallback (`gmres`), on the
+first solve that BiCGStab leaves unconverged.
+
 The Newton iteration is inexact: iteration k solves its linear system only to
 the relative tolerance eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 of Eisenstat and
 Walker's choice 2 (`_forcing_term`), in the residual max-norm the stopping
@@ -31,11 +37,11 @@ rejected wholesale).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
 from .grid import TorusGrid
 
@@ -171,26 +177,108 @@ def _forcing_term(res_norm: float, prev_norm: float | None, eta_prev: float,
     return max(min(eta, _ETA_MAX), floor)
 
 
+# What the Krylov solvers read of a linear operator; scipy's
+# aslinearoperator accepts it as well.
+_Operator = namedtuple("_Operator", "shape dtype matvec")
+
+
+def bicgstab(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None):
+    """Solve A x = b by unpreconditioned BiCGStab; returns (x, info).
+
+    A port of `scipy.sparse.linalg.bicgstab` (scipy 1.17) with M=None for
+    real operators: the same numpy operations in the same order, so x is
+    bit-identical to scipy's, and its info codes: 0 once |r|_2 < max(atol,
+    rtol |b|_2), -10 on a rho breakdown, -11 on an omega breakdown, maxiter
+    when the iterations run out.  A needs only `matvec`.  x0 (zero when
+    None) is copied and b is never written, nor returned.
+    """
+    b = np.asarray(b, dtype=float).ravel()
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float).ravel()
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b.copy(), 0
+    if maxiter is None:
+        maxiter = len(b) * 10
+    matvec = A.matvec
+    # scipy's breakdown tolerances, eps^2 (kept from the original Fortran)
+    rhotol = omegatol = np.finfo(float).eps ** 2
+
+    r = b - matvec(x) if x.any() else b.copy()
+    rtilde = r.copy()
+
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < rhotol:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < omegatol:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            s = np.empty_like(r)
+            p = r.copy()
+        v = matvec(p)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        s[:] = r
+        if np.linalg.norm(s) < atol:
+            x += alpha * p
+            return x, 0
+        t = matvec(s)
+        omega = np.dot(t, s) / np.dot(t, t)
+        x += alpha * p
+        x += omega * s
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
+
+
+def gmres(A, b, x0=None, **kwargs):
+    """`scipy.sparse.linalg.gmres`, imported on the first call, so that only
+    a BiCGStab solve that stalls pays for loading `scipy.sparse`."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    return scipy_gmres(A, b, x0, **kwargs)
+
+
+def _stall_reason(bicgstab_info: int, gmres_info: int) -> str:
+    """Which Krylov method stopped a linearized solve, and why."""
+    why = {-10: "rho breakdown", -11: "omega breakdown"}.get(bicgstab_info,
+                                                            "iteration cap")
+    return (f"BiCGStab {why}, info={bicgstab_info}; "
+            f"then GMRES did not converge, info={gmres_info}")
+
+
 def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
                       rhs: np.ndarray, rtol: float, maxiter: int) -> tuple:
     """Solve zeroth * u - tr(B H[u]) = rhs, B given by its real weights.
 
     BiCGStab, and the GMRES fallback, solve (A M^{-1}) y = rhs from
     y_0 = rhs (so u_0 = M^{-1} rhs) with the one operator of
-    `_preconditioned_operator`; u = M^{-1} y.  Returns (u, info) with
-    scipy's info: 0 when BiCGStab or the fallback reached rtol, nonzero when
-    both stalled.
+    `_preconditioned_operator`; u = M^{-1} y.  Returns (u, info): info is 0
+    when BiCGStab or the fallback reached rtol, and the pair (BiCGStab's
+    info, GMRES's info), scipy's codes, when both stalled.
     """
     apply, precondition = _preconditioned_operator(grid, zeroth, weights)
-    A = LinearOperator((rhs.size, rhs.size), matvec=apply, dtype=float)
+    A = _Operator((rhs.size, rhs.size), np.dtype(float), apply)
     b = rhs.ravel()
     y, info = bicgstab(A, b, x0=b, rtol=rtol, atol=0.0, maxiter=maxiter)
     if info != 0:
         # scipy counts gmres's maxiter in restart cycles: cap the inner
         # iterations, not the cycles, at maxiter
         restart = min(20, maxiter)
-        y, info = gmres(A, b, x0=y, rtol=rtol, atol=0.0, restart=restart,
-                        maxiter=max(1, maxiter // restart))
+        y, gmres_info = gmres(A, b, x0=y, rtol=rtol, atol=0.0, restart=restart,
+                              maxiter=max(1, maxiter // restart))
+        info = 0 if gmres_info == 0 else (info, gmres_info)
     return precondition(y).reshape(grid.shape), info
 
 
@@ -232,8 +320,8 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
                                         eta, params.linear_max_iter)
         if info != 0:
             raise NewtonDiverged(
-                f"linearized solve stalled (info={info}) at Newton iteration "
-                f"{it} with forcing term eta={eta:.3g} and "
+                f"linearized solve stalled ({_stall_reason(*info)}) at Newton "
+                f"iteration {it} with forcing term eta={eta:.3g} and "
                 f"linear_max_iter={params.linear_max_iter}", t)
         frac = 1.0
         accepted = False

@@ -448,6 +448,39 @@ def test_lieberman_accepts_read_only_views():
     assert rep.hypothesis_violations == 0
 
 
+@pytest.mark.parametrize("base_shape", [(2, 2), (21, 21, 2, 2)],
+                         ids=["one-matrix", "one-slice"])
+def test_lieberman_finds_nan_in_a_broadcast_base(base_shape):
+    """The finiteness check collapses broadcast axes; a NaN in the base
+    appears at every time index, so the first checked one, 1, is named."""
+    stg, u, _, f_field = _lieberman_inputs()
+    base = np.broadcast_to(np.eye(2), base_shape).copy()
+    base[..., 0, 1] = np.nan
+    a_field = np.broadcast_to(base, u.shape + (2, 2))
+    with pytest.raises(ValueError,
+                       match="a_field contains non-finite values at time index 1$"):
+        lieberman_form_check(stg, u, a_field, f_field)
+
+
+def test_lieberman_finds_nan_in_an_ordinary_f_slice():
+    """On an ordinary array every slice but slot 0 is checked whole, the
+    spatial boundary too, and the earliest bad time index is named."""
+    stg, u, a_field, f_field = _lieberman_inputs()
+    f_field = np.array(f_field)
+    f_field[0, 10, 10] = np.nan                 # slot 0 is not read
+    lieberman_form_check(stg, u, a_field, f_field)
+    f_field[4, 0, 0] = np.nan                   # a corner, outside the domain
+    a_field = np.array(a_field)
+    a_field[5, 10, 10, 1, 1] = np.inf
+    with pytest.raises(ValueError,
+                       match="f_field contains non-finite values at time index 4$"):
+        lieberman_form_check(stg, u, a_field, f_field)
+    a_field[4, 10, 10, 1, 1] = np.inf           # a tie names a_field, as before
+    with pytest.raises(ValueError,
+                       match="a_field contains non-finite values at time index 4$"):
+        lieberman_form_check(stg, u, a_field, f_field)
+
+
 # ---------------------------------------------------------------------------
 # closed-form curvature of symmetric 3 x 3 stacks
 

@@ -75,13 +75,15 @@ def test_every_export_resolves(path):
 
 
 def test_cli_import_leaves_out_integrate_and_optimize():
-    """The CLI loads numpy, scipy.fft and scipy.sparse.linalg only: no
-    scipy.integrate and, through it, no scipy.optimize."""
+    """The CLI loads numpy and scipy.fft only: no scipy.integrate and,
+    through it, no scipy.optimize; no scipy.sparse or scipy.linalg, which
+    the GMRES fallback imports on its first call."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, pmaflow.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+            "if m.startswith(('scipy.integrate', 'scipy.optimize', "
+            "'scipy.sparse', 'scipy.linalg'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -1,9 +1,16 @@
 """The Newton-Krylov operators on the real Hessian components."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
+import pmaflow
 from pmaflow import (FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_flow,
                      solve_hessian_flow)
 from pmaflow import flow_hessian, stepping
@@ -252,6 +259,76 @@ def test_fused_solve_matches_separate_operators(symbol):
     assert np.abs(got.ravel() - want).max() <= 1e-12 * np.abs(want).max()
 
 
+# ---------------------------------------------------------------------------
+# the package's BiCGStab: a port of scipy's, bit for bit
+
+
+def _dominant_operator(size, seed):
+    """A random nonsymmetric, strictly diagonally dominant matrix and a b."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, size))
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    return a, rng.standard_normal(size)
+
+
+def _assert_port_matches_scipy(matvec, b, rtol, maxiter):
+    """stepping.bicgstab on the named-tuple operator returns scipy's x and
+    info exactly, from x0 = b, and leaves b alone; returns the info."""
+    size = b.size
+    b_before = b.copy()
+    got, got_info = stepping.bicgstab(
+        stepping._Operator((size, size), np.dtype(float), matvec), b, x0=b,
+        rtol=rtol, atol=0.0, maxiter=maxiter)
+    want, want_info = bicgstab(LinearOperator((size, size), matvec=matvec,
+                                              dtype=float),
+                               b, x0=b, rtol=rtol, atol=0.0, maxiter=maxiter)
+    assert np.array_equal(b, b_before)
+    assert not np.shares_memory(got, b)
+    assert got_info == want_info
+    assert np.array_equal(got, want)
+    return got_info
+
+
+@pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-8])
+@pytest.mark.parametrize("size", [40, 300])
+def test_bicgstab_port_matches_scipy_on_dominant_operators(size, rtol):
+    a, b = _dominant_operator(size, seed=size)
+    assert _assert_port_matches_scipy(lambda v: a @ v, b, rtol, 400) == 0
+
+
+def test_bicgstab_port_matches_scipy_at_the_iteration_cap():
+    a, b = _dominant_operator(300, seed=7)
+    assert _assert_port_matches_scipy(lambda v: a @ v, b, 1e-14, 2) == 2
+
+
+@pytest.mark.parametrize("symbol", [HessianSymbol.det(1),
+                                    HessianSymbol.sigma_quotient(2, 2, 1)],
+                         ids=lambda s: f"{s.kind}{s.n}")
+@pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-8])
+def test_bicgstab_port_matches_scipy_on_the_fused_operator(symbol, rtol):
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8, 31)
+    apply, _ = _preconditioned_operator(grid, zeroth, weights)
+    b = np.random.default_rng(32).standard_normal(zeroth.size)
+    assert _assert_port_matches_scipy(apply, b, rtol, 400) == 0
+
+
+@pytest.mark.parametrize("a,b,info", [
+    ([[0.0, 1.0], [2.0, -2.0]], [-2.0, 2.0], -10),   # rho breakdown
+    ([[1.0, 1.0], [2.0, 2.0]], [2.0, 2.0], -11),     # omega breakdown (singular)
+], ids=["rho", "omega"])
+def test_bicgstab_port_matches_scipy_at_breakdowns(a, b, info):
+    """rtol = 0 runs an exact solve into scipy's breakdown codes."""
+    a = np.array(a)
+    assert _assert_port_matches_scipy(lambda v: a @ v, np.array(b), 0.0, 10) == info
+
+
+def test_bicgstab_port_zero_rhs_returns_a_fresh_zero():
+    b = np.zeros(4)
+    x, info = stepping.bicgstab(stepping._Operator((4, 4), float, lambda v: v), b,
+                                x0=np.ones(4))
+    assert info == 0 and np.array_equal(x, b) and x is not b
+
+
 def test_solve_reuses_converged_hessians(monkeypatch):
     """Outside the Newton state, a solve takes the Hessian of phi_0 only."""
     grid = TorusGrid(1, 16)
@@ -431,3 +508,83 @@ def test_gmres_fallback_caps_inner_iterations(monkeypatch):
         assert kwargs.get("restart", 20) * kwargs["maxiter"] <= params.linear_max_iter
     with pytest.raises(ValueError, match="linear_max_iter"):
         FlowParams(linear_max_iter=0)
+
+
+@pytest.mark.parametrize("bicgstab_info,why", [
+    (-10, "BiCGStab rho breakdown, info=-10"),
+    (-11, "BiCGStab omega breakdown, info=-11"),
+    (400, "BiCGStab iteration cap, info=400"),
+], ids=["rho", "omega", "cap"])
+def test_stalled_krylov_solve_names_method_and_reason(monkeypatch, bicgstab_info, why):
+    monkeypatch.setattr(stepping, "bicgstab",
+                        lambda A, b, x0=None, **kwargs: (x0, bicgstab_info))
+    monkeypatch.setattr(stepping, "gmres", lambda A, b, x0=None, **kwargs: (x0, 20))
+    phi0, rhs, symbol, params = _sigma_n2_problem()
+    with pytest.raises(NewtonDiverged) as info:
+        backward_euler_step(phi0, 0.01, rhs.F_field(phi0.grid, 0.01), symbol,
+                            params, t=0.01)
+    msg = str(info.value)
+    assert f"linearized solve stalled ({why}; then GMRES did not converge, " \
+           "info=20) at Newton iteration 0" in msg
+
+
+def test_stalled_krylov_solve_at_the_cap_names_both_caps():
+    phi0, rhs, symbol, _ = _sigma_n2_problem()
+    params = FlowParams(T=0.01, dt=0.01, linear_max_iter=1)
+    with pytest.raises(NewtonDiverged,
+                       match=r"BiCGStab iteration cap, info=1; then GMRES did "
+                             r"not converge, info=1\)"):
+        backward_euler_step(phi0, 0.01, rhs.F_field(phi0.grid, 0.01), symbol,
+                            params, t=0.01)
+
+
+_FALLBACK_SCRIPT = """
+import json, sys
+import numpy as np
+from pmaflow import HessianSymbol, TorusGrid, flow_hessian, stepping
+from pmaflow.grid import hessian_parts, random_admissible_field
+
+grid = TorusGrid(2, 8)
+rng = np.random.default_rng(41)
+prev = random_admissible_field(grid, rng, margin=0.3).values
+_, linearization, _, _ = flow_hessian._hessian_callbacks(
+    grid, prev, 0.01, np.ones(grid.shape), HessianSymbol.sigma_quotient(2, 2, 1), 1e-8)
+zeroth, weights = linearization(prev - 0.01)
+rhs = rng.standard_normal(grid.shape)
+out = {"loaded": []}
+_, out["bicgstab_info"] = stepping._solve_linearized(grid, zeroth, weights, rhs,
+                                                     RTOL, 400)
+out["loaded"].append("scipy.sparse.linalg" in sys.modules)
+
+gmres, out["operators"] = stepping.gmres, []
+def recorded(A, b, **kwargs):
+    out["operators"].append(type(A).__name__)
+    return gmres(A, b, **kwargs)
+stepping.bicgstab = lambda A, b, x0=None, **kwargs: (x0, -10)
+stepping.gmres = recorded
+u, out["info"] = stepping._solve_linearized(grid, zeroth, weights, rhs, RTOL, 400)
+out["loaded"].append("scipy.sparse.linalg" in sys.modules)
+trace = sum(w * part for w, part in zip(weights, hessian_parts(u, grid)))
+out["residual"] = float(np.linalg.norm(zeroth * u - trace - rhs)
+                        / np.linalg.norm(rhs))
+print(json.dumps(out))
+"""
+
+
+def test_gmres_fallback_solves_and_alone_imports_scipy_sparse():
+    """With BiCGStab stalled at once, GMRES still solves the system to rtol
+    on the named-tuple operator, and only then is scipy.sparse.linalg
+    imported."""
+    rtol = 1e-8
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(pmaflow.__file__).parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    code = _FALLBACK_SCRIPT.replace("RTOL", repr(rtol))
+    out = json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+    assert out["bicgstab_info"] == 0
+    assert out["loaded"] == [False, True]
+    assert out["operators"] == ["_Operator"]
+    assert out["info"] == 0
+    assert out["residual"] <= 2 * rtol
