@@ -168,6 +168,7 @@ class RunConfig:
             raise ValueError("rhs.p0 must exceed 1")
         if not 0.0 < self.flow.dt <= self.flow.T:
             raise ValueError("flow must satisfy 0 < dt <= T")
+        _flow_params(self)   # FlowParams' own checks, before any step
         if self.rhs.kind == "manufactured":
             horizon = admissible_horizon(self.grid.period, self.rhs.time_curvature)
             if self.flow.T >= horizon:
@@ -186,6 +187,10 @@ class RunConfig:
             raise ValueError("estimates.beta must be positive")
         if self.estimates.mt_base not in ("n_plus_1", "n_plus_2"):
             raise ValueError("estimates.mt_base must be n_plus_1 or n_plus_2")
+        if self.estimates.s_count < 1:
+            raise ValueError("estimates.s_count must be at least 1")
+        if self.estimates.stability_eps <= 0:
+            raise ValueError("estimates.stability_eps must be positive")
 
 
 # ---------------------------------------------------------------------------

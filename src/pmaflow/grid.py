@@ -319,11 +319,23 @@ def identity_plus_eigenvalues(parts: tuple) -> np.ndarray:
     if len(parts) == 1:
         return 1.0 + parts[0][..., None]
     h11, h22, re, im = parts
+    # mean +- sqrt(0.25 (a - b)^2 + |h12|^2), a = 1 + h11, b = 1 + h22,
+    # evaluated in place
     a = 1.0 + h11
     b = 1.0 + h22
-    mean = 0.5 * (a + b)
-    rad = np.sqrt(0.25 * (a - b) ** 2 + np.hypot(re, im) ** 2)
-    return np.stack([mean - rad, mean + rad], axis=-1)
+    mean = a + b
+    mean *= 0.5
+    a -= b
+    np.square(a, out=a)
+    a *= 0.25
+    rad = np.hypot(re, im)
+    np.square(rad, out=rad)
+    rad += a
+    np.sqrt(rad, out=rad)
+    eigs = np.empty(mean.shape + (2,))
+    np.subtract(mean, rad, out=eigs[..., 0])
+    np.add(mean, rad, out=eigs[..., 1])
+    return eigs
 
 
 def elementary_symmetric(slots: list, k: int) -> list:

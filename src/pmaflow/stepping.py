@@ -30,6 +30,16 @@ newton_tol / (2 |F_k|_2)).  Early iterates take cheap, loose solves; eta_k
 falls with the residual, but not below the level at which the linear
 residual, |r|_inf <= |r|_2 <= eta_k |F_k|_2, is half the Newton tolerance.
 
+Solves with eta_k >= 1e-4 (`_SINGLE_PRECISION_RTOL`) apply the operator,
+and the final M^{-1}, in single precision (Kelley, SIAM Review 64, 2022;
+Carson & Higham, SIAM J. Sci. Comput. 40, 2018): the transforms, the symbol
+division and the weighted sum run in float32, whose ~1e-7 relative error is
+1000x below such a tolerance.  The BiCGStab vectors, the GMRES fallback,
+the returned update, the Newton residual, the iterates' Hessians, the line
+search and the stopping test stay float64: they decide convergence to
+newton_tol, far below what float32 resolves.  Tighter solves, the floor
+among them, run in float64 throughout.
+
 Line search halves the step until the residual drops and the iterate stays
 inside the admissible cone (no projection; steps that cross the cone are
 rejected wholesale).
@@ -67,6 +77,8 @@ class FlowParams:
             raise ValueError("require 0 < dt <= T")
         if self.newton_tol <= 0 or self.admissibility_floor <= 0:
             raise ValueError("tolerances must be positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
         if self.linear_max_iter < 1:
             raise ValueError("linear_max_iter must be at least 1")
         if self.initial_guess not in ("predictor", "constant"):
@@ -93,7 +105,8 @@ class AdmissibilityLost(RuntimeError):
         self.t = t
 
 
-def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple):
+def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
+                             dtype=np.float64):
     """The right-preconditioned operator y -> A M^{-1} y, and M^{-1}.
 
     A u = zeroth * u - sum_j w_j part_j(u) over the components of
@@ -116,6 +129,14 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
     are inverse transforms: n^2 irfftn per application.  Raises ValueError
     when zbar or bbar is not positive: M is then not invertible, nor A
     parabolic.
+
+    dtype is the precision of the transforms: with np.float32, y is cast to
+    single precision and the rfftn, the division by M's symbol, the irfftn
+    and the weighted sum run in float32/complex64 against single-precision
+    copies of the coefficients and symbols, and the result is cast back to
+    float64 (relative error ~1e-7).  `_solve_linearized` asks for it only
+    at loose Krylov tolerances; the Krylov vectors stay float64, and so does
+    everything the Newton stopping test reads.
     """
     n = grid.n_complex
     z_mean = float(zeroth.mean())
@@ -123,12 +144,18 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
     if not (b_mean > 0.0 and z_mean > 0.0):
         raise ValueError(f"linearized operator not parabolic: mean tr B = "
                          f"{n * b_mean:.6g}, mean zeroth = {z_mean:.6g}")
-    denom = z_mean - b_mean * grid.quarter_laplacian_symbol
+
+    def cast(a):
+        # no copy in double precision; a float64 field is dropped once cast
+        return np.asarray(a, dtype=dtype)
+
+    denom = cast(z_mean - b_mean * grid.quarter_laplacian_symbol)
     c_y = weights[n - 1] / b_mean
-    c_u = zeroth - z_mean * c_y
+    c_u = cast(zeroth - z_mean * c_y)
+    c_y = cast(c_y)
     symbols = grid.hessian_symbols
-    rest = [(weights[j] - weights[n - 1], symbols[j]) for j in range(n - 1)]
-    rest += zip(weights[n:], symbols[n:])
+    rest = [(cast(weights[j] - weights[n - 1]), cast(symbols[j])) for j in range(n - 1)]
+    rest += [(cast(w), cast(sym)) for w, sym in zip(weights[n:], symbols[n:])]
 
     def spectrum(y: np.ndarray) -> np.ndarray:
         uhat = scipy.fft.rfftn(y)
@@ -139,13 +166,14 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
         return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes, overwrite_x=True)
 
     def apply(y: np.ndarray) -> np.ndarray:
-        y = y.reshape(grid.shape)
+        y = cast(y.reshape(grid.shape))
         uhat = spectrum(y)
         others = sum(w * inverse(sym * uhat) for w, sym in rest)
-        return (c_u * inverse(uhat) + c_y * y - others).ravel()
+        return np.asarray(c_u * inverse(uhat) + c_y * y - others, dtype=float).ravel()
 
     def precondition(y: np.ndarray) -> np.ndarray:
-        return inverse(spectrum(y.reshape(grid.shape))).ravel()
+        u = inverse(spectrum(cast(y.reshape(grid.shape))))
+        return np.asarray(u, dtype=float).ravel()
 
     return apply, precondition
 
@@ -156,6 +184,9 @@ _ETA_0 = 0.1
 _ETA_MAX = 0.1
 _EW_GAMMA = 0.9
 _EW_SAFEGUARD = 0.1
+# Krylov solves with eta_k at least this apply the operator in single
+# precision: its ~1e-7 relative error is 1000x below the tolerance.
+_SINGLE_PRECISION_RTOL = 1e-4
 
 
 def _forcing_term(res_norm: float, prev_norm: float | None, eta_prev: float,
@@ -267,8 +298,12 @@ def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
     `_preconditioned_operator`; u = M^{-1} y.  Returns (u, info): info is 0
     when BiCGStab or the fallback reached rtol, and the pair (BiCGStab's
     info, GMRES's info), scipy's codes, when both stalled.
+
+    At rtol >= _SINGLE_PRECISION_RTOL the operator, and the final M^{-1},
+    run their transforms in float32; the Krylov vectors and u stay float64.
     """
-    apply, precondition = _preconditioned_operator(grid, zeroth, weights)
+    dtype = np.float32 if rtol >= _SINGLE_PRECISION_RTOL else np.float64
+    apply, precondition = _preconditioned_operator(grid, zeroth, weights, dtype)
     A = _Operator((rhs.size, rhs.size), np.dtype(float), apply)
     b = rhs.ravel()
     y, info = bicgstab(A, b, x0=b, rtol=rtol, atol=0.0, maxiter=maxiter)
@@ -315,8 +350,10 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
                     0.5 * params.newton_tol / float(np.linalg.norm(res)))
         eta = _forcing_term(res_norm, prev_norm, eta, floor)
         prev_norm = res_norm
-        zeroth, weights = linearization_fn(phi)
-        delta, info = _solve_linearized(grid, zeroth, weights, res,
+        # the coefficient fields live only for the solve and the step only
+        # for the line search, so neither is held while the next
+        # linearization, each iteration's memory peak, runs
+        delta, info = _solve_linearized(grid, *linearization_fn(phi), res,
                                         eta, params.linear_max_iter)
         if info != 0:
             raise NewtonDiverged(
@@ -338,6 +375,7 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
         if not accepted:
             raise NewtonDiverged(f"residual not reduced below {res_norm:.3e} "
                                  "after the full line-search ladder", t)
+        del delta
     if res_norm > params.newton_tol:
         raise NewtonDiverged(
             f"residual {res_norm:.3e} above tolerance after "

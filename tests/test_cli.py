@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pmaflow import cli
+from pmaflow import FlowParams, cli, flow_hessian
 from pmaflow.cli import RunConfig, main, run, sweep
 from pmaflow.estimates import EstimateReport
 from pmaflow.grid import load_trajectory
@@ -47,6 +47,65 @@ def test_config_validates_ranges():
         RunConfig.from_dict({"rhs": {"kind": "bogus"}})
     with pytest.raises(ValueError):
         RunConfig.from_dict({"rhs": {"p0": 1.0}})
+
+
+def _estimate_without_stepping(monkeypatch, capsys, tmp_path, section, key, value):
+    """`pmaflow estimate` on the trivial config with one field changed:
+    (exit code, stderr, number of backward-Euler steps taken)."""
+    steps = []
+    step = flow_hessian.backward_euler_step
+
+    def counting(*args, **kwargs):
+        steps.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(flow_hessian, "backward_euler_step", counting)
+    data = trivial_config().to_dict()
+    data[section][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    code = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x" / "trajectory.bin").exists()
+    return code, capsys.readouterr().err, len(steps)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_rejects_empty_level_ladder_before_any_step(monkeypatch, capsys,
+                                                           tmp_path, value):
+    """s_count = 0 once passed the config checks and failed in the level
+    ladder after the whole flow was solved."""
+    with pytest.raises(ValueError, match="estimates.s_count"):
+        trivial_config(estimates={"s_count": value})
+    code, err, steps = _estimate_without_stepping(monkeypatch, capsys, tmp_path,
+                                                  "estimates", "s_count", value)
+    assert code == 1 and "estimates.s_count must be at least 1" in err
+    assert steps == 0
+
+
+@pytest.mark.parametrize("value", [0.0, -0.125])
+def test_config_rejects_nonpositive_stability_eps_before_any_step(monkeypatch, capsys,
+                                                                  tmp_path, value):
+    """stability_eps <= 0 once failed in time_average, after the solve."""
+    with pytest.raises(ValueError, match="estimates.stability_eps"):
+        trivial_config(estimates={"stability_eps": value})
+    code, err, steps = _estimate_without_stepping(monkeypatch, capsys, tmp_path,
+                                                  "estimates", "stability_eps", value)
+    assert code == 1 and "estimates.stability_eps must be positive" in err
+    assert steps == 0
+
+
+def test_zero_newton_iterations_rejected_before_any_step(monkeypatch, capsys, tmp_path):
+    """newton_max_iter = 0 once ran zero iterations and reported a residual
+    'above tolerance after 0 iterations'; FlowParams and the config now
+    reject it."""
+    with pytest.raises(ValueError, match="newton_max_iter must be at least 1"):
+        FlowParams(newton_max_iter=0)
+    with pytest.raises(ValueError, match="newton_max_iter"):
+        trivial_config(flow={"T": 1.0, "dt": 0.02, "newton_max_iter": 0})
+    code, err, steps = _estimate_without_stepping(monkeypatch, capsys, tmp_path,
+                                                  "flow", "newton_max_iter", 0)
+    assert code == 1 and "newton_max_iter must be at least 1" in err
+    assert steps == 0
 
 
 def _manufactured(T):

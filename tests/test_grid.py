@@ -186,6 +186,22 @@ def test_eigenvalues_ascending(grid2d):
     assert np.all(np.diff(eigs, axis=-1) >= 0.0)
 
 
+def test_eigenvalues_bit_identical_to_closed_form_expression(grid2d):
+    """Evaluated in place into one array, the eigenvalues are exactly those
+    of the stacked closed-form expression, and the parts are not written."""
+    rng = np.random.default_rng(5)
+    f = band_limited(grid2d, rng, max_mode=3, n_modes=6)
+    parts = hessian_parts(f.values, grid2d)
+    kept = [p.copy() for p in parts]
+    eigs = identity_plus_eigenvalues(parts)
+    h11, h22, re, im = kept
+    a, b = 1.0 + h11, 1.0 + h22
+    mean = 0.5 * (a + b)
+    rad = np.sqrt(0.25 * (a - b) ** 2 + np.hypot(re, im) ** 2)
+    assert np.array_equal(eigs, np.stack([mean - rad, mean + rad], axis=-1))
+    assert all(np.array_equal(p, k) for p, k in zip(parts, kept))
+
+
 # ---------------------------------------------------------------------------
 # radial convolution
 

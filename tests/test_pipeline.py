@@ -6,13 +6,18 @@ the ladder to the De Giorgi iteration, and confirm the resulting threshold
 dominates the solution's actual excursion; separately, confirm the fitted
 Holder moduli stay bounded as the data roughens at a fixed integrability
 budget.  The Hessian family repeats the L-infinity pipeline at n=2 for
-two symbols that reach data below e^F = 1.
+two symbols that reach data below e^F = 1.  A dtype guard runs the whole
+`estimate` pipeline on an n=1 Monge-Ampere flow and an n=2 sigma_2/sigma_1
+flow, and checks that the single-precision Krylov applications leave no
+float32 array behind.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from pmaflow import FlowParams, RhsSpec, TorusGrid, solve_flow
+from pmaflow import FlowParams, RhsSpec, TorusGrid, cli, solve_flow, stepping
 from pmaflow.cli import RunConfig, run
 from pmaflow.estimates import (
     DeGiorgiParams,
@@ -190,3 +195,70 @@ def test_omega_volume_ladder_to_stability_threshold(generic_flow):
     assert report["hypothesis_ok"]
     assert report["extinct_at_threshold"]
     assert threshold >= sup_gap
+
+
+_DTYPE_GUARD_RUNS = {
+    "ma_n1": {"grid": {"n_complex": 1, "points_per_axis": 32},
+              "flow": {"equation": "ma", "T": 0.1, "dt": 0.01},
+              "rhs": {"kind": "smooth_product", "spatial_amplitude": 0.4,
+                      "profile": "decay"}},
+    "sigma_quotient_n2": {"grid": {"n_complex": 2, "points_per_axis": 8},
+                          "flow": {"equation": "hessian", "symbol": "sigma_quotient",
+                                   "k": 2, "l": 1, "T": 0.08, "dt": 0.01,
+                                   "initial_condition": "random_band"},
+                          "rhs": {"kind": "smooth_product", "spatial_amplitude": 0.4,
+                                  "profile": "decay"},
+                          "seed": 5},
+}
+
+
+def _float_leaves(obj):
+    """The floating-point leaves of a nested dict/list/tuple report."""
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in _float_leaves(v)]
+    if isinstance(obj, (list, tuple)):
+        return [x for v in obj for x in _float_leaves(v)]
+    if isinstance(obj, (float, np.floating, np.ndarray)):
+        return [obj]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(_DTYPE_GUARD_RUNS))
+def test_no_single_precision_array_leaves_the_solver(monkeypatch, tmp_path, name):
+    """Loose Krylov solves apply their operator in float32, but every Newton
+    update, the trajectory, its checkpoint and the report stay float64."""
+    solves, solved = [], []
+    solve_linearized, solve = stepping._solve_linearized, cli._solve
+
+    def recording_linearized(grid, zeroth, weights, rhs, rtol, maxiter):
+        delta, info = solve_linearized(grid, zeroth, weights, rhs, rtol, maxiter)
+        solves.append((rtol, delta.dtype))
+        return delta, info
+
+    def recording_solve(cfg):
+        solved.append(solve(cfg))
+        return solved[-1]
+
+    monkeypatch.setattr(stepping, "_solve_linearized", recording_linearized)
+    monkeypatch.setattr(cli, "_solve", recording_solve)
+    report, _ = run(RunConfig.from_dict(_DTYPE_GUARD_RUNS[name]), tmp_path)
+
+    # the single-precision path ran, and handed back float64 updates only
+    assert any(rtol >= stepping._SINGLE_PRECISION_RTOL for rtol, _ in solves)
+    assert any(rtol < stepping._SINGLE_PRECISION_RTOL for rtol, _ in solves)
+    assert {dtype for _, dtype in solves} == {np.dtype(np.float64)}
+
+    traj = solved[0][0]
+    assert traj.values.dtype == np.float64 and traj.times.dtype == np.float64
+    # the checkpoint holds those float64 values bit for bit
+    points = traj.grid.points_per_axis ** traj.grid.real_dim
+    path = tmp_path / "trajectory.bin"
+    assert path.stat().st_size == 8 * (6 + traj.n_times * (1 + points))
+    loaded = load_trajectory(path)
+    assert loaded.values.dtype == np.float64
+    assert np.array_equal(loaded.values, traj.values)
+
+    leaves = _float_leaves(asdict(report))
+    assert leaves
+    assert all(np.asarray(x).dtype == np.float64 for x in leaves)
+    assert (tmp_path / "report.json").read_text() == report.to_json() + "\n"

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 import pmaflow
@@ -257,6 +258,82 @@ def test_fused_solve_matches_separate_operators(symbol):
     # BiCGStab stops on its recursive residual; the true one stays close
     assert np.linalg.norm(a_op(got) - rhs.ravel()) <= 2 * rtol * np.linalg.norm(rhs)
     assert np.abs(got.ravel() - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# single-precision applications at loose forcing terms
+
+ALL_SYMBOLS = [HessianSymbol.det(1), HessianSymbol.det(2),
+               HessianSymbol.sigma_quotient(2, 2, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbol=st.sampled_from(ALL_SYMBOLS), mode=st.sampled_from(MODES),
+       dt=st.sampled_from([0.01, 0.005]), seed=st.integers(0, 2**32 - 1))
+def test_single_precision_application_matches_double(symbol, mode, dt, seed):
+    """The float32 operator and M^{-1} agree with the float64 ones to 1e-5
+    relative, n = 1 and 2, both derivative modes, and at dt = 0.005, where
+    zeroth is large and c_u = zeroth - zbar c_y cancels; both return float64."""
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8,
+                                              seed, mode, dt)
+    y = np.random.default_rng(seed).standard_normal(zeroth.size)
+    single = _preconditioned_operator(grid, zeroth, weights, np.float32)
+    double = _preconditioned_operator(grid, zeroth, weights)
+    for op32, op64 in zip(single, double):
+        got, want = op32(y), op64(y)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def _recording_transforms(monkeypatch):
+    """The input dtypes of the `scipy.fft` rfftn and irfftn calls."""
+    import scipy.fft
+
+    calls = []
+
+    def recording(transform):
+        def wrapped(a, *args, **kwargs):
+            calls.append(np.asarray(a).dtype)
+            return transform(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.fft, "rfftn", recording(scipy.fft.rfftn))
+    monkeypatch.setattr(scipy.fft, "irfftn", recording(scipy.fft.irfftn))
+    return calls
+
+
+@pytest.mark.parametrize("symbol", N_SYMBOLS, ids=lambda s: f"{s.kind}{s.n}")
+def test_solve_precision_follows_the_forcing_term(monkeypatch, symbol):
+    """At rtol >= 1e-4 every transform of a solve is single precision; just
+    below it and at the forcing floor every one is double; u is float64."""
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8, 23)
+    rhs = np.random.default_rng(24).standard_normal(grid.shape)
+    floor = 0.5 * FlowParams().newton_tol / float(np.linalg.norm(rhs))
+    calls = _recording_transforms(monkeypatch)
+    for rtol, real, spectral in [(stepping._SINGLE_PRECISION_RTOL, np.float32, np.complex64),
+                                 (0.1, np.float32, np.complex64),
+                                 (0.99e-4, np.float64, np.complex128),
+                                 (floor, np.float64, np.complex128)]:
+        calls.clear()
+        delta, info = stepping._solve_linearized(grid, zeroth, weights, rhs, rtol, 400)
+        assert info == 0 and delta.dtype == np.float64 and delta.shape == grid.shape
+        # one rfftn per application, of a real array; irfftn of its spectrum
+        assert len(calls) >= 2 and set(calls) <= {np.dtype(real), np.dtype(spectral)}
+        assert np.dtype(real) in calls and np.dtype(spectral) in calls
+
+
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS, ids=lambda s: f"{s.kind}{s.n}")
+@pytest.mark.parametrize("rtol", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_single_precision_solve_meets_eta_on_the_double_operator(symbol, rtol):
+    """A solve run in float32 still meets its forcing term on the exact
+    operator: |rhs - A delta|_2 <= 1.01 eta |rhs|_2, with A delta taken
+    through the complex tensor view."""
+    grid, zeroth, weights = _linearization_at(symbol, 16 if symbol.n == 1 else 8, 25)
+    rhs = np.random.default_rng(26).standard_normal(grid.shape)
+    delta, info = stepping._solve_linearized(grid, zeroth, weights, rhs, rtol, 400)
+    assert info == 0
+    a_delta = zeroth * delta - _trace_oracle(_hermitian_from_weights(weights), delta, grid)
+    assert np.linalg.norm(rhs - a_delta) <= 1.01 * rtol * np.linalg.norm(rhs)
 
 
 # ---------------------------------------------------------------------------
