@@ -22,25 +22,12 @@ from .grid import (
     save_trajectory,
 )
 from .stepping import AdmissibilityLost, FlowParams, NewtonDiverged
-from .flow_ma import (
-    NormalizationProfile,
-    RhsSpec,
-    SLevelTooSmall,
-    TabulatedRhs,
-    build_auxiliary_rhs,
-    comparison_check,
-    ma_residual,
-    normalize,
-    solve_flow,
-)
+from .flow_ma import RhsSpec, SLevelTooSmall, build_auxiliary_rhs, solve_flow
 from .flow_hessian import (
-    ConePoint,
     ConeViolation,
     HessianSymbol,
-    f_eval_grad,
     hessian_residual,
     solve_hessian_flow,
-    structural_check,
     symbol_from_config,
 )
 

@@ -38,6 +38,7 @@ from .grid import (
     radial_smoother,
     random_admissible_field,
     save_trajectory,
+    spacetime_integral,
 )
 from .maxprinciple import (
     SpaceTimeGridReal,
@@ -115,6 +116,18 @@ class EstimatesConfig:
     stability_alpha: float = 0.0   # 0 means derive from q0
 
 
+def _as_field_type(default, value, name: str):
+    """`value` as an int where the field's default is one (a sweep passes
+    every value as a float); a non-integral value for such a field is
+    refused.  bool, a subclass of int, is left alone."""
+    if (isinstance(default, int) and not isinstance(default, bool)
+            and isinstance(value, float)):
+        if not value.is_integer():
+            raise ValueError(f"config field {name!r} takes an integer, got {value!r}")
+        return int(value)
+    return value
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs; round-trips losslessly through JSON."""
@@ -141,9 +154,12 @@ class RunConfig:
                 if unknown:
                     raise ValueError(
                         f"unknown config fields {sorted(unknown)} under '{key}'")
-                setattr(out, key, sections[key](**value))
+                defaults = getattr(out, key)
+                setattr(out, key, sections[key](**{
+                    name: _as_field_type(getattr(defaults, name), v, f"{key}.{name}")
+                    for name, v in value.items()}))
             elif key in ("seed", "label"):
-                setattr(out, key, value)
+                setattr(out, key, _as_field_type(getattr(out, key), value, key))
             else:
                 raise ValueError(f"unknown config section '{key}'")
         out.validate()
@@ -170,6 +186,10 @@ class RunConfig:
             raise ValueError("flow must satisfy 0 < dt <= T")
         _flow_params(self)   # FlowParams' own checks, before any step
         if self.rhs.kind == "manufactured":
+            if self.rhs.scale != 1.0:
+                raise ValueError(
+                    "rhs.scale must be 1 for rhs.kind 'manufactured': its F is "
+                    "fixed by the closed-form solution")
             horizon = admissible_horizon(self.grid.period, self.rhs.time_curvature)
             if self.flow.T >= horizon:
                 raise ValueError(
@@ -552,9 +572,8 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float,
     profile = reg.ball_mass_profile(traj.field_at(traj.n_times - 1),
                                     centers, radii, fit_min_cells=4)
     avg = reg.time_average(traj, epsilon)
-    l1 = float(np.maximum(avg.values - traj.values, 0.0)
-               .reshape(traj.n_times, -1).mean(axis=1).dot(traj.time_weights())
-               * traj.grid.volume)
+    l1 = spacetime_integral(Trajectory(grid, traj.times,
+                                       np.maximum(avg.values - traj.values, 0.0)))
     result = {
         "epsilon": epsilon, "gamma": gamma, "K": K,
         "sandwich_lower_margin": worst_low,

@@ -3,9 +3,9 @@
 Everything here consumes trajectories produced by the flow solvers (or
 synthetic stand-ins) and produces numbers: weighted entropies, the
 energy functional I(phi) and its dissipation identity, level-set ladders
-A_s / phi(s) / Omega_{s,delta}, the De Giorgi extinction threshold, the
-elementary-inequality battery, Moser-Trudinger and exponential integrals,
-stability ratios, Holder moduli, and the level bound s_*(delta).
+A_s / phi(s) / Omega_{s,delta}, the De Giorgi extinction threshold,
+Moser-Trudinger and exponential integrals, stability ratios, Holder moduli,
+and the level bound s_*(delta).
 
 Space-time integrals use trapezoid weights in time and the exact periodic
 quadrature in space.  Indicator-type integrals (phi(s), volumes) therefore
@@ -43,12 +43,9 @@ __all__ = [
     "entropy",
     "i_functional",
     "i_series",
-    "mean_minus_sup_gap",
     "level_stats",
     "de_giorgi_extinction",
     "de_giorgi_ladder_check",
-    "inequality_oracles",
-    "power_exp_split_constant",
     "moser_trudinger",
     "exp_alpha_integral",
     "stability_ratio",
@@ -138,23 +135,16 @@ class EstimateReport:
 # entropies
 
 
-def entropy(eF: Trajectory, F: Trajectory, p: float, weight_power: float = 1.0,
-            integrand: str = "quadratic") -> float:
-    """Space-time entropy of the data.
+def entropy(eF: Trajectory, F: Trajectory, p: float,
+            weight_power: float = 1.0) -> float:
+    """Space-time entropy of the data: the integral of e^{w F} (F^2 + 1)^{p/2}.
 
-    integrand "quadratic": e^{w F} (F^2 + 1)^{p/2};
-    integrand "power_plus_one": e^{w F} (|F|^p + 1).
     weight_power w is 1 for the Monge-Ampere flow and n + 1 for the
     Hessian-flow variant.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    if integrand == "quadratic":
-        g = (F.values**2 + 1.0) ** (p / 2.0)
-    elif integrand == "power_plus_one":
-        g = np.abs(F.values) ** p + 1.0
-    else:
-        raise ValueError(f"unknown integrand variant {integrand!r}")
+    g = (F.values**2 + 1.0) ** (p / 2.0)
     weighted = np.exp(weight_power * F.values) * g
     traj = Trajectory(eF.grid, eF.times.copy(), weighted, dt=eF.dt)
     return spacetime_integral(traj)
@@ -200,12 +190,6 @@ def i_series(traj: Trajectory, eF: Trajectory,
     centered = (series[2:] - series[:-2]) / (t[2:] - t[:-2])
     resid = np.abs(centered + mass[1:-1])
     return series, float(resid.max())
-
-
-def mean_minus_sup_gap(phi: ScalarField) -> float:
-    """sup phi - mean phi (nonnegative for any field; bounded for admissible)."""
-    mean = phi.values.mean()
-    return float(phi.values.max() - mean)
 
 
 # ---------------------------------------------------------------------------
@@ -330,95 +314,6 @@ def de_giorgi_ladder_check(s_grid, ladder, p: DeGiorgiParams,
     extinct = bool(beyond.size == 0 or np.all(beyond <= rtol * scale))
     return {"hypothesis_ok": hypothesis_ok, "worst_hypothesis_ratio": worst,
             "threshold": threshold, "extinct_at_threshold": extinct}
-
-
-# ---------------------------------------------------------------------------
-# elementary inequality battery
-
-
-def power_exp_split_constant(p: float, x_max: float = 60.0, samples: int = 200001) -> float:
-    """C(p) = sup_x p e^{x-1} x^p e^{-2x}, evaluated numerically.
-
-    The supremum of p e^{x-1} x^p e^{-2x} is attained at x = p; a dense
-    scan keeps this independent of the calculus.
-    """
-    x = np.linspace(1e-9, x_max, samples)
-    vals = p * np.exp(x - 1.0 + p * np.log(x) - 2.0 * x)
-    return float(vals.max())
-
-
-def inequality_oracles(n_points_per_axis: int = 10,
-                       dims=(1, 2)) -> dict:
-    """Evaluate the four elementary inequalities over log-spaced grids.
-
-    Returns per-inequality dicts with the worst margin (min of RHS - LHS)
-    and the number of violations; a violation is a test failure upstream,
-    not a runtime error here.
-    """
-    m = n_points_per_axis
-    logs = np.geomspace(1e-2, 1e2, m)
-    results = {}
-
-    # x^p e^y <= e^y (1 + y)^p + C(p) e^{2x}
-    worst = np.inf
-    violations = 0
-    count = 0
-    for p in (1.5, 2.0, 3.0):
-        cp = power_exp_split_constant(p)
-        x, y = np.meshgrid(logs, logs, indexing="ij")
-        lhs = x**p * np.exp(y)
-        rhs = np.exp(y) * (1.0 + y) ** p + cp * np.exp(2.0 * x)
-        margin = rhs - lhs
-        worst = min(worst, float((margin / np.maximum(rhs, 1e-300)).min()))
-        violations += int((margin < -1e-9 * rhs).sum())
-        count += margin.size
-    results["power_exp_split"] = {"worst_relative_margin": worst,
-                                  "violations": violations, "count": count}
-
-    # (B A^{1/n})^{n/(n+1)} x <= A y + B x^{1+1/n} / y^{1/n}
-    worst = np.inf
-    violations = 0
-    count = 0
-    for n in dims:
-        A, B, x, y = np.meshgrid(logs[::3], logs[::3], logs[::3], logs[::3],
-                                 indexing="ij")
-        lhs = (B * A ** (1.0 / n)) ** (n / (n + 1.0)) * x
-        rhs = A * y + B * x ** (1.0 + 1.0 / n) / y ** (1.0 / n)
-        margin = rhs - lhs
-        worst = min(worst, float((margin / np.maximum(rhs, 1e-300)).min()))
-        violations += int((margin < -1e-9 * rhs).sum())
-        count += margin.size
-    results["young_split"] = {"worst_relative_margin": worst,
-                              "violations": violations, "count": count}
-
-    # A y^n + B y^{-1} >= n^{-n/(n+1)} A^{1/(n+1)} B^{n/(n+1)}
-    worst = np.inf
-    violations = 0
-    count = 0
-    for n in dims:
-        A, B, y = np.meshgrid(logs, logs, logs, indexing="ij")
-        lhs = n ** (-n / (n + 1.0)) * A ** (1.0 / (n + 1.0)) * B ** (n / (n + 1.0))
-        rhs = A * y**n + B / y
-        margin = rhs - lhs
-        worst = min(worst, float((margin / np.maximum(rhs, 1e-300)).min()))
-        violations += int((margin < -1e-9 * rhs).sum())
-        count += margin.size
-    results["power_mean_lower"] = {"worst_relative_margin": worst,
-                                   "violations": violations, "count": count}
-
-    # x y <= x log x + e^{y-1}
-    x, y = np.meshgrid(np.geomspace(1e-2, 1e2, m * m), np.geomspace(1e-2, 1e2, m * m),
-                       indexing="ij")
-    lhs = x * y
-    rhs = x * np.log(x) + np.exp(y - 1.0)
-    margin = rhs - lhs
-    scale = np.maximum(np.abs(rhs), np.abs(lhs)) + 1e-300
-    results["xlogx_dual"] = {
-        "worst_relative_margin": float((margin / scale).min()),
-        "violations": int((margin < -1e-9 * scale).sum()),
-        "count": margin.size,
-    }
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ slots >= floor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -50,12 +49,8 @@ from .stepping import (
 
 __all__ = [
     "HessianSymbol",
-    "ConePoint",
     "ConeViolation",
-    "StructuralReport",
-    "f_eval_grad",
     "f_eval_grad_arrays",
-    "structural_check",
     "hessian_residual",
     "backward_euler_step",
     "solve_hessian_flow",
@@ -143,22 +138,6 @@ def symbol_from_config(name: str, n: int, k: int = 0, l: int = 0) -> HessianSymb
     return table[name]()
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    """A point (lambda_0, lambda_1..lambda_n) of the extended eigenvalue cone."""
-
-    lambda0: float
-    lambdas: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.lambda0,) + tuple(self.lambdas), dtype=float)
-
-    def in_gamma_k(self, k: int, include_lambda0: bool = True) -> bool:
-        """sigma_j > 0 for j = 1..k on the relevant argument list."""
-        lam = self.as_array() if include_lambda0 else np.asarray(self.lambdas)
-        return all(e > 0.0 for e in elementary_symmetric(list(lam), k)[1:])
-
-
 def _sigma_gradient(slots: list, k: int):
     """d sigma_k / d lambda_i = sigma_{k-1} of the other slots, stacked on a
     trailing axis; the scalar 0.0 where sigma_k is constant (k = 0, or k
@@ -199,61 +178,6 @@ def f_eval_grad_arrays(symbol: HessianSymbol, lam0: np.ndarray,
     val = fq ** (1.0 / q)
     grad *= (val / (q * fq))[..., None]
     return val, grad
-
-
-def f_eval_grad(symbol: HessianSymbol, point: ConePoint) -> tuple[float, np.ndarray]:
-    """Symbol value and gradient at a single cone point.
-
-    Raises ConeViolation if the membership predicate fails (Gamma_{n+1},
-    the positive cone, for det; Gamma_k for the sigma-type symbols).
-    """
-    if symbol.kind == "sigma_quotient_power":
-        ok = point.lambda0 > 0 and point.in_gamma_k(symbol.k, include_lambda0=False)
-    else:   # det is the positive cone Gamma_{n+1}
-        ok = point.in_gamma_k(symbol.k if symbol.kind == "full_sigma_k"
-                              else symbol.n + 1)
-    if not ok:
-        raise ConeViolation(f"point {point} outside the cone of {symbol.kind}")
-    lam0 = np.array(point.lambda0)
-    lams = np.asarray(point.lambdas, dtype=float)
-    val, grad = f_eval_grad_arrays(symbol, lam0, lams)
-    return float(val), grad.reshape(symbol.n + 1)
-
-
-@dataclass
-class StructuralReport:
-    """Sampled verification of the structural conditions on a symbol."""
-
-    monotone: bool
-    symmetric: bool
-    c0_min: float
-    C0_max: float
-
-
-def structural_check(symbol: HessianSymbol, samples) -> StructuralReport:
-    """Check monotonicity, symmetry, and the two structural constants.
-
-    c0_min realizes det(df/dh) in the diagonal frame as the product of the
-    spatial gradient entries times the time slot; C0_max is the Euler
-    quotient sum_i lambda_i d_i f / f.
-    """
-    monotone = True
-    symmetric = True
-    c0_min = np.inf
-    c0_max_euler = -np.inf
-    for point in samples:
-        val, grad = f_eval_grad(symbol, point)
-        if grad.min() <= 0.0:
-            monotone = False
-        c0 = grad[0] * float(np.prod(grad[1:]))
-        c0_min = min(c0_min, c0)
-        euler = float(np.dot(point.as_array(), grad)) / val
-        c0_max_euler = max(c0_max_euler, euler)
-        for perm in permutations(point.lambdas):
-            v_perm, _ = f_eval_grad(symbol, ConePoint(point.lambda0, tuple(perm)))
-            if not np.isclose(v_perm, val, rtol=1e-12, atol=1e-13):
-                symmetric = False
-    return StructuralReport(monotone, symmetric, float(c0_min), float(c0_max_euler))
 
 
 # ---------------------------------------------------------------------------

@@ -4,42 +4,24 @@ The flow is (-d_t phi) det(I + H[phi]) = e^F with phi(0) = phi_0, solved in
 the admissible class d_t phi <= 0, I + H[phi] >= 0 by backward Euler with a
 full Newton solve per step.  It is the product symbol `det` of the Hessian
 flows, so `solve_flow` runs the shared stepper of `flow_hessian` (one step
-is `backward_euler_step` with `HessianSymbol.det(n)`); `ma_residual` keeps
-the entrywise determinant as an independent oracle.  The module also
-carries the right-hand-side generators, the volume normalization h(t), and
-the auxiliary normalized right-hand sides eta_j(-phi - s) e^F / A_{j,s}
-used by the estimate layer.
+is `backward_euler_step` with `HessianSymbol.det(n)`).  The module also
+carries the right-hand sides (`RhsSpec` and its generators, among them
+`RhsSpec.tabulated` for sampled data) and the auxiliary normalized
+right-hand sides eta_j(-phi - s) e^F / A_{j,s} of the comparison argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flow_hessian import HessianSymbol, solve_hessian_flow
-from .grid import (
-    ScalarField,
-    TorusGrid,
-    Trajectory,
-    complex_hessian_matrices,
-    integrate,
-    spacetime_integral,
-)
-from .stepping import AdmissibilityLost, FlowParams, NewtonDiverged
+from .grid import ScalarField, TorusGrid, Trajectory, spacetime_integral
+from .stepping import FlowParams
 
 __all__ = [
-    "FlowParams",
-    "NewtonDiverged",
-    "AdmissibilityLost",
     "RhsSpec",
-    "TabulatedRhs",
-    "NormalizationProfile",
     "SLevelTooSmall",
-    "ma_residual",
     "solve_flow",
-    "comparison_check",
-    "normalize",
     "build_auxiliary_rhs",
     "eta_smooth_plus",
 ]
@@ -82,7 +64,8 @@ class RhsSpec:
     (F = g(t)), `smooth_product` (F = spatial(x) * profile(t)) and
     `mollified_log_singularity` (e^F = (r_moll^2 + dist^2(x, center))^-q,
     constant in t).  The last two evaluate their spatial factor once per
-    grid and keep it read-only.
+    grid and keep it read-only.  `tabulated` takes sampled data instead:
+    e^F interpolated linearly in time from a trajectory.
 
     `scale` multiplies F; `p0` is the claimed integrability exponent of e^F
     (the conjugate q0 = p0/(p0-1) drives the Holder exponents downstream).
@@ -132,6 +115,24 @@ class RhsSpec:
 
         return cls(lambda grid, t: values(grid), p0, scale)
 
+    @classmethod
+    def tabulated(cls, eF_traj: Trajectory, p0: float = 2.0) -> "RhsSpec":
+        """F = log of e^F interpolated linearly in time between the samples
+        of `eF_traj`, held at the end values outside them.  The samples
+        carry their own grid; the one passed at evaluation is not read.
+        """
+        times, values = eF_traj.times, eF_traj.values
+
+        def raw_F(grid, t):
+            if len(times) == 1:
+                return np.log(values[0])
+            t = float(np.clip(t, times[0], times[-1]))
+            k = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+            w = (t - times[k]) / (times[k + 1] - times[k])
+            return np.log((1.0 - w) * values[k] + w * values[k + 1])
+
+        return cls(raw_F, p0)
+
     def scaled(self, factor: float) -> "RhsSpec":
         return RhsSpec(self.raw_F, self.p0, self.scale * factor)
 
@@ -155,73 +156,8 @@ class RhsSpec:
         return float(val ** (1.0 / self.p0))
 
 
-class TabulatedRhs:
-    """Right-hand side interpolated linearly in time from a sampled trajectory.
-
-    Wraps auxiliary data (eta_j-weighted densities) so the flow solver can
-    consume them like any other RhsSpec.  Stores e^F values directly.
-    """
-
-    def __init__(self, eF_traj: Trajectory, p0: float = 2.0):
-        self.traj = eF_traj
-        self.p0 = float(p0)
-
-    def _interp(self, t: float) -> np.ndarray:
-        times = self.traj.times
-        t = float(np.clip(t, times[0], times[-1]))
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        k = min(max(k, 0), len(times) - 2) if len(times) > 1 else 0
-        if len(times) == 1:
-            return self.traj.values[0]
-        t0, t1 = times[k], times[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.traj.values[k] + w * self.traj.values[k + 1]
-
-    def eF_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        return ScalarField(grid, self._interp(t))
-
-    def F_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        return ScalarField(grid, np.log(self._interp(t)))
-
-    def sample(self, grid: TorusGrid, times) -> tuple[Trajectory, Trajectory]:
-        times = np.asarray(times, dtype=float)
-        eF = np.stack([self._interp(t) for t in times])
-        return (Trajectory(grid, times, eF),
-                Trajectory(grid, times, np.log(eF)))
-
-
-@dataclass
-class NormalizationProfile:
-    """Samples of the volume-compatibility normalization h(t).
-
-    h'(t) vol(M) = int_M e^{F(t)} at every sample and h(0) = 0.
-    """
-
-    times: np.ndarray
-    h_values: np.ndarray
-    h_prime: np.ndarray
-
-
 # ---------------------------------------------------------------------------
-# residual / step / solve
-
-
-def _det_identity_plus(hmat: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return 1.0 + hmat[..., 0, 0].real
-    a = 1.0 + hmat[..., 0, 0].real
-    b = 1.0 + hmat[..., 1, 1].real
-    return a * b - np.abs(hmat[..., 0, 1]) ** 2
-
-
-def ma_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
-                f_next: ScalarField) -> ScalarField:
-    """Backward-Euler residual ((phi_prev - phi_next)/dt) det(I+H) - e^F."""
-    grid = phi_prev.grid
-    lam0 = (phi_prev.values - phi_next.values) / dt
-    hmat = complex_hessian_matrices(phi_next.values, grid)
-    det = _det_identity_plus(hmat, grid.n_complex)
-    return ScalarField(grid, lam0 * det - np.exp(f_next.values))
+# solve
 
 
 def solve_flow(phi0: ScalarField, rhs, params: FlowParams) -> Trajectory:
@@ -231,35 +167,6 @@ def solve_flow(phi0: ScalarField, rhs, params: FlowParams) -> Trajectory:
     """
     return solve_hessian_flow(phi0, rhs, HessianSymbol.det(phi0.grid.n_complex),
                               params)
-
-
-def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """Sup of |phi_a - phi_b| over [0, T] x M for two solves of the same data."""
-    if traj_a.grid != traj_b.grid:
-        raise ValueError("trajectories live on different grids")
-    if traj_a.n_times != traj_b.n_times or not np.allclose(traj_a.times, traj_b.times):
-        raise ValueError("trajectories sample different times")
-    return float(np.abs(traj_a.values - traj_b.values).max())
-
-
-def normalize(traj: Trajectory, rhs) -> tuple[NormalizationProfile, Trajectory]:
-    """Volume-compatibility normalization along the trajectory.
-
-    h is the cumulative antiderivative (trapezoid) of
-    h'(t) = int_M e^{F(t)} / vol(M) with h(0) = 0.  The normalized potential
-    adds h so the trivial flow maps to the zero potential.
-    """
-    grid = traj.grid
-    h_prime = np.array([
-        integrate(rhs.eF_field(grid, float(t))) / grid.volume for t in traj.times
-    ])
-    h_values = np.zeros_like(h_prime)
-    if traj.n_times > 1:
-        dt = np.diff(traj.times)
-        h_values[1:] = np.cumsum(0.5 * dt * (h_prime[1:] + h_prime[:-1]))
-    profile = NormalizationProfile(traj.times.copy(), h_values, h_prime)
-    shifted = traj.values + h_values.reshape((-1,) + (1,) * grid.real_dim)
-    return profile, Trajectory(grid, traj.times.copy(), shifted, dt=traj.dt)
 
 
 # ---------------------------------------------------------------------------

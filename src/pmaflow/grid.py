@@ -37,7 +37,6 @@ __all__ = [
     "RadialKernel",
     "DEFAULT_KERNEL",
     "integrate",
-    "complex_hessian_matrices",
     "hessian_parts",
     "identity_plus_eigenvalues",
     "elementary_symmetric",
@@ -295,21 +294,6 @@ def hessian_parts(values: np.ndarray, grid: TorusGrid) -> tuple:
                  for sym in grid.hessian_symbols)
 
 
-def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Hessian matrices of a raw value array, assembled from `hessian_parts`:
-    the one tensor view, an oracle for `ma_residual` and the tests."""
-    n = grid.n_complex
-    parts = hessian_parts(values, grid)
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
-    out[..., 0, 0] = parts[0]
-    if n == 2:
-        _, h22, re, im = parts
-        out[..., 1, 1] = h22
-        out[..., 0, 1] = re + 1j * im
-        out[..., 1, 0] = re - 1j * im
-    return out
-
-
 def identity_plus_eigenvalues(parts: tuple) -> np.ndarray:
     """Ascending eigenvalues of I + H from `hessian_parts`, closed form.
 
@@ -395,9 +379,8 @@ class RadialKernel:
     A profile must accept arrays and be smooth on [0, 1].
     """
 
-    def __init__(self, profile=None, name: str = "poly3"):
+    def __init__(self, profile=None):
         self._profile = profile if profile is not None else (lambda r: (1.0 - r * r) ** 3)
-        self.name = name
         self._norm: dict[int, float] = {}
         self._moment: dict[int, float] = {}
 
@@ -474,8 +457,8 @@ _KERNEL_FFT_LOCK = threading.Lock()
 
 
 def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
-    # keyed by the kernel object, not its name: kernels built from different
-    # profiles may share the default name
+    # keyed by the kernel object itself: kernels with different profiles
+    # never share an entry
     key = (grid.n_complex, grid.points_per_axis, grid.period, float(s), kernel)
     with _KERNEL_FFT_LOCK:
         out = _KERNEL_FFT_CACHE.get(key)
@@ -594,7 +577,9 @@ def save_trajectory(traj: Trajectory, path) -> None:
         traj.values.astype(np.float64).tofile(fh)
 
 
-def load_trajectory(path, derivative_mode: str = "spectral") -> Trajectory:
+def load_trajectory(path) -> Trajectory:
+    """Read a `save_trajectory` checkpoint onto a spectral-mode grid; the
+    file records no derivative mode."""
     with open(path, "rb") as fh:
         head = np.fromfile(fh, dtype=np.int64, count=4)
         if len(head) != 4 or head[0] != _TRAJ_MAGIC:
@@ -603,7 +588,7 @@ def load_trajectory(path, derivative_mode: str = "spectral") -> Trajectory:
         n_points = int(head[2]) ** (2 * int(head[1]))
         _require_size(fh, path, 6 + n_times * (1 + n_points))
         period, dt = np.fromfile(fh, dtype=np.float64, count=2)
-        grid = TorusGrid(int(head[1]), int(head[2]), float(period), derivative_mode)
+        grid = TorusGrid(int(head[1]), int(head[2]), float(period))
         times = np.fromfile(fh, dtype=np.float64, count=n_times)
         vals = np.fromfile(fh, dtype=np.float64).reshape((n_times,) + grid.shape)
     return Trajectory(grid, times, vals, dt=float(dt))

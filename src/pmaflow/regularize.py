@@ -1,7 +1,8 @@
 """Approximation machinery on the flat torus.
 
-Mollification by the radial kernel (translation replaces the exp map on a
-flat torus), the Kiselman-Legendre transform
+The Kiselman-Legendre transform, built on the radial-kernel smoothing
+rho_s phi of `grid.radial_smoother` (translation replaces the exp map on a
+flat torus),
 
     phi_eps(x) = inf_{0 < s <= eps} (rho_s phi(x) + K s^2 - K eps^2
                                       - eps^gamma log(s / eps)),
@@ -37,7 +38,6 @@ from .grid import (
 
 __all__ = [
     "RegularizationParams",
-    "mollify",
     "kiselman_legendre",
     "theta_scale_bound",
     "time_average",
@@ -90,12 +90,6 @@ class RegularizationParams:
         if self.log_coefficient is not None:
             return self.log_coefficient
         return self.epsilon**self.gamma
-
-
-def mollify(field: ScalarField, s: float,
-            kernel: RadialKernel = DEFAULT_KERNEL) -> ScalarField:
-    """Kernel smoothing at scale s (periodic convolution with the psh kernel)."""
-    return convolve_radial(field, s, kernel)
 
 
 def _fold_scales(smooth, scales, K: float, eps: float, log_weight: float,

@@ -21,13 +21,10 @@ import pytest
 from scipy.integrate import quad
 
 from pmaflow import (
-    ConePoint,
     FlowParams,
     HessianSymbol,
     RhsSpec,
     TorusGrid,
-    comparison_check,
-    f_eval_grad,
     solve_flow,
     solve_hessian_flow,
 )
@@ -37,11 +34,16 @@ from pmaflow.estimates import (
     de_giorgi_extinction,
     de_giorgi_ladder_check,
     i_series,
-    inequality_oracles,
     stability_ratio,
 )
 from pmaflow.flow_hessian import f_eval_grad_arrays
-from pmaflow.grid import ScalarField, Trajectory, integrate, spacetime_integral
+from pmaflow.grid import (
+    ScalarField,
+    Trajectory,
+    convolve_radial,
+    integrate,
+    spacetime_integral,
+)
 from pmaflow.manufactured import ManufacturedSolution
 from pmaflow.maxprinciple import (
     SpaceTimeGridReal,
@@ -52,9 +54,10 @@ from pmaflow.maxprinciple import (
 from pmaflow.regularize import (
     RegularizationParams,
     kiselman_legendre,
-    mollify,
     time_average,
 )
+
+from oracles import ConePoint, comparison_check, f_eval_grad, inequality_oracles
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -258,7 +261,7 @@ def test_criterion_08_regularization_sandwich_and_rates(stability_runs):
     for k in range(0, traj.n_times, 4):
         f = traj.field_at(k)
         trans = kiselman_legendre(f, params)
-        upper = mollify(f, eps).values
+        upper = convolve_radial(f, eps).values
         if (trans.values - upper).max() > 1e-10:
             sandwich_ok = False
         if (trans.values - (f.values - K * eps * eps)).min() < -1e-10:
@@ -267,7 +270,7 @@ def test_criterion_08_regularization_sandwich_and_rates(stability_runs):
     f_mid = traj.field_at(traj.n_times // 2)
     gaps = []
     for e in (eps, eps / 2):
-        smoothed = mollify(f_mid, e)
+        smoothed = convolve_radial(f_mid, e)
         gaps.append(integrate(ScalarField(grid, np.abs(smoothed.values
                                                        - f_mid.values))))
     moll_ratio = gaps[0] / gaps[1]

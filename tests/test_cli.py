@@ -8,7 +8,7 @@ import pytest
 from pmaflow import FlowParams, cli, flow_hessian
 from pmaflow.cli import RunConfig, main, run, sweep
 from pmaflow.estimates import EstimateReport
-from pmaflow.grid import load_trajectory
+from pmaflow.grid import convolve_radial, load_trajectory
 
 
 def trivial_config(**overrides):
@@ -132,6 +132,55 @@ def test_sweep_records_manufactured_beyond_horizon(tmp_path):
     assert [r["status"] for r in rows] == ["ok", "error"]
     assert rows[1]["error"].startswith("ValueError: flow.T = 0.2 reaches")
     assert not (tmp_path / "sw" / "flow_T_001" / "trajectory.bin").exists()
+
+
+def test_config_rejects_scaled_manufactured_data(monkeypatch, capsys, tmp_path):
+    """rhs.scale once went unread for the manufactured kind: a run at scale 2
+    wrote the scale-1 trajectory while its report echoed 2.0."""
+    data = _manufactured(0.1)
+    data["rhs"]["scale"] = 2.0
+    with pytest.raises(ValueError, match="rhs.scale must be 1"):
+        RunConfig.from_dict(data)
+    RunConfig.from_dict({**data, "rhs": {**data["rhs"], "scale": 1.0}})
+    monkeypatch.setattr(cli, "_solve", lambda cfg: pytest.fail("solved"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "rhs.scale must be 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [("grid.points_per_axis", "16,32"),
+                                          ("estimates.s_count", "5,9"),
+                                          ("seed", "1,2")])
+def test_sweep_over_an_integer_field(tmp_path, axis, values):
+    """The CLI parses every sweep value as a float; an integer field once
+    failed every run with "'float' object cannot be interpreted as an
+    integer"."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(trivial_config(flow={"T": 0.1, "dt": 0.02}).to_json())
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg_path), "--axis", axis,
+                 "--values", values, "--workers", "1", "--out", str(out)]) == 0
+    for idx, value in enumerate(values.split(",")):
+        report = json.loads(
+            (out / f"{axis.replace('.', '_')}_{idx:03d}" / "report.json").read_text())
+        node = report["extra"]["config"]
+        for key in axis.split("."):
+            node = node[key]
+        assert node == int(value) and isinstance(node, int)
+
+
+def test_config_rejects_non_integral_value_of_an_integer_field():
+    with pytest.raises(ValueError, match="'grid.points_per_axis' takes an integer"):
+        trivial_config(grid={"n_complex": 1, "points_per_axis": 16.5})
+    with pytest.raises(ValueError, match="'seed' takes an integer"):
+        trivial_config(seed=2.5)
+    cfg = trivial_config(grid={"n_complex": 1.0, "points_per_axis": 16.0},
+                         estimates={"entropy": True})
+    assert (cfg.grid.n_complex, cfg.grid.points_per_axis) == (1, 16)
+    assert type(cfg.grid.points_per_axis) is int and cfg.estimates.entropy is True
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +434,7 @@ def test_regularize_battery_one_forward_transform_per_slice(
     # the same upper sandwich as mollifying every slice on its own
     params = reg.RegularizationParams(epsilon=0.125, gamma=0.5)
     excess = max(float((reg.kiselman_legendre(f, params).values
-                        - reg.mollify(f, 0.125).values).max())
+                        - convolve_radial(f, 0.125).values).max())
                  for f in map(traj.field_at, range(traj.n_times)))
     assert result["sandwich_upper_excess"] == excess
 

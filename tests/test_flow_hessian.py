@@ -9,23 +9,21 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from pmaflow import (
-    ConePoint,
     ConeViolation,
     FlowParams,
     HessianSymbol,
     RhsSpec,
     TorusGrid,
-    comparison_check,
-    f_eval_grad,
     hessian_residual,
     solve_flow,
     solve_hessian_flow,
-    structural_check,
     symbol_from_config,
 )
 from pmaflow import flow_hessian
 from pmaflow.flow_hessian import f_eval_grad_arrays
 from pmaflow.grid import elementary_symmetric
+
+from oracles import ConePoint, comparison_check, f_eval_grad, structural_check
 
 
 ALL_SYMBOLS = [

@@ -1,4 +1,4 @@
-"""Monge-Ampere flow solver: residuals, steps, trajectories, normalization."""
+"""Monge-Ampere flow solver: residuals, steps, trajectories, right-hand sides."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,9 @@ from pmaflow import (
     NewtonDiverged,
     RhsSpec,
     SLevelTooSmall,
-    TabulatedRhs,
     TorusGrid,
+    Trajectory,
     build_auxiliary_rhs,
-    comparison_check,
-    ma_residual,
-    normalize,
     solve_flow,
     solve_hessian_flow,
 )
@@ -25,6 +22,8 @@ from pmaflow.flow_hessian import backward_euler_step
 from pmaflow.flow_ma import eta_smooth_plus
 from pmaflow.grid import spacetime_integral
 from pmaflow.manufactured import ManufacturedSolution
+
+from oracles import comparison_check, ma_residual
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +213,6 @@ def test_comparison_rejects_mismatched_times(grid32):
 
 
 # ---------------------------------------------------------------------------
-# normalize
-
-
-def test_normalize_trivial_flow(trivial_flow):
-    traj = trivial_flow[0]
-    profile, tilde = normalize(traj, RhsSpec.zero())
-    assert np.allclose(profile.h_prime, 1.0, atol=1e-12)
-    assert np.abs(profile.h_values - traj.times).max() < 1e-12
-    assert np.abs(tilde.values).max() < 1e-10
-
-
-def test_normalize_constant_log2(grid32):
-    rhs = RhsSpec.time_only(lambda t: np.log(2.0))
-    traj = solve_flow(grid32.constant_field(0.0), rhs, FlowParams(T=0.5, dt=0.05))
-    profile, _ = normalize(traj, rhs)
-    assert np.abs(profile.h_values - 2.0 * traj.times).max() < 1e-12
-
-
-def test_normalize_hprime_matches_quadrature_oracle(generic_flow):
-    traj, eF, _, rhs, _ = generic_flow
-    profile, _ = normalize(traj, rhs)
-    grid = traj.grid
-    for k in range(traj.n_times):
-        oracle = eF.values[k].mean() * grid.volume / grid.volume
-        assert profile.h_prime[k] == pytest.approx(oracle, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # auxiliary right-hand sides
 
 
@@ -278,7 +249,7 @@ def test_auxiliary_solution_pipeline(generic_flow):
     traj, eF, _, _, params = generic_flow
     s = float(np.abs(traj.values[0]).max()) + 0.05
     aux, _ = build_auxiliary_rhs(traj, eF, s, j=50)
-    rhs = TabulatedRhs(aux)
+    rhs = RhsSpec.tabulated(aux)
     psi = solve_flow(traj.grid.constant_field(0.0), rhs,
                      FlowParams(T=params.T, dt=params.dt))
     assert np.abs(psi.values[0]).max() == 0.0
@@ -353,10 +324,27 @@ def test_rhs_spatial_factor_computed_once_and_read_only(kind):
 def test_tabulated_rhs_interpolates(grid32):
     times = np.array([0.0, 1.0])
     vals = np.stack([np.full(grid32.shape, 1.0), np.full(grid32.shape, 3.0)])
-    from pmaflow.grid import Trajectory
-    rhs = TabulatedRhs(Trajectory(grid32, times, vals))
+    rhs = RhsSpec.tabulated(Trajectory(grid32, times, vals))
     mid = rhs.eF_field(grid32, 0.5)
     assert np.allclose(mid.values, 2.0, atol=1e-14)
+
+
+def test_tabulated_rhs_is_the_log_of_the_linear_interpolant(grid32):
+    # F is log of the interpolant exactly (the flow reads F, then exp), the
+    # samples are held outside [t_0, t_K], and scaled() multiplies F
+    rng = np.random.default_rng(41)
+    times = np.array([0.0, 0.1, 0.25, 0.4])
+    vals = rng.uniform(0.5, 2.0, size=(len(times),) + grid32.shape)
+    rhs = RhsSpec.tabulated(Trajectory(grid32, times, vals), p0=3.0)
+    assert rhs.p0 == 3.0
+    for t, k in ((0.05, 0), (0.1, 1), (0.3, 2), (0.4, 2)):
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        want = np.log((1.0 - w) * vals[k] + w * vals[k + 1])
+        assert np.array_equal(rhs.F_field(grid32, t).values, want)
+    assert np.array_equal(rhs.F_field(grid32, -1.0).values, np.log(vals[0]))
+    assert np.array_equal(rhs.F_field(grid32, 9.0).values, np.log(vals[-1]))
+    doubled = rhs.scaled(2.0).F_field(grid32, 0.3).values
+    assert np.array_equal(doubled, 2.0 * rhs.F_field(grid32, 0.3).values)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +449,7 @@ def test_auxiliary_solutions_uniform_in_j(generic_flow):
     sups = []
     for j in (10, 1000):
         aux, _ = build_auxiliary_rhs(traj, eF, s, j)
-        psi = solve_flow(traj.grid.constant_field(0.0), TabulatedRhs(aux),
+        psi = solve_flow(traj.grid.constant_field(0.0), RhsSpec.tabulated(aux),
                          FlowParams(T=params.T, dt=params.dt))
         sups.append(float(exp_alpha_integral(psi, 1.0).max()))
     assert max(sups) / min(sups) <= 1.2

@@ -20,7 +20,9 @@ from pmaflow import (
     random_admissible_field,
     save_trajectory,
 )
-from pmaflow.grid import complex_hessian_matrices, identity_plus_eigenvalues
+from pmaflow.grid import identity_plus_eigenvalues
+
+from oracles import complex_hessian_matrices
 
 
 def band_limited(grid, rng, max_mode=5, n_modes=6):
@@ -302,7 +304,7 @@ def test_sub_grid_scale_is_the_identity(n_complex, half_n, fraction, seed):
 def test_grid_spacing_scale_takes_the_kernel(grid32):
     """At s = h the nearest neighbours sit at r / s = 1 and are kept."""
     from pmaflow.grid import RadialKernel, _kernel_on_grid_normalized, radial_smoother
-    flat = RadialKernel(lambda r: 1.0 - 0.5 * r * r, name="flat_at_one")
+    flat = RadialKernel(lambda r: 1.0 - 0.5 * r * r)
     h = grid32.spacing
     kern = _kernel_on_grid_normalized(grid32, h, flat)
     assert np.count_nonzero(kern) == 2 * grid32.real_dim + 1
@@ -342,7 +344,7 @@ def test_sub_grid_scales_leave_the_kernel_cache_alone(monkeypatch):
 
 def test_sub_grid_scale_of_a_profile_vanishing_at_the_origin_raises(grid32):
     from pmaflow.grid import RadialKernel, radial_smoother
-    hollow = RadialKernel(lambda r: r * r * (1.0 - r * r) ** 3, name="hollow")
+    hollow = RadialKernel(lambda r: r * r * (1.0 - r * r) ** 3)
     smooth = radial_smoother(grid32.constant_field(1.0), hollow)
     with pytest.raises(ValueError, match="below grid resolution"):
         smooth(0.5 * grid32.spacing)
@@ -412,8 +414,8 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
 
 
 def test_kernel_fft_cache_tells_kernels_of_one_name_apart(monkeypatch):
-    """A kernel built from another profile under the default name gets its
-    own spectra, not the default kernel's."""
+    """A kernel built from another profile gets its own spectra, not the
+    default kernel's: the cache is keyed by the kernel object."""
     from collections import OrderedDict
     from pmaflow import grid as grid_mod
     from pmaflow.grid import RadialKernel
@@ -426,7 +428,6 @@ def test_kernel_fft_cache_tells_kernels_of_one_name_apart(monkeypatch):
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
     default = convolve_radial(f, 0.2).values
     other = RadialKernel(lambda r: 1.0 - 0.5 * r * r)
-    assert other.name == DEFAULT_KERNEL.name
     got = convolve_radial(f, 0.2, other).values
     assert np.array_equal(got, own)
     assert np.abs(got - default).max() > 1e-3
@@ -580,7 +581,7 @@ def test_hessian_parts_match_closed_form(n_complex, modes):
     assert len(parts) == len(exact)
     for got, want in zip(parts, exact):
         assert np.abs(got - want).max() <= 1e-10 * scale
-    # the public tensor view is assembled from the same parts
+    # the oracles' tensor view is assembled from the same parts
     mats = complex_hessian_matrices(vals, grid)
     assert np.array_equal(mats[..., 0, 0].real, parts[0])
     if n_complex == 2:

@@ -74,6 +74,59 @@ def test_every_export_resolves(path):
             assert alias.name in exported, f"{alias.name} is not in {source}.__all__"
 
 
+# Exported names that no other package module reaches, by why they stay.
+LIBRARY_API = {
+    # documented entry points, and the types of their results and errors
+    "cli.RunConfig", "cli.run", "cli.sweep", "cli.main",
+    "estimates.LevelStats",
+    "flow_hessian.ConeViolation", "flow_hessian.f_eval_grad_arrays",
+    "flow_hessian.hessian_residual", "flow_hessian.backward_euler_step",
+    "maxprinciple.ContactSetReport", "maxprinciple.LiebermanReport",
+    "maxprinciple.HypothesisViolated",
+    # what ROADMAP items 4-6 wire in: the auxiliary-equation comparison,
+    # the Holder lemma in time, and the De Giorgi ladder with s_*
+    "flow_ma.SLevelTooSmall", "flow_ma.build_auxiliary_rhs",
+    "flow_ma.eta_smooth_plus",
+    "regularize.decreasing_holder_from_averages",
+    "estimates.DeGiorgiParams", "estimates.de_giorgi_extinction",
+    "estimates.de_giorgi_ladder_check", "estimates.s_star_bound",
+}
+
+
+def _reached_names():
+    """(module stem, name) for every name a package module other than
+    `__init__` imports from another one, or reads off an imported package
+    module (`est.entropy`)."""
+    reached = set()
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {}
+        for node, source in _package_imports(tree):
+            for alias in node.names:
+                if source == "pmaflow":
+                    aliases[alias.asname or alias.name] = alias.name
+                elif source.rsplit(".", 1)[1] != path.stem:
+                    reached.add((source.rsplit(".", 1)[1], alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and aliases.get(node.value.id, path.stem) != path.stem):
+                reached.add((aliases[node.value.id], node.attr))
+    return reached
+
+
+def test_every_export_is_reached():
+    """Every __all__ name is used by another package module or is listed in
+    LIBRARY_API; test-only code lives in the tests (`tests/oracles.py`)."""
+    reached = _reached_names()
+    unreached = [f"{path.stem}.{name}" for path in MODULES if path.stem != "__init__"
+                 for name in _static_all(ast.parse(path.read_text()))
+                 if (path.stem, name) not in reached]
+    assert sorted(set(unreached) - LIBRARY_API) == []
+    assert sorted(LIBRARY_API - set(unreached)) == []
+
+
 def test_cli_import_leaves_out_integrate_and_optimize():
     """The CLI loads numpy and scipy.fft only: no scipy.integrate and,
     through it, no scipy.optimize; no scipy.sparse or scipy.linalg, which

@@ -18,18 +18,17 @@ from pmaflow.regularize import (
     ball_mass_profile,
     decreasing_holder_from_averages,
     kiselman_legendre,
-    mollify,
     theta_scale_bound,
     time_average,
 )
 
 
 # ---------------------------------------------------------------------------
-# mollify
+# mollification (convolve_radial)
 
 
 def test_mollify_constant(grid64):
-    out = mollify(grid64.constant_field(1.5), 0.1)
+    out = convolve_radial(grid64.constant_field(1.5), 0.1)
     assert np.abs(out.values - 1.5).max() < 1e-12
 
 
@@ -39,7 +38,7 @@ def test_mollify_l1_gap_order_two(generic_flow):
     eps = traj.grid.period / 8
     gaps = []
     for e in (eps, eps / 2):
-        smoothed = mollify(f, e)
+        smoothed = convolve_radial(f, e)
         gaps.append(integrate(ScalarField(
             f.grid, np.abs(smoothed.values - f.values))))
     assert gaps[0] / gaps[1] >= 3.5
@@ -52,7 +51,7 @@ def test_mollify_monotone_family(grid64):
     scales = np.linspace(0.02, 0.2, 10)
     prev = f.values  # s -> 0 limit
     for s in scales:
-        cur = mollify(f, s).values + K * s * s
+        cur = convolve_radial(f, s).values + K * s * s
         assert (cur - prev).min() >= -1e-9
         prev = cur
 
@@ -97,7 +96,7 @@ def test_kiselman_sandwich_random_admissible(grid64):
     for _ in range(5):
         f = random_admissible_field(grid64, rng, margin=0.25)
         out = kiselman_legendre(f, params)
-        upper = mollify(f, params.epsilon).values
+        upper = convolve_radial(f, params.epsilon).values
         assert (out.values - upper).max() <= 1e-10
         assert (out.values - (f.values - K * params.epsilon**2)).min() >= -1e-10
 
@@ -327,13 +326,12 @@ def test_theta_bound_contract_on_flow_output(generic_flow):
 
 
 def test_theta_bound_matches_direct_evaluation(generic_flow):
-    from pmaflow.regularize import mollify as _mollify
     traj = generic_flow[0]
     params = RegularizationParams(epsilon=0.125, gamma=0.5)
     out = theta_scale_bound(traj, params, measured_gap=0.05)
     theta = out["theta_used"]
     direct = max(
-        float((_mollify(traj.field_at(k), theta * params.epsilon).values
+        float((convolve_radial(traj.field_at(k), theta * params.epsilon).values
                - traj.values[k]).max())
         for k in range(traj.n_times))
     assert out["sup_gap"] == pytest.approx(direct, abs=1e-14)

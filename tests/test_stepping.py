@@ -16,9 +16,10 @@ from pmaflow import (FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_flow,
                      solve_hessian_flow)
 from pmaflow import flow_hessian, stepping
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
-from pmaflow.grid import (complex_hessian_matrices, hessian_parts,
-                          random_admissible_field)
+from pmaflow.grid import hessian_parts, random_admissible_field
 from pmaflow.stepping import NewtonDiverged, _forcing_term, _preconditioned_operator
+
+from oracles import complex_hessian_matrices
 
 CASES = [(1, 16), (2, 8)]
 
