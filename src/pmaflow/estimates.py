@@ -144,8 +144,14 @@ def entropy(eF: Trajectory, F: Trajectory, p: float,
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    g = (F.values**2 + 1.0) ** (p / 2.0)
-    weighted = np.exp(weight_power * F.values) * g
+    # one slab-size array; (F^2 + 1)^{p/2} is built a time slice at a time
+    weighted = np.multiply(weight_power, F.values)
+    np.exp(weighted, out=weighted)
+    for f, out in zip(F.values, weighted):
+        g = np.square(f)
+        g += 1.0
+        g **= p / 2.0
+        out *= g
     traj = Trajectory(eF.grid, eF.times.copy(), weighted, dt=eF.dt)
     return spacetime_integral(traj)
 
@@ -337,10 +343,14 @@ def moser_trudinger(phi: Trajectory, stats: LevelStats, s: float, beta: float,
     vol = phi.grid.volume
     if a_s <= 0.0:
         return np.full(phi.n_times, vol)
-    excess = np.maximum(-phi.values - s, 0.0)
-    arg = beta * a_s ** (-1.0 / base) * excess ** ((n + 2.0) / (n + 1.0))
-    per_time = np.exp(arg).reshape(phi.n_times, -1).mean(axis=1) * vol
-    return per_time
+    # exp(beta A_s^{-1/base} excess^{(n+2)/(n+1)}) in one slab-size array
+    arg = np.negative(phi.values)
+    arg -= s
+    np.maximum(arg, 0.0, out=arg)
+    arg **= (n + 2.0) / (n + 1.0)
+    arg *= beta * a_s ** (-1.0 / base)
+    np.exp(arg, out=arg)
+    return arg.reshape(phi.n_times, -1).mean(axis=1) * vol
 
 
 def exp_alpha_integral(phi: Trajectory, alpha0: float) -> np.ndarray:
@@ -378,8 +388,9 @@ def stability_ratio(v: Trajectory, phi: Trajectory, alpha: float) -> dict:
     diff = v.values - phi.values
     lhs = float(diff.max())
     sup0 = float(np.maximum(diff[0], 0.0).max())
-    l1 = spacetime_integral(Trajectory(phi.grid, phi.times.copy(),
-                                       np.maximum(diff, 0.0), dt=phi.dt))
+    np.maximum(diff, 0.0, out=diff)
+    l1 = spacetime_integral(Trajectory(phi.grid, phi.times.copy(), diff,
+                                       dt=phi.dt))
     rhs = max(sup0, l1**alpha)
     ratio = 0.0 if lhs <= 0.0 else (float("inf") if rhs == 0.0 else lhs / rhs)
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio,
@@ -407,11 +418,19 @@ def holder_moduli(phi: Trajectory, min_space_cells: int = 4,
     """
     if phi.n_times < 8:
         raise ValueError("need at least 8 time levels for the fit")
+    values = phi.values
+    buf = np.empty(values.size)
+
+    def sup_gap(a, b):
+        """max |a - b|, computed in the one slab-size buffer buf."""
+        diff = np.subtract(a, b, out=buf[:a.size].reshape(a.shape))
+        return float(np.abs(diff, out=diff).max())
+
     K = phi.n_times - 1
     seps, quots = [], []
     m = 1
     while m <= K // 2:
-        gap = np.abs(phi.values[m:] - phi.values[:-m]).max()
+        gap = sup_gap(values[m:], values[:-m])
         seps.append(phi.times[m] - phi.times[0])
         quots.append(gap)
         m *= 2
@@ -425,8 +444,13 @@ def holder_moduli(phi: Trajectory, min_space_cells: int = 4,
     while j <= min(j_max, N // 2):
         gap = 0.0
         for axis in range(grid.real_dim):
-            rolled = np.roll(phi.values, -j, axis=axis + 1)
-            gap = max(gap, float(np.abs(rolled - phi.values).max()))
+            # np.roll(values, -j, axis) - values, in its two periodic pieces
+            lead = (slice(None),) * (axis + 1)
+            gap = max(gap,
+                      sup_gap(values[lead + (slice(j, None),)],
+                              values[lead + (slice(None, N - j),)]),
+                      sup_gap(values[lead + (slice(None, j),)],
+                              values[lead + (slice(N - j, None),)]))
         sseps.append(j * grid.spacing)
         squots.append(gap)
         j *= 2

@@ -26,9 +26,14 @@ The Newton iteration is inexact: iteration k solves its linear system only to
 the relative tolerance eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 of Eisenstat and
 Walker's choice 2 (`_forcing_term`), in the residual max-norm the stopping
 test uses, capped at 0.1 and never below max(FlowParams.linear_rtol,
-newton_tol / (2 |F_k|_2)).  Early iterates take cheap, loose solves; eta_k
-falls with the residual, but not below the level at which the linear
-residual, |r|_inf <= |r|_2 <= eta_k |F_k|_2, is half the Newton tolerance.
+newton_tol / (2 |F_k|_2)).  Choice 2 needs a previous residual, so the
+first iteration of each step takes eta_0 = |F_0|, the initial residual
+itself (Dembo, Eisenstat & Steihaug 1982: eta = O(|F|) converges
+quadratically), under the same cap and floor: a step the predictor starts
+close to the solution gets a tight first solve and needs fewer Newton
+iterations.  Early iterates take cheap, loose solves; eta_k falls with the
+residual, but not below the level at which the linear residual,
+|r|_inf <= |r|_2 <= eta_k |F_k|_2, is half the Newton tolerance.
 
 Solves with eta_k >= 1e-4 (`_SINGLE_PRECISION_RTOL`) apply the operator,
 and the final M^{-1}, in single precision (Kelley, SIAM Review 64, 2022;
@@ -179,8 +184,7 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
 
 
 # Eisenstat-Walker choice 2: eta_k = _EW_GAMMA (|F_k| / |F_{k-1}|)^2, at
-# most _ETA_MAX; the first Newton iteration of a step uses _ETA_0.
-_ETA_0 = 0.1
+# most _ETA_MAX; the first Newton iteration of a step uses eta_0 = |F_0|.
 _ETA_MAX = 0.1
 _EW_GAMMA = 0.9
 _EW_SAFEGUARD = 0.1
@@ -189,17 +193,18 @@ _EW_SAFEGUARD = 0.1
 _SINGLE_PRECISION_RTOL = 1e-4
 
 
-def _forcing_term(res_norm: float, prev_norm: float | None, eta_prev: float,
-                  floor: float) -> float:
+def _forcing_term(res_norm: float, prev_norm: float | None,
+                  eta_prev: float | None, floor: float) -> float:
     """Krylov tolerance of the next Newton iteration (Eisenstat-Walker 2).
 
     prev_norm is the residual norm one iteration earlier, None on the first
-    iteration, which takes _ETA_0.  The safeguard keeps eta >= 0.9
-    eta_prev^2 while that exceeds 0.1; the result is capped at _ETA_MAX and
-    never below floor.
+    iteration, which takes the residual norm itself, so eta_0 = |F_0| and
+    eta_prev is not read.  The safeguard keeps eta >= 0.9 eta_prev^2 while
+    that exceeds 0.1; the result is capped at _ETA_MAX and never below
+    floor.
     """
     if prev_norm is None:
-        eta = _ETA_0
+        eta = res_norm
     else:
         eta = _EW_GAMMA * (res_norm / prev_norm) ** 2
         guard = _EW_GAMMA * eta_prev * eta_prev
@@ -339,7 +344,7 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
         raise AdmissibilityLost("initial Newton guess violates the cone floor", t)
     res = residual_fn(phi)
     res_norm = float(np.abs(res).max())
-    prev_norm, eta = None, _ETA_0
+    prev_norm = eta = None
 
     for it in range(params.newton_max_iter):
         if res_norm <= params.newton_tol:

@@ -49,24 +49,40 @@ def test_config_validates_ranges():
         RunConfig.from_dict({"rhs": {"p0": 1.0}})
 
 
-def _estimate_without_stepping(monkeypatch, capsys, tmp_path, section, key, value):
-    """`pmaflow estimate` on the trivial config with one field changed:
-    (exit code, stderr, number of backward-Euler steps taken)."""
+def _estimate_counting_steps(monkeypatch, tmp_path, data):
+    """`pmaflow estimate` on a config dict: (exit code, number of
+    backward-Euler steps taken, counted at the time loop's step function)."""
     steps = []
-    step = flow_hessian.backward_euler_step
+    step = flow_hessian._euler_step
 
     def counting(*args, **kwargs):
         steps.append(None)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(flow_hessian, "backward_euler_step", counting)
-    data = trivial_config().to_dict()
-    data[section][key] = value
+    monkeypatch.setattr(flow_hessian, "_euler_step", counting)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     code = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    return code, len(steps)
+
+
+def test_step_counter_counts_the_steps_of_an_estimate(monkeypatch, tmp_path):
+    """Positive control for the "before any step" tests below: the same
+    counter reads every step of the unchanged trivial config."""
+    code, steps = _estimate_counting_steps(monkeypatch, tmp_path,
+                                           trivial_config().to_dict())
+    assert code == 0 and steps == 50
+    assert (tmp_path / "x" / "trajectory.bin").exists()
+
+
+def _estimate_without_stepping(monkeypatch, capsys, tmp_path, section, key, value):
+    """`pmaflow estimate` on the trivial config with one field changed:
+    (exit code, stderr, number of backward-Euler steps taken)."""
+    data = trivial_config().to_dict()
+    data[section][key] = value
+    code, steps = _estimate_counting_steps(monkeypatch, tmp_path, data)
     assert not (tmp_path / "x" / "trajectory.bin").exists()
-    return code, capsys.readouterr().err, len(steps)
+    return code, capsys.readouterr().err, steps
 
 
 @pytest.mark.parametrize("value", [0, -3])

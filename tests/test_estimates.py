@@ -499,6 +499,46 @@ def test_holder_manufactured_lipschitz():
     assert fits["space"][0] >= 0.99  # smooth single-mode profile
 
 
+@pytest.mark.filterwarnings("ignore:comparator")   # v is random, not a subsolution
+@pytest.mark.parametrize("n_complex,N", [(1, 32), (2, 8)])
+def test_in_place_estimates_match_their_expressions(n_complex, N):
+    """entropy, moser_trudinger, stability_ratio and holder_moduli evaluate
+    in place; each equals its plain array expression bit for bit."""
+    grid = TorusGrid(n_complex, N)
+    rng = np.random.default_rng(4)
+    times = np.linspace(0.0, 1.0, 9)
+    shape = (len(times),) + grid.shape
+    phi = Trajectory(grid, times, -0.3 * rng.random(shape))
+    v = Trajectory(grid, times, phi.values + 0.01 * rng.standard_normal(shape))
+    F = Trajectory(grid, times, 0.5 * rng.standard_normal(shape))
+    eF = Trajectory(grid, times, np.exp(F.values))
+
+    def integral(values):
+        return spacetime_integral(Trajectory(grid, times, values))
+
+    for p, w in ((2.0, 1.0), (3.7, n_complex + 1.0)):
+        want = integral(np.exp(w * F.values) * (F.values**2 + 1.0) ** (p / 2.0))
+        assert entropy(eF, F, p, weight_power=w) == want
+
+    s, beta, base = 0.1, 0.3, n_complex + 2
+    stats = level_stats(phi, eF, np.array([0.0, s]))
+    arg = (beta * stats.A_s[1] ** (-1.0 / base)
+           * np.maximum(-phi.values - s, 0.0) ** ((n_complex + 2.0) / (n_complex + 1.0)))
+    want = np.exp(arg).reshape(len(times), -1).mean(axis=1) * grid.volume
+    assert np.array_equal(moser_trudinger(phi, stats, s, beta), want)
+
+    assert stability_ratio(v, phi, 0.5)["l1"] == integral(
+        np.maximum(v.values - phi.values, 0.0))
+
+    fits = holder_moduli(phi, min_space_cells=1, max_space_fraction=0.5)
+    time_gaps = [np.abs(phi.values[m:] - phi.values[:-m]).max() for m in (1, 2, 4)]
+    space_gaps = [max(np.abs(np.roll(phi.values, -j, axis=a + 1) - phi.values).max()
+                      for a in range(grid.real_dim))
+                  for j in fits["space_points"][0] / grid.spacing]
+    assert np.array_equal(fits["time_points"][1], time_gaps)
+    assert np.array_equal(fits["space_points"][1], space_gaps)
+
+
 def test_holder_requires_enough_times(grid32):
     times = np.linspace(0, 1, 4)
     traj = Trajectory(grid32, times, np.zeros((4,) + grid32.shape))

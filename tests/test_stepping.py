@@ -14,7 +14,8 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 import pmaflow
 from pmaflow import (FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_flow,
                      solve_hessian_flow)
-from pmaflow import flow_hessian, stepping
+from pmaflow import cli, flow_hessian, stepping
+from pmaflow.cli import RunConfig
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
 from pmaflow.grid import hessian_parts, random_admissible_field
 from pmaflow.stepping import NewtonDiverged, _forcing_term, _preconditioned_operator
@@ -446,8 +447,11 @@ def test_solve_reuses_converged_hessians(monkeypatch):
 
 def test_forcing_term_choice_two():
     floor = 1e-8
-    assert _forcing_term(1.0, None, 0.0, floor) == stepping._ETA_0
-    assert _forcing_term(1.0, None, 0.0, 0.5) == 0.5          # floor beats eta_0
+    # the first iteration takes eta_0 = |F_0|, capped at _ETA_MAX
+    for r in (1.0, 0.05, 1e-3):
+        assert _forcing_term(r, None, None, floor) == min(stepping._ETA_MAX, r)
+    assert _forcing_term(1e-9, None, None, floor) == floor    # floor beats |F_0|
+    assert _forcing_term(1.0, None, None, 0.5) == 0.5
     assert _forcing_term(1e-3, 1e-2, 0.05, floor) == pytest.approx(0.9e-2, rel=1e-14)
     assert _forcing_term(9e-3, 1e-2, 0.05, floor) == 0.1      # capped
     assert _forcing_term(1e-9, 1e-2, 0.05, floor) == floor    # floored
@@ -494,7 +498,9 @@ def test_forcing_sequence_follows_residual_ratios(monkeypatch):
     assert min(etas) < 1e-3
     for step in steps:
         assert len(step) >= 3
-        assert step[0][2] == stepping._ETA_0
+        norm, norm2, eta = step[0]
+        assert eta == max(min(norm, 0.1), params.linear_rtol,
+                          0.5 * params.newton_tol / norm2)
         for (prev, _, _), (norm, norm2, eta) in zip(step, step[1:]):
             want = max(min(0.9 * (norm / prev) ** 2, 0.1), params.linear_rtol,
                        0.5 * params.newton_tol / norm2)
@@ -505,16 +511,30 @@ def test_forcing_floor_keeps_newton_and_solve_counts(monkeypatch):
     """The floor tied to newton_tol skips only the over-solving: the Newton
     iterations (one linear solve each) per step are those of the fixed
     linear_rtol floor, on an n=2 Hessian flow and an n=1 Monge-Ampere flow."""
-    steps = _recording_solves(monkeypatch)
-    solve_hessian_flow(*_sigma_n2_problem())
-    assert [len(step) for step in steps] == [4, 4]
-
-    steps.clear()
     grid = TorusGrid(1, 32)
     rhs = RhsSpec.smooth_product(lambda x, y: 0.4 * np.cos(2 * np.pi * x),
                                  lambda t: np.exp(-t))
-    solve_flow(grid.constant_field(0.0), rhs, FlowParams(T=0.1, dt=0.01))
-    assert [len(step) for step in steps] == [4] + [3] * 9
+    problems = [(solve_hessian_flow, _sigma_n2_problem(), [4, 4]),
+                (solve_flow, (grid.constant_field(0.0), rhs,
+                              FlowParams(T=0.1, dt=0.01)), [3] * 10)]
+    steps = _recording_solves(monkeypatch)
+    counts = []
+    for solve, args, _ in problems:
+        steps.clear()
+        solve(*args)
+        counts.append([len(step) for step in steps])
+
+    # the same flows with the floor at linear_rtol alone
+    linear_rtol = FlowParams().linear_rtol
+    assert all(args[-1].linear_rtol == linear_rtol for _, args, _ in problems)
+    forcing = stepping._forcing_term
+    monkeypatch.setattr(stepping, "_forcing_term",
+                        lambda res, prev, eta, floor: forcing(res, prev, eta,
+                                                              linear_rtol))
+    for (solve, args, pinned), got in zip(problems, counts):
+        steps.clear()
+        solve(*args)
+        assert got == [len(step) for step in steps] == pinned
 
 
 def _counting_matvecs(monkeypatch):
@@ -546,6 +566,49 @@ def test_inexact_newton_matches_tight_solves_with_fewer_matvecs(monkeypatch):
     tight = solve_hessian_flow(phi0, rhs, symbol, params)
     assert np.abs(inexact.values - tight.values).max() <= 10 * params.newton_tol
     assert inexact_matvecs < count[0]
+
+
+# The README demo config (`pmaflow estimate --config run.json`).
+README_CONFIG = {
+    "grid": {"n_complex": 1, "points_per_axis": 64},
+    "flow": {"equation": "ma", "T": 1.0, "dt": 0.01},
+    "rhs": {"kind": "smooth_product", "spatial_amplitude": 0.4,
+            "profile": "decay", "p0": 2.0},
+    "estimates": {"entropy_p": 2.0, "beta": 0.25, "alpha0": 1.0},
+    "seed": 7,
+    "label": "demo",
+}
+
+
+def _solve_readme() -> FlowParams:
+    _, _, params = cli._solve(RunConfig.from_dict(README_CONFIG))
+    return params
+
+
+def test_first_forcing_term_is_the_initial_residual(monkeypatch):
+    """Each step's first Krylov tolerance on the README config is
+    max(floor, min(0.1, |F_0|_inf)); the predictor starts most steps well
+    inside 0.1 of the solution, so most first solves are tighter than 0.1."""
+    steps = _recording_solves(monkeypatch)
+    params = _solve_readme()
+    assert len(steps) == 100
+    for step in steps:
+        norm, norm2, eta = step[0]
+        floor = max(params.linear_rtol, 0.5 * params.newton_tol / norm2)
+        assert eta == max(floor, min(0.1, norm))
+    assert sum(step[0][2] < 0.1 for step in steps) >= 90
+
+
+def test_newton_and_application_counts_hold(monkeypatch):
+    """Work-count guard: the README config's 100-step solve takes 213 Newton
+    iterations (one linear solve each; 301 with a fixed first forcing term
+    of 0.1) and at most 992 operator applications.  The n=2 sigma problem's
+    [4, 4] is pinned by test_forcing_floor_keeps_newton_and_solve_counts."""
+    steps = _recording_solves(monkeypatch)
+    count = _counting_matvecs(monkeypatch)
+    _solve_readme()
+    assert sum(len(step) for step in steps) == 213
+    assert count[0] <= 992
 
 
 def test_stalled_krylov_solve_names_time_and_forcing():
