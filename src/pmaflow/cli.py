@@ -541,8 +541,7 @@ def sweep(base_config: RunConfig, axis: str, values, out_dir,
 # regularize / maxprinciple batteries for the CLI
 
 
-def _regularize_battery(traj_path, epsilon: float, gamma: float,
-                        out_dir: Path) -> dict:
+def _regularize_battery(traj_path, epsilon: float, gamma: float) -> dict:
     from .grid import load_trajectory
 
     traj = load_trajectory(traj_path)
@@ -574,7 +573,7 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float,
     avg = reg.time_average(traj, epsilon)
     l1 = spacetime_integral(Trajectory(grid, traj.times,
                                        np.maximum(avg.values - traj.values, 0.0)))
-    result = {
+    return {
         "epsilon": epsilon, "gamma": gamma, "K": K,
         "sandwich_lower_margin": worst_low,
         "sandwich_upper_excess": worst_high,
@@ -589,12 +588,9 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float,
                                    <= theta["contract_bound"] + 1e-10),
         },
     }
-    (out_dir / "regularize.json").write_text(
-        json.dumps(result, sort_keys=True, indent=2) + "\n")
-    return result
 
 
-def _maxprinciple_battery(m: int, out_dir: Path) -> dict:
+def _maxprinciple_battery(m: int) -> dict:
     stg = SpaceTimeGridReal(m=m, n_points=41, T=0.4, n_steps=16,
                             domain="ball", ball_radius=0.45)
     center = (0.5,) * m
@@ -619,7 +615,7 @@ def _maxprinciple_battery(m: int, out_dir: Path) -> dict:
         lr = lieberman_form_check(stg, cap(a), a_field, f_field)
         implied.append(lr.implied_constant)
     spread = max(implied) / min(implied)
-    result = {
+    return {
         "m": m,
         "paraboloid_integral": integral,
         "paraboloid_exact": exact,
@@ -633,9 +629,6 @@ def _maxprinciple_battery(m: int, out_dir: Path) -> dict:
             "spread_bounded": bool(spread <= 3.0),
         },
     }
-    (out_dir / "maxprinciple.json").write_text(
-        json.dumps(result, sort_keys=True, indent=2) + "\n")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +641,16 @@ def _load_config(path) -> RunConfig:
 
 def _checks_exit(checks: dict) -> int:
     return 0 if all(v for v in checks.values() if isinstance(v, bool)) else 2
+
+
+def _write_result(out_dir, name: str, result: dict, checks: dict) -> int:
+    """Write `result` as sorted, indented JSON to out_dir/name; the exit
+    code of its checks."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / name).write_text(
+        json.dumps(result, sort_keys=True, indent=2, default=float) + "\n")
+    return _checks_exit(checks)
 
 
 def main(argv=None) -> int:
@@ -711,10 +714,7 @@ def main(argv=None) -> int:
             traj, _, params = _solve(cfg)
             save_trajectory(traj, out / "trajectory.bin")
             checks = _trajectory_checks(traj, params)
-            (out / "solve.json").write_text(json.dumps(
-                {k: v for k, v in checks.items()}, sort_keys=True, indent=2,
-                default=float) + "\n")
-            return _checks_exit(checks)
+            return _write_result(out, "solve.json", checks, checks)
 
         if args.command == "estimate":
             cfg = _load_config(args.config)
@@ -722,16 +722,14 @@ def main(argv=None) -> int:
             return _checks_exit(checks)
 
         if args.command == "regularize":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            result = _regularize_battery(args.traj, args.epsilon, args.gamma, out)
-            return _checks_exit(result["checks"])
+            result = _regularize_battery(args.traj, args.epsilon, args.gamma)
+            return _write_result(args.out, "regularize.json", result,
+                                 result["checks"])
 
         if args.command == "maxprinciple":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            result = _maxprinciple_battery(args.dim, out)
-            return _checks_exit(result["checks"])
+            result = _maxprinciple_battery(args.dim)
+            return _write_result(args.out, "maxprinciple.json", result,
+                                 result["checks"])
 
         if args.command == "sweep":
             cfg = _load_config(args.config)

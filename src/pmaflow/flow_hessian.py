@@ -351,7 +351,7 @@ def _euler_step(grid: TorusGrid, prev: np.ndarray, eigs: np.ndarray, dt: float,
     residual, linearization, admissible, state = _hessian_callbacks(
         grid, prev, dt, ef_next, symbol, floor)
     guess = prev - dt * rate
-    if params.initial_guess == "constant" or not admissible(guess):
+    if not admissible(guess):
         guess = prev - dt * float(rate.mean())
     vals = newton_step(grid, guess, residual, linearization, admissible,
                        params, t=t)
@@ -369,12 +369,12 @@ def backward_euler_step(phi_prev: ScalarField, dt: float, f_next: ScalarField,
 
     The predictor solves the equation pointwise for the rate, in closed
     form, with the eigenvalues of phi_prev frozen, falling back to the mean
-    rate when that guess leaves the cone (or when params.initial_guess is
-    "constant"); Newton then solves the coupled step.  Raises
-    AdmissibilityLost if phi_prev violates the eigenvalue floor,
-    ConeViolation if e^F lies below the symbol's range at some point, and
-    NewtonDiverged if the residual cannot be reduced or the step is not
-    monotone.
+    rate when that guess leaves the cone; Newton (`stepping.newton_step`)
+    then solves the coupled step.  Raises AdmissibilityLost if phi_prev
+    violates the eigenvalue floor, ConeViolation if e^F lies below the
+    symbol's range at some point, and NewtonDiverged if a BiCGStab solve
+    stalls, if the residual cannot be reduced (also after a re-solve at the
+    forcing floor) or if the step is not monotone.
     """
     grid = phi_prev.grid
     prev = phi_prev.require_finite("phi_prev").values

@@ -18,14 +18,14 @@ inverse transforms of it: n^2 per application (real transforms from
 
 With the preconditioner inside the operator, the Krylov method is plain
 BiCGStab (van der Vorst 1992), written here as a port of scipy's
-(`bicgstab`), so the module imports numpy and `scipy.fft` only.
-`scipy.sparse.linalg` is imported by the GMRES fallback (`gmres`), on the
-first solve that BiCGStab leaves unconverged.
+(`bicgstab`), so the module imports numpy and `scipy.fft` only.  A solve
+that stops short of its tolerance (a rho or omega breakdown, or
+_LINEAR_MAX_ITER iterations) raises NewtonDiverged with BiCGStab's reason.
 
 The Newton iteration is inexact: iteration k solves its linear system only to
 the relative tolerance eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 of Eisenstat and
 Walker's choice 2 (`_forcing_term`), in the residual max-norm the stopping
-test uses, capped at 0.1 and never below max(FlowParams.linear_rtol,
+test uses, capped at 0.1 and never below the floor max(_LINEAR_RTOL,
 newton_tol / (2 |F_k|_2)).  Choice 2 needs a previous residual, so the
 first iteration of each step takes eta_0 = |F_0|, the initial residual
 itself (Dembo, Eisenstat & Steihaug 1982: eta = O(|F|) converges
@@ -33,17 +33,20 @@ quadratically), under the same cap and floor: a step the predictor starts
 close to the solution gets a tight first solve and needs fewer Newton
 iterations.  Early iterates take cheap, loose solves; eta_k falls with the
 residual, but not below the level at which the linear residual,
-|r|_inf <= |r|_2 <= eta_k |F_k|_2, is half the Newton tolerance.
+|r|_inf <= |r|_2 <= eta_k |F_k|_2, is half the Newton tolerance.  Since
+eta_k bounds the linear residual in the 2-norm while the line search asks
+for a decrease of the max-norm, a loose step can fail the whole ladder; that
+iteration is then solved once more at the floor before Newton gives up.
 
 Solves with eta_k >= 1e-4 (`_SINGLE_PRECISION_RTOL`) apply the operator,
 and the final M^{-1}, in single precision (Kelley, SIAM Review 64, 2022;
 Carson & Higham, SIAM J. Sci. Comput. 40, 2018): the transforms, the symbol
 division and the weighted sum run in float32, whose ~1e-7 relative error is
-1000x below such a tolerance.  The BiCGStab vectors, the GMRES fallback,
-the returned update, the Newton residual, the iterates' Hessians, the line
-search and the stopping test stay float64: they decide convergence to
-newton_tol, far below what float32 resolves.  Tighter solves, the floor
-among them, run in float64 throughout.
+1000x below such a tolerance.  The BiCGStab vectors, the returned update,
+the Newton residual, the iterates' Hessians, the line search and the
+stopping test stay float64: they decide convergence to newton_tol, far
+below what float32 resolves.  Tighter solves, the floor among them, run in
+float64 throughout.
 
 Line search halves the step until the residual drops and the iterate stays
 inside the admissible cone (no projection; steps that cross the cone are
@@ -72,10 +75,6 @@ class FlowParams:
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     admissibility_floor: float = 1e-8
-    linear_rtol: float = 1e-8       # least floor of the forcing term eta_k; the
-                                    # floor rises to newton_tol / (2 |F_k|_2)
-    linear_max_iter: int = 400
-    initial_guess: str = "predictor"  # or "constant"
 
     def __post_init__(self):
         if not (0 < self.dt <= self.T):
@@ -84,10 +83,6 @@ class FlowParams:
             raise ValueError("tolerances must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if self.linear_max_iter < 1:
-            raise ValueError("linear_max_iter must be at least 1")
-        if self.initial_guess not in ("predictor", "constant"):
-            raise ValueError(f"unknown initial_guess {self.initial_guess!r}")
 
 
 class NewtonDiverged(RuntimeError):
@@ -188,6 +183,10 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
 _ETA_MAX = 0.1
 _EW_GAMMA = 0.9
 _EW_SAFEGUARD = 0.1
+# the least floor of eta_k; the floor rises to newton_tol / (2 |F_k|_2)
+_LINEAR_RTOL = 1e-8
+# BiCGStab iterations per linearized solve
+_LINEAR_MAX_ITER = 400
 # Krylov solves with eta_k at least this apply the operator in single
 # precision: its ~1e-7 relative error is 1000x below the tolerance.
 _SINGLE_PRECISION_RTOL = 1e-4
@@ -213,7 +212,7 @@ def _forcing_term(res_norm: float, prev_norm: float | None,
     return max(min(eta, _ETA_MAX), floor)
 
 
-# What the Krylov solvers read of a linear operator; scipy's
+# A linear operator as `bicgstab` reads it (its matvec); scipy's
 # aslinearoperator accepts it as well.
 _Operator = namedtuple("_Operator", "shape dtype matvec")
 
@@ -278,48 +277,40 @@ def bicgstab(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None):
     return x, maxiter
 
 
-def gmres(A, b, x0=None, **kwargs):
-    """`scipy.sparse.linalg.gmres`, imported on the first call, so that only
-    a BiCGStab solve that stalls pays for loading `scipy.sparse`."""
-    from scipy.sparse.linalg import gmres as scipy_gmres
-
-    return scipy_gmres(A, b, x0, **kwargs)
-
-
-def _stall_reason(bicgstab_info: int, gmres_info: int) -> str:
-    """Which Krylov method stopped a linearized solve, and why."""
-    why = {-10: "rho breakdown", -11: "omega breakdown"}.get(bicgstab_info,
-                                                            "iteration cap")
-    return (f"BiCGStab {why}, info={bicgstab_info}; "
-            f"then GMRES did not converge, info={gmres_info}")
-
-
 def _solve_linearized(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,
                       rhs: np.ndarray, rtol: float, maxiter: int) -> tuple:
     """Solve zeroth * u - tr(B H[u]) = rhs, B given by its real weights.
 
-    BiCGStab, and the GMRES fallback, solve (A M^{-1}) y = rhs from
-    y_0 = rhs (so u_0 = M^{-1} rhs) with the one operator of
-    `_preconditioned_operator`; u = M^{-1} y.  Returns (u, info): info is 0
-    when BiCGStab or the fallback reached rtol, and the pair (BiCGStab's
-    info, GMRES's info), scipy's codes, when both stalled.
+    BiCGStab solves (A M^{-1}) y = rhs from y_0 = rhs (so u_0 = M^{-1} rhs)
+    with the one operator of `_preconditioned_operator`; u = M^{-1} y.
+    Returns (u, info), info BiCGStab's code: 0 once it reached rtol.
 
     At rtol >= _SINGLE_PRECISION_RTOL the operator, and the final M^{-1},
     run their transforms in float32; the Krylov vectors and u stay float64.
     """
     dtype = np.float32 if rtol >= _SINGLE_PRECISION_RTOL else np.float64
     apply, precondition = _preconditioned_operator(grid, zeroth, weights, dtype)
-    A = _Operator((rhs.size, rhs.size), np.dtype(float), apply)
     b = rhs.ravel()
-    y, info = bicgstab(A, b, x0=b, rtol=rtol, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        # scipy counts gmres's maxiter in restart cycles: cap the inner
-        # iterations, not the cycles, at maxiter
-        restart = min(20, maxiter)
-        y, gmres_info = gmres(A, b, x0=y, rtol=rtol, atol=0.0, restart=restart,
-                              maxiter=max(1, maxiter // restart))
-        info = 0 if gmres_info == 0 else (info, gmres_info)
+    y, info = bicgstab(_Operator((b.size, b.size), np.dtype(float), apply), b,
+                       x0=b, rtol=rtol, atol=0.0, maxiter=maxiter)
     return precondition(y).reshape(grid.shape), info
+
+
+def _line_search(phi: np.ndarray, delta: np.ndarray, res_norm: float,
+                 residual_fn, admissible_fn, newton_tol: float):
+    """Halve the step phi + frac delta, at most 25 times, until the trial is
+    admissible and its residual max-norm falls by the fraction 0.1 frac (or
+    to newton_tol).  Returns (trial, residual, max-norm), or None."""
+    frac = 1.0
+    for _ in range(25):
+        trial = phi + frac * delta
+        if admissible_fn(trial):
+            trial_res = residual_fn(trial)
+            trial_norm = float(np.abs(trial_res).max())
+            if trial_norm <= res_norm * (1.0 - 0.1 * frac) or trial_norm <= newton_tol:
+                return trial, trial_res, trial_norm
+        frac *= 0.5
+    return None
 
 
 def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_fn,
@@ -328,7 +319,9 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
 
     Stops when the max-norm of the residual is at most params.newton_tol;
     iteration k solves its linear system to the forcing term eta_k, and no
-    tighter than a linear residual of newton_tol / 2 needs.
+    tighter than a linear residual of newton_tol / 2 needs.  When the line
+    search rejects a step solved above that floor, the iteration is solved
+    once more at the floor before NewtonDiverged is raised.
 
     residual_fn(values) -> residual array;
     linearization_fn(values) -> (zeroth, weights): zeroth and the real
@@ -351,36 +344,35 @@ def newton_step(grid: TorusGrid, guess: np.ndarray, residual_fn, linearization_f
             break
         # at eta = newton_tol / (2 |F|_2) the linear residual is at most
         # newton_tol / 2 already; a tighter solve cannot help the stopping test
-        floor = max(params.linear_rtol,
+        floor = max(_LINEAR_RTOL,
                     0.5 * params.newton_tol / float(np.linalg.norm(res)))
         eta = _forcing_term(res_norm, prev_norm, eta, floor)
         prev_norm = res_norm
-        # the coefficient fields live only for the solve and the step only
-        # for the line search, so neither is held while the next
-        # linearization, each iteration's memory peak, runs
-        delta, info = _solve_linearized(grid, *linearization_fn(phi), res,
-                                        eta, params.linear_max_iter)
-        if info != 0:
-            raise NewtonDiverged(
-                f"linearized solve stalled ({_stall_reason(*info)}) at Newton "
-                f"iteration {it} with forcing term eta={eta:.3g} and "
-                f"linear_max_iter={params.linear_max_iter}", t)
-        frac = 1.0
-        accepted = False
-        for _ in range(25):
-            trial = phi + frac * delta
-            if admissible_fn(trial):
-                trial_res = residual_fn(trial)
-                trial_norm = float(np.abs(trial_res).max())
-                if trial_norm <= res_norm * (1.0 - 0.1 * frac) or trial_norm <= params.newton_tol:
-                    phi, res, res_norm = trial, trial_res, trial_norm
-                    accepted = True
-                    break
-            frac *= 0.5
-        if not accepted:
-            raise NewtonDiverged(f"residual not reduced below {res_norm:.3e} "
-                                 "after the full line-search ladder", t)
-        del delta
+        # a loose step the line search rejects is solved once more at the floor
+        for rtol in (eta, floor) if eta > floor else (eta,):
+            # the coefficient fields live only for the solve and the step only
+            # for the line search, so neither is held while the next
+            # linearization, each iteration's memory peak, runs
+            delta, info = _solve_linearized(grid, *linearization_fn(phi), res,
+                                            rtol, _LINEAR_MAX_ITER)
+            if info != 0:
+                why = {-10: "rho breakdown", -11: "omega breakdown"}.get(
+                    info, "iteration cap")
+                raise NewtonDiverged(
+                    f"linearized solve stalled (BiCGStab {why}, info={info}) at "
+                    f"Newton iteration {it} with forcing term eta={rtol:.3g} and "
+                    f"iteration cap {_LINEAR_MAX_ITER}", t)
+            accepted = _line_search(phi, delta, res_norm, residual_fn,
+                                    admissible_fn, params.newton_tol)
+            del delta
+            if accepted is not None:
+                break
+        else:
+            resolved = (f", also after a re-solve at the floor eta={floor:.3g}"
+                        if eta > floor else "")
+            raise NewtonDiverged(f"residual not reduced below {res_norm:.3e} after "
+                                 f"the full line-search ladder{resolved}", t)
+        phi, res, res_norm = accepted
     if res_norm > params.newton_tol:
         raise NewtonDiverged(
             f"residual {res_norm:.3e} above tolerance after "

@@ -427,7 +427,7 @@ def test_regularize_battery_one_forward_transform_per_slice(
     traj_path = sv / "trajectory.bin"
     traj = load_trajectory(traj_path)
     assert traj.n_times == 4
-    cli._regularize_battery(traj_path, 0.125, 0.5, tmp_path)   # warm the kernel cache
+    cli._regularize_battery(traj_path, 0.125, 0.5)   # warm the kernel cache
 
     # the theta-scale bound and the ball-mass profile transform on their own
     apart = []
@@ -443,7 +443,7 @@ def test_regularize_battery_one_forward_transform_per_slice(
     for name in ("theta_scale_bound", "ball_mass_profile"):
         monkeypatch.setattr(reg, name, count_apart(getattr(reg, name)))
     forward_transforms.clear()
-    result = cli._regularize_battery(traj_path, 0.125, 0.5, tmp_path)
+    result = cli._regularize_battery(traj_path, 0.125, 0.5)
     assert len(forward_transforms) - sum(apart) == traj.n_times
     assert set(forward_transforms) == {traj.grid.shape}
 

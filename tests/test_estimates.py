@@ -1,5 +1,7 @@
 """Entropies, I-functional, level ladders, De Giorgi, inequalities, moduli."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -502,8 +504,9 @@ def test_holder_manufactured_lipschitz():
 @pytest.mark.filterwarnings("ignore:comparator")   # v is random, not a subsolution
 @pytest.mark.parametrize("n_complex,N", [(1, 32), (2, 8)])
 def test_in_place_estimates_match_their_expressions(n_complex, N):
-    """entropy, moser_trudinger, stability_ratio and holder_moduli evaluate
-    in place; each equals its plain array expression bit for bit."""
+    """entropy, moser_trudinger, exp_alpha_integral, stability_ratio and
+    holder_moduli evaluate in place; each equals its plain array expression
+    bit for bit."""
     grid = TorusGrid(n_complex, N)
     rng = np.random.default_rng(4)
     times = np.linspace(0.0, 1.0, 9)
@@ -527,6 +530,9 @@ def test_in_place_estimates_match_their_expressions(n_complex, N):
     want = np.exp(arg).reshape(len(times), -1).mean(axis=1) * grid.volume
     assert np.array_equal(moser_trudinger(phi, stats, s, beta), want)
 
+    want = np.exp(-0.7 * phi.values).reshape(len(times), -1).mean(axis=1) * grid.volume
+    assert np.array_equal(exp_alpha_integral(phi, 0.7), want)
+
     assert stability_ratio(v, phi, 0.5)["l1"] == integral(
         np.maximum(v.values - phi.values, 0.0))
 
@@ -537,6 +543,23 @@ def test_in_place_estimates_match_their_expressions(n_complex, N):
                   for j in fits["space_points"][0] / grid.spacing]
     assert np.array_equal(fits["time_points"][1], time_gaps)
     assert np.array_equal(fits["space_points"][1], space_gaps)
+
+
+def test_comparator_warns_on_any_rise_above_1e_9():
+    """The monotonicity check of the comparator reads every pair of
+    consecutive slices, the last one included, against the 1e-9 slack."""
+    grid = TorusGrid(1, 8)
+    times = np.linspace(0.0, 1.0, 5)
+    values = -np.broadcast_to(times[:, None, None], (5,) + grid.shape).copy()
+    values[4] = values[3] + 5e-10   # within the slack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stability_ratio(Trajectory(grid, times, values.copy()),
+                        Trajectory(grid, times, values), 0.5)
+    values[4] = values[3] + 2e-9
+    with pytest.warns(UserWarning, match="comparator is not nonincreasing"):
+        stability_ratio(Trajectory(grid, times, values.copy()),
+                        Trajectory(grid, times, values), 0.5)
 
 
 def test_holder_requires_enough_times(grid32):

@@ -1,6 +1,7 @@
 """Static checks over the pmaflow sources: module boundaries and exports."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import pmaflow
+from pmaflow import FlowParams, cli
 
 SRC = pathlib.Path(pmaflow.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -130,7 +132,7 @@ def test_every_export_is_reached():
 def test_cli_import_leaves_out_integrate_and_optimize():
     """The CLI loads numpy and scipy.fft only: no scipy.integrate and,
     through it, no scipy.optimize; no scipy.sparse or scipy.linalg, which
-    the GMRES fallback imports on its first call."""
+    no package module imports."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -140,3 +142,17 @@ def test_cli_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_flow_params_are_the_config_controls():
+    """FlowParams holds exactly the controls that `cli._flow_params` sets,
+    each a field of `cli.FlowConfig`: no solver knob that a run config
+    cannot reach grows back."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_flow_params")
+    call = next(node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "FlowParams")
+    passed = {kw.arg for kw in call.keywords}
+    assert {f.name for f in dataclasses.fields(FlowParams)} == passed
+    assert passed <= {f.name for f in dataclasses.fields(cli.FlowConfig)}
