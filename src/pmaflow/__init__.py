@@ -9,7 +9,6 @@ their a priori bounds.
 
 from .grid import (
     DEFAULT_KERNEL,
-    RadialKernel,
     ScalarField,
     TorusGrid,
     Trajectory,

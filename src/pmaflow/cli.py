@@ -30,6 +30,7 @@ from .flow_hessian import solve_hessian_flow, symbol_from_config
 from .flow_ma import RhsSpec, solve_flow
 from .manufactured import ManufacturedSolution, admissible_horizon
 from .grid import (
+    DEFAULT_KERNEL,
     ScalarField,
     TorusGrid,
     Trajectory,
@@ -546,13 +547,13 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float) -> dict:
 
     traj = load_trajectory(traj_path)
     params = reg.RegularizationParams(epsilon=epsilon, gamma=gamma)
-    K = params.compensator(traj.grid.real_dim)
+    K = DEFAULT_KERNEL.second_moment(traj.grid.real_dim)
     worst_low = np.inf
     worst_high = -np.inf
     gap = -np.inf
     for k in range(traj.n_times):
         f = traj.field_at(k)
-        smooth = radial_smoother(f, params.kernel)
+        smooth = radial_smoother(f)
         trans = reg.kiselman_legendre(f, params, smooth)
         upper = smooth(epsilon)
         worst_low = min(worst_low,
@@ -566,10 +567,12 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float) -> dict:
     h = grid.spacing
     r_lo = 4.0 * h
     r_hi = min(max(grid.period / 8.0, 2.0 * r_lo), 0.9 * grid.period / 2.0)
-    radii = list(np.geomspace(r_lo, r_hi, 4))
+    # at N <= 8 the cap 0.45 L is below r_lo = 4h: every radius sits at the
+    # cap, and ball_mass_profile returns its no-fit sentinel
+    radii = list(np.geomspace(min(r_lo, r_hi), r_hi, 4))
     centers = [(0.0,) * grid.real_dim, (grid.period / 2.0,) * grid.real_dim]
     profile = reg.ball_mass_profile(traj.field_at(traj.n_times - 1),
-                                    centers, radii, fit_min_cells=4)
+                                    centers, radii)
     avg = reg.time_average(traj, epsilon)
     l1 = spacetime_integral(Trajectory(grid, traj.times,
                                        np.maximum(avg.values - traj.values, 0.0)))

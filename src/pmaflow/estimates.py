@@ -409,14 +409,13 @@ def _loglog_fit(seps: np.ndarray, quots: np.ndarray) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
-def holder_moduli(phi: Trajectory, min_space_cells: int = 4,
-                  max_space_fraction: float = 1.0 / 16.0) -> dict:
+def holder_moduli(phi: Trajectory) -> dict:
     """Fitted Holder exponents and constants in time and space.
 
     Sup-quotients over dyadic separations, least squares in log-log.
-    Spatial separations below `min_space_cells` grid cells are excluded
-    (discretization noise); constant-in-time or flat trajectories return the
-    +inf exponent sentinel with constant 0.
+    Spatial separations run from 4 grid cells (below that is discretization
+    noise) to max(N/16, 8) cells; constant-in-time or flat trajectories
+    return the +inf exponent sentinel with constant 0.
     """
     if phi.n_times < 8:
         raise ValueError("need at least 8 time levels for the fit")
@@ -440,8 +439,8 @@ def holder_moduli(phi: Trajectory, min_space_cells: int = 4,
 
     grid = phi.grid
     N = grid.points_per_axis
-    j = min_space_cells
-    j_max = max(int(N * max_space_fraction), 2 * min_space_cells)
+    j = 4
+    j_max = max(N // 16, 8)
     sseps, squots = [], []
     while j <= min(j_max, N // 2):
         gap = 0.0

@@ -34,7 +34,6 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "Trajectory",
-    "RadialKernel",
     "DEFAULT_KERNEL",
     "integrate",
     "hessian_parts",
@@ -199,9 +198,6 @@ class ScalarField:
             raise ValueError(f"{what} contains non-finite values")
         return self
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def shifted(self, c: float) -> "ScalarField":
         return ScalarField(self.grid, self.values + c)
 
@@ -235,9 +231,6 @@ class Trajectory:
 
     def field_at(self, k: int) -> ScalarField:
         return ScalarField(self.grid, self.values[k])
-
-    def fields(self):
-        return [self.field_at(k) for k in range(self.n_times)]
 
     def time_weights(self) -> np.ndarray:
         """Trapezoid weights for integration over [0, T]."""
@@ -366,23 +359,26 @@ def _gauss_legendre(f, a, b):
 
 
 class RadialKernel:
-    """Radial mollifier profile rho on [0, 1] with per-dimension normalization.
+    """Radial mollifier with profile (1 - r^2)^3 on [0, 1], normalized per
+    dimension.
 
-    The density in real dimension d is c_d * profile(r) with c_d fixed so
+    The density in real dimension d is c_d (1 - r^2)^3 with c_d fixed so
     that the kernel integrates to 1 over R^d; the second moment
     K = int |w|^2 rho(|w|) dV is the convexity compensator used by the
     Kiselman-Legendre transform.  The constants are radial integrals by
     one fixed 48-node Gauss-Legendre rule, cached per dimension.  The rule
-    is exact for polynomials up to degree 95, so for every integrand of
-    the default (1 - r^2)^3 profile (degree 13 at d = 6) but the ball
-    constant's, which is smooth on [1/2, 1] and converges to round-off.
-    A profile must accept arrays and be smooth on [0, 1].
+    is exact for polynomials up to degree 95, so for every integrand here
+    (degree 13 at d = 6) but the ball constant's, which is smooth on
+    [1/2, 1] and converges to round-off.
     """
 
-    def __init__(self, profile=None):
-        self._profile = profile if profile is not None else (lambda r: (1.0 - r * r) ** 3)
+    def __init__(self):
         self._norm: dict[int, float] = {}
         self._moment: dict[int, float] = {}
+
+    @staticmethod
+    def _profile(r):
+        return (1.0 - r * r) ** 3
 
     @staticmethod
     def _sphere_area(d: int) -> float:
@@ -432,7 +428,7 @@ class RadialKernel:
 DEFAULT_KERNEL = RadialKernel()
 
 
-def _kernel_on_grid_normalized(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
+def _kernel_on_grid_normalized(grid: TorusGrid, s: float) -> np.ndarray:
     """Discrete kernel centered at the origin, renormalized to unit discrete mass."""
     d = grid.real_dim
     offs = grid.periodic_offsets()
@@ -440,11 +436,8 @@ def _kernel_on_grid_normalized(grid: TorusGrid, s: float, kernel: RadialKernel) 
     for w in offs:
         r2 = r2 + w * w
     r = np.sqrt(r2)
-    k = kernel.density(r / s, d) / s**d
-    total = k.sum() * grid.cell_volume
-    if total <= 0:
-        raise ValueError(f"kernel radius {s} is below grid resolution everywhere")
-    return k / total
+    k = DEFAULT_KERNEL.density(r / s, d) / s**d
+    return k / (k.sum() * grid.cell_volume)
 
 
 # Bytes of kernel transforms kept, least recently used evicted first.  One
@@ -456,16 +449,14 @@ _KERNEL_FFT_CACHE: OrderedDict = OrderedDict()
 _KERNEL_FFT_LOCK = threading.Lock()
 
 
-def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
-    # keyed by the kernel object itself: kernels with different profiles
-    # never share an entry
-    key = (grid.n_complex, grid.points_per_axis, grid.period, float(s), kernel)
+def _kernel_fft(grid: TorusGrid, s: float) -> np.ndarray:
+    key = (grid.n_complex, grid.points_per_axis, grid.period, float(s))
     with _KERNEL_FFT_LOCK:
         out = _KERNEL_FFT_CACHE.get(key)
         if out is not None:
             _KERNEL_FFT_CACHE.move_to_end(key)
             return out
-    out = scipy.fft.rfftn(_kernel_on_grid_normalized(grid, s, kernel))
+    out = scipy.fft.rfftn(_kernel_on_grid_normalized(grid, s))
     with _KERNEL_FFT_LOCK:
         _KERNEL_FFT_CACHE[key] = out
         _KERNEL_FFT_CACHE.move_to_end(key)
@@ -475,7 +466,7 @@ def _kernel_fft(grid: TorusGrid, s: float, kernel: RadialKernel) -> np.ndarray:
     return out
 
 
-def radial_smoother(field: ScalarField, kernel: RadialKernel = DEFAULT_KERNEL):
+def radial_smoother(field: ScalarField):
     """Convolutions of one field with the rescaled radial kernel at any scale.
 
     Checks the field and takes its forward transform once; the returned
@@ -487,28 +478,25 @@ def radial_smoother(field: ScalarField, kernel: RadialKernel = DEFAULT_KERNEL):
     copy of the values, with no kernel, transform or cache entry: every
     nonzero periodic offset has |w| >= h > s, so the discrete kernel is
     the unit mass at the origin.  The test h / s > 1 is the kernel
-    builder's own r / s <= 1 at r = h (sqrt(h * h) rounds back to h); a
-    profile vanishing at the origin still raises as the builder does.
+    builder's own r / s <= 1 at r = h (sqrt(h * h) rounds back to h).
     """
     grid = field.grid
     field.require_finite("field")
     fhat = scipy.fft.rfftn(field.values)
-    origin_weight = kernel.density(0.0, grid.real_dim)
 
     def smooth(s: float) -> np.ndarray:
         if not (0.0 < s < grid.period / 2.0):
             raise ValueError(f"kernel radius must lie in (0, L/2), got {s}")
-        if grid.spacing / s > 1.0 and origin_weight > 0.0:
+        if grid.spacing / s > 1.0:
             return field.values.copy()
-        khat = _kernel_fft(grid, s, kernel)
+        khat = _kernel_fft(grid, s)
         return scipy.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes,
                                 overwrite_x=True) * grid.cell_volume
 
     return smooth
 
 
-def convolve_radial(field: ScalarField, s: float,
-                    kernel: RadialKernel = DEFAULT_KERNEL) -> ScalarField:
+def convolve_radial(field: ScalarField, s: float) -> ScalarField:
     """Periodic convolution with the rescaled radial kernel at scale s.
 
     The discrete kernel is renormalized to unit mass on the grid, so the
@@ -517,7 +505,7 @@ def convolve_radial(field: ScalarField, s: float,
     Below the grid spacing the kernel covers the origin alone, and the
     result is the field itself (see `radial_smoother`).
     """
-    return ScalarField(field.grid, radial_smoother(field, kernel)(s))
+    return ScalarField(field.grid, radial_smoother(field)(s))
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class ManufacturedSolution(RhsSpec):
         self._two_pi = 2.0 * np.pi / grid.period
         self._cosx = np.cos(self._two_pi * grid.meshgrid()[0])
 
-    def admissible_horizon(self) -> float:
-        """Largest T with 1 + psi_zzbar > 0 on [0, T]."""
-        return admissible_horizon(self.grid.period, self.curvature)
-
     def _tau(self, t: float) -> float:
         return t + self.curvature * t * t
 

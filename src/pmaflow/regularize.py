@@ -11,11 +11,12 @@ trailing time averages with constant extension before t = 0, the
 decreasing-function Holder lemma, and ball-mass profiles of the complex
 Laplacian feeding the spatial Holder criterion.
 
-The infimum is discretized on a log-spaced ladder; a few rounds of local
-ladder refinement around the per-point argmin follow, so the reported
-infimum resolves the continuous one on smooth fields well below the ladder
-spacing.  The compensator K defaults to the kernel's second moment, the
-exact flat-torus constant making s -> rho_s phi + K s^2 nondecreasing for
+The infimum is discretized on a log-spaced ladder of _S_SAMPLES scales on
+[eps _LADDER_FLOOR, eps]; _REFINE_ROUNDS rounds of local ladder refinement
+around the per-point argmin follow, so the reported infimum resolves the
+continuous one on smooth fields well below the ladder spacing.  The
+compensator K is the second moment of `grid.DEFAULT_KERNEL`, the exact
+flat-torus constant making s -> rho_s phi + K s^2 nondecreasing for
 admissible phi.
 """
 
@@ -28,7 +29,6 @@ import scipy.fft
 
 from .grid import (
     DEFAULT_KERNEL,
-    RadialKernel,
     ScalarField,
     Trajectory,
     complex_laplacian,
@@ -46,50 +46,31 @@ __all__ = [
 ]
 
 
+# The s-ladder of `kiselman_legendre`: _S_SAMPLES log-spaced scales on
+# [eps _LADDER_FLOOR, eps], then _REFINE_ROUNDS local refinement rounds.
+_S_SAMPLES = 32
+_LADDER_FLOOR = 2.0**-8
+_REFINE_ROUNDS = 6
+# Largest inner fraction theta that `theta_scale_bound` uses.
+_THETA_CAP = 0.5
+
+
 @dataclass
 class RegularizationParams:
-    """Scales and exponents of the Kiselman-Legendre transform.
+    """Scale eps and barrier exponent gamma of the Kiselman-Legendre transform.
 
-    K = None means "use the kernel second moment for the grid dimension".
-    The infimum ladder has `s_samples` log-spaced points on
-    [eps * ladder_floor, eps] plus `refine_rounds` local refinement rounds.
-    log_coefficient overrides the -c log(s/eps) weight (None means the
-    default c = eps^gamma; 0 disables the logarithmic barrier).
+    The logarithmic barrier weight is eps^gamma and the compensator K is
+    the kernel's second moment for the grid dimension.
     """
 
     epsilon: float
     gamma: float = 0.5
-    K: float | None = None
-    theta: float = 0.5
-    s_samples: int = 32
-    ladder_floor: float = 2.0**-8
-    refine_rounds: int = 6
-    log_coefficient: float | None = None
-    kernel: RadialKernel = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.K is not None and self.K < 0.0:
-            raise ValueError("K must be nonnegative")
-        if self.s_samples < 1:
-            raise ValueError("s_samples must be at least 1")
-        if self.kernel is None:
-            self.kernel = DEFAULT_KERNEL
-
-    def compensator(self, real_dim: int) -> float:
-        if self.K is not None:
-            return self.K
-        return self.kernel.second_moment(real_dim)
-
-    def log_weight(self) -> float:
-        if self.log_coefficient is not None:
-            return self.log_coefficient
-        return self.epsilon**self.gamma
 
 
 def _fold_scales(smooth, scales, K: float, eps: float, log_weight: float,
@@ -115,28 +96,26 @@ def kiselman_legendre(field: ScalarField, params: RegularizationParams,
 
     Satisfies the sandwich phi - K eps^2 <= output <= rho_eps phi for
     admissible phi (the upper bound is the s = eps ladder term, always
-    included exactly).  smooth, if given, is `radial_smoother(field,
-    params.kernel)`, so a caller that also needs rho_s phi at other scales
-    shares its forward transform.
+    included exactly).  smooth, if given, is `radial_smoother(field)`, so a
+    caller that also needs rho_s phi at other scales shares its forward
+    transform.
     """
     grid = field.grid
     eps = params.epsilon
     if eps >= grid.period / 2.0:
         raise ValueError("epsilon must stay below half the period")
-    K = params.compensator(grid.real_dim)
-    log_weight = params.log_weight()
+    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
+    log_weight = eps**params.gamma
 
-    ladder = np.geomspace(eps * params.ladder_floor, eps, params.s_samples)
+    ladder = np.geomspace(eps * _LADDER_FLOOR, eps, _S_SAMPLES)
     if smooth is None:
-        smooth = radial_smoother(field, params.kernel)
+        smooth = radial_smoother(field)
     best = np.full(grid.shape, np.inf)
     s_best = np.full(grid.shape, ladder[0])
     _fold_scales(smooth, ladder, K, eps, log_weight, best, s_best)
-    log_gap = np.log(ladder[1] / ladder[0]) if len(ladder) > 1 else 0.0
+    log_gap = np.log(ladder[1] / ladder[0])
 
-    for _ in range(params.refine_rounds):
-        if log_gap < 1e-12:
-            break
+    for _ in range(_REFINE_ROUNDS):
         uniq, counts = np.unique(s_best, return_counts=True)
         if len(uniq) > 16:
             uniq = uniq[np.argsort(counts)[-16:]]
@@ -144,7 +123,7 @@ def kiselman_legendre(field: ScalarField, params: RegularizationParams,
         for s0 in uniq:
             for m in (-2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0):
                 s_new = s0 * np.exp(m * log_gap)
-                if eps * params.ladder_floor * 0.5 <= s_new <= eps:
+                if eps * _LADDER_FLOOR * 0.5 <= s_new <= eps:
                     children.append(s_new)
         if not children:
             break
@@ -164,15 +143,15 @@ def theta_scale_bound(phi: Trajectory, params: RegularizationParams,
     """
     grid = phi.grid
     eps = params.epsilon
-    K = params.compensator(grid.real_dim)
+    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
     rate = K + max(measured_gap, 0.0) / eps**params.gamma
-    # params.theta caps the inner fraction; shrinking theta only strengthens
-    # the selection condition log(1/theta) > rate
-    theta = min(float(np.exp(-rate) * (1.0 - 1e-9)), params.theta)
+    # shrinking theta only strengthens the selection condition
+    # log(1/theta) > rate
+    theta = min(float(np.exp(-rate) * (1.0 - 1e-9)), _THETA_CAP)
     sup_gap = -np.inf
     for k in range(phi.n_times):
         f = phi.field_at(k)
-        smoothed = convolve_radial(f, theta * eps, params.kernel).values
+        smoothed = convolve_radial(f, theta * eps).values
         sup_gap = max(sup_gap, float((smoothed - f.values).max()))
     bound = (max(measured_gap, 0.0) / eps**params.gamma + K) * eps**params.gamma \
         + K * eps * eps
@@ -276,13 +255,12 @@ def decreasing_holder_from_averages(times, f_samples, c0: float,
 # ball-mass profiles of the Laplacian
 
 
-def ball_mass_profile(field: ScalarField, centers, radii,
-                      fit_min_cells: int = 4) -> dict:
+def ball_mass_profile(field: ScalarField, centers, radii) -> dict:
     """Masses int_{B(z, r)} |Laplacian u| dV with a log-log exponent fit.
 
     The Laplacian is the complex trace sum_i u_{i ibar} computed spectrally;
     balls use sharp periodic masks with the radius snapped to the grid.
-    Radii under `fit_min_cells` grid cells are excluded from the fit.
+    Radii under 4 grid cells are excluded from the fit.
     Returns rows (center index, radius, mass) and the fitted exponent, which
     approaches 2n for smooth densities.
     """
@@ -301,7 +279,7 @@ def ball_mass_profile(field: ScalarField, centers, radii,
             mass = float(lap[mask].sum() * grid.cell_volume)
             rows.append((ci, float(r_snap), mass))
     fit_rows = [(r, m) for (_, r, m) in rows
-                if r >= fit_min_cells * h - 1e-12 and m > 1e-14]
+                if r >= 4 * h - 1e-12 and m > 1e-14]
     distinct = len({round(r / h) for r, _ in fit_rows})
     if len(fit_rows) >= 2 and distinct >= 2:
         rr = np.log([r for r, _ in fit_rows])
@@ -314,8 +292,7 @@ def ball_mass_profile(field: ScalarField, centers, radii,
             "fitted_constant": fitted[1]}
 
 
-def ball_lower_bound_check(field: ScalarField, eps: float,
-                           kernel: RadialKernel = DEFAULT_KERNEL) -> dict:
+def ball_lower_bound_check(field: ScalarField, eps: float) -> dict:
     """Flat-torus surrogate of the mollification lower bound.
 
     Verifies rho_eps u(z) - u(z) >= (4 c_kernel / eps^{2n-2})
@@ -328,8 +305,8 @@ def ball_lower_bound_check(field: ScalarField, eps: float,
     n = grid.n_complex
     from math import gamma as _gamma, pi
     omega_d = pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
-    c_kernel = kernel.ball_lower_constant(d)
-    smoothed = convolve_radial(field, eps, kernel).values
+    c_kernel = DEFAULT_KERNEL.ball_lower_constant(d)
+    smoothed = convolve_radial(field, eps).values
     lhs = smoothed - field.values
     lap = complex_laplacian(field)
     h = grid.spacing

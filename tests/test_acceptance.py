@@ -37,7 +37,9 @@ from pmaflow.estimates import (
     stability_ratio,
 )
 from pmaflow.flow_hessian import f_eval_grad_arrays
+from pmaflow import regularize as reg
 from pmaflow.grid import (
+    DEFAULT_KERNEL,
     ScalarField,
     Trajectory,
     convolve_radial,
@@ -255,7 +257,7 @@ def test_criterion_08_regularization_sandwich_and_rates(stability_runs):
     grid = traj.grid
     eps = 0.125
     params = RegularizationParams(epsilon=eps, gamma=0.5)
-    K = params.compensator(grid.real_dim)
+    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
 
     sandwich_ok = True
     for k in range(0, traj.n_times, 4):
@@ -334,8 +336,11 @@ def test_criterion_09_hessian_symbols():
             f"cross-solver gap {cross:.2e}")
 
 
-def test_criterion_10_stability_family_boundedness(stability_runs):
+def test_criterion_10_stability_family_boundedness(stability_runs, monkeypatch):
     rhs, runs = stability_runs
+    # a short ladder without refinement keeps the family's transforms cheap
+    monkeypatch.setattr(reg, "_S_SAMPLES", 12)
+    monkeypatch.setattr(reg, "_REFINE_ROUNDS", 0)
     q0 = rhs.p0 / (rhs.p0 - 1.0)
     alpha = 0.9 / (1.0 + q0 * 2.0)  # n = 1, safely below 1/(1+q0(n+1))
     family_max = {}
@@ -347,8 +352,7 @@ def test_criterion_10_stability_family_boundedness(stability_runs):
             ratios.append(stability_ratio(v_shift, traj, alpha)["ratio"])
             v_avg = time_average(traj, 0.125)
             ratios.append(stability_ratio(v_avg, traj, alpha)["ratio"])
-            params = RegularizationParams(epsilon=0.125, gamma=0.5,
-                                          s_samples=12, refine_rounds=0)
+            params = RegularizationParams(epsilon=0.125, gamma=0.5)
             trans = np.stack([
                 kiselman_legendre(traj.field_at(k), params).values
                 for k in range(traj.n_times)])

@@ -411,6 +411,26 @@ def test_cli_regularize_battery(tmp_path):
     assert result["checks"]["sandwich_upper"]
 
 
+def test_cli_regularize_at_n2_n8(tmp_path):
+    """At N = 8 the ball-mass radii start at the 0.45 L cap, below 4h = L/2:
+    the battery still runs, and the fit reports its no-fit sentinel."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(trivial_config(
+        grid={"n_complex": 2, "points_per_axis": 8},
+        flow={"equation": "hessian", "symbol": "sigma_quotient", "k": 2,
+              "l": 1, "T": 0.02, "dt": 0.01, "initial_condition": "random_band"},
+        rhs={"kind": "smooth_product", "spatial_amplitude": 0.4}).to_json())
+    sv = tmp_path / "sv"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(sv)]) == 0
+    out = tmp_path / "reg"
+    code = main(["regularize", "--traj", str(sv / "trajectory.bin"),
+                 "--epsilon", "0.125", "--out", str(out)])
+    assert code == 0
+    result = json.loads((out / "regularize.json").read_text())
+    assert all(result["checks"].values())
+    assert result["ball_mass_exponent"] == float("inf")
+
+
 def test_regularize_battery_one_forward_transform_per_slice(
         tmp_path, monkeypatch, forward_transforms):
     """The sandwich takes rho_eps phi from the transform's own smoother."""

@@ -536,7 +536,7 @@ def test_in_place_estimates_match_their_expressions(n_complex, N):
     assert stability_ratio(v, phi, 0.5)["l1"] == integral(
         np.maximum(v.values - phi.values, 0.0))
 
-    fits = holder_moduli(phi, min_space_cells=1, max_space_fraction=0.5)
+    fits = holder_moduli(phi)
     time_gaps = [np.abs(phi.values[m:] - phi.values[:-m]).max() for m in (1, 2, 4)]
     space_gaps = [max(np.abs(np.roll(phi.values, -j, axis=a + 1) - phi.values).max()
                       for a in range(grid.real_dim))

@@ -221,7 +221,7 @@ def test_convolve_cosine_matches_double_loop_oracle():
     out = convolve_radial(f, s)
 
     from pmaflow.grid import _kernel_on_grid_normalized
-    kern = _kernel_on_grid_normalized(grid, s, DEFAULT_KERNEL)
+    kern = _kernel_on_grid_normalized(grid, s)
     N = grid.points_per_axis
     oracle = np.zeros_like(f.values)
     for i in range(N):
@@ -295,21 +295,21 @@ def test_sub_grid_scale_is_the_identity(n_complex, half_n, fraction, seed):
     grid = TorusGrid(n_complex, N)
     h = grid.spacing
     s = np.nextafter(h, 0.0) if fraction is None else fraction * h
-    kern = _kernel_on_grid_normalized(grid, s, DEFAULT_KERNEL)
+    kern = _kernel_on_grid_normalized(grid, s)
     assert list(zip(*np.nonzero(kern))) == [(0,) * grid.real_dim]
     f = band_limited(grid, np.random.default_rng(seed), max_mode=3)
     assert np.array_equal(radial_smoother(f)(s), f.values)
 
 
 def test_grid_spacing_scale_takes_the_kernel(grid32):
-    """At s = h the nearest neighbours sit at r / s = 1 and are kept."""
-    from pmaflow.grid import RadialKernel, _kernel_on_grid_normalized, radial_smoother
-    flat = RadialKernel(lambda r: 1.0 - 0.5 * r * r)
-    h = grid32.spacing
-    kern = _kernel_on_grid_normalized(grid32, h, flat)
+    """Just above s = h the nearest neighbours enter the kernel, and the
+    smoother is the stencil they span."""
+    from pmaflow.grid import _kernel_on_grid_normalized, radial_smoother
+    s = 1.2 * grid32.spacing
+    kern = _kernel_on_grid_normalized(grid32, s)
     assert np.count_nonzero(kern) == 2 * grid32.real_dim + 1
     f = band_limited(grid32, np.random.default_rng(10))
-    out = radial_smoother(f, flat)(h)
+    out = radial_smoother(f)(s)
     oracle = sum(kern[i, j] * np.roll(f.values, (i, j), axis=(0, 1))
                  for i, j in zip(*np.nonzero(kern))) * grid32.cell_volume
     assert np.abs(out - oracle).max() < 1e-12
@@ -342,14 +342,6 @@ def test_sub_grid_scales_leave_the_kernel_cache_alone(monkeypatch):
     assert [key[3] for key in grid_mod._KERNEL_FFT_CACHE] == [h]
 
 
-def test_sub_grid_scale_of_a_profile_vanishing_at_the_origin_raises(grid32):
-    from pmaflow.grid import RadialKernel, radial_smoother
-    hollow = RadialKernel(lambda r: r * r * (1.0 - r * r) ** 3)
-    smooth = radial_smoother(grid32.constant_field(1.0), hollow)
-    with pytest.raises(ValueError, match="below grid resolution"):
-        smooth(0.5 * grid32.spacing)
-
-
 def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
     from collections import OrderedDict
     from pmaflow import grid as grid_mod
@@ -358,7 +350,7 @@ def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
     f = band_limited(grid, np.random.default_rng(7))
     radii = (0.1, 0.15, 0.2, 0.25, 0.1, 0.3)
     expected = [convolve_radial(f, s).values for s in radii]
-    entry = grid_mod._kernel_fft(grid, 0.1, DEFAULT_KERNEL).nbytes
+    entry = grid_mod._kernel_fft(grid, 0.1).nbytes
     bound = int(2.5 * entry)
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE_BYTES", bound)
@@ -384,7 +376,7 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
     f = band_limited(grid, np.random.default_rng(9))
     radii = [0.1 + 0.02 * i for i in range(8)]
     expected = {s: convolve_radial(f, s).values for s in radii}
-    bound = int(3.5 * grid_mod._kernel_fft(grid, 0.1, DEFAULT_KERNEL).nbytes)
+    bound = int(3.5 * grid_mod._kernel_fft(grid, 0.1).nbytes)
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE_BYTES", bound)
     wrong = []
@@ -411,28 +403,6 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not wrong
     assert sum(v.nbytes for v in grid_mod._KERNEL_FFT_CACHE.values()) <= bound
-
-
-def test_kernel_fft_cache_tells_kernels_of_one_name_apart(monkeypatch):
-    """A kernel built from another profile gets its own spectra, not the
-    default kernel's: the cache is keyed by the kernel object."""
-    from collections import OrderedDict
-    from pmaflow import grid as grid_mod
-    from pmaflow.grid import RadialKernel
-
-    grid = TorusGrid(1, 32)
-    f = band_limited(grid, np.random.default_rng(13))
-    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
-    # its own result, on an empty cache
-    own = convolve_radial(f, 0.2, RadialKernel(lambda r: 1.0 - 0.5 * r * r)).values
-    monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
-    default = convolve_radial(f, 0.2).values
-    other = RadialKernel(lambda r: 1.0 - 0.5 * r * r)
-    got = convolve_radial(f, 0.2, other).values
-    assert np.array_equal(got, own)
-    assert np.abs(got - default).max() > 1e-3
-    assert np.array_equal(convolve_radial(f, 0.2).values, default)
-    assert len(grid_mod._KERNEL_FFT_CACHE) == 2
 
 
 def test_kernel_normalization_and_moment():

@@ -222,7 +222,7 @@ def test_mask_stability_under_refinement():
     for n_points in (17, 33, 65):
         stg = SpaceTimeGridReal(m=2, n_points=n_points, T=0.25, n_steps=5)
         u = sample_space_time(stg, fn)
-        rep = contact_set(stg, u, eig_tol=10 * stg.h)
+        rep = contact_set(stg, u)
         sym_diff = np.logical_xor(rep.contact_mask, exact_mask(stg))
         measures.append(float(sym_diff.sum()) * stg.h**2 * stg.dt)
     assert measures[0] >= measures[1] >= measures[2]

@@ -156,3 +156,27 @@ def test_flow_params_are_the_config_controls():
     passed = {kw.arg for kw in call.keywords}
     assert {f.name for f in dataclasses.fields(FlowParams)} == passed
     assert passed <= {f.name for f in dataclasses.fields(cli.FlowConfig)}
+
+
+def test_regularization_params_are_the_battery_controls():
+    """RegularizationParams holds exactly the keywords `cli._regularize_battery`
+    passes, and no package function takes a `kernel`: the one mollifier is
+    `grid.DEFAULT_KERNEL`, and no test-only knob of the measurement layer
+    grows back."""
+    from pmaflow.regularize import RegularizationParams
+    tree = ast.parse((SRC / "cli.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_regularize_battery")
+    call = next(node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "RegularizationParams")
+    assert ({f.name for f in dataclasses.fields(RegularizationParams)}
+            == {kw.arg for kw in call.keywords})
+    takers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "kernel" in names:
+                    takers.append(f"{path.stem}:{node.lineno}")
+    assert takers == []

@@ -11,6 +11,7 @@ from pmaflow import (
     integrate,
     random_admissible_field,
 )
+from pmaflow import regularize as reg
 from pmaflow.grid import complex_laplacian, convolve_radial, spacetime_integral
 from pmaflow.regularize import (
     RegularizationParams,
@@ -60,33 +61,18 @@ def test_mollify_monotone_family(grid64):
 # kiselman_legendre
 
 
-def test_kiselman_constant_closed_form(grid64):
+def test_kiselman_constant_closed_form(grid64, monkeypatch):
+    # with the kernel's own K an interior minimum would need eps > 1.2,
+    # beyond L/2, so K is patched to reach one at eps = 0.2
     K, eps, gamma = 8.0, 0.2, 0.5
-    params = RegularizationParams(epsilon=eps, gamma=gamma, K=K)
+    monkeypatch.setattr(DEFAULT_KERNEL, "second_moment", lambda d: K)
+    params = RegularizationParams(epsilon=eps, gamma=gamma)
     c = 3.0
     out = kiselman_legendre(grid64.constant_field(c), params)
     s_star = min(eps, np.sqrt(eps**gamma / (2.0 * K)))
     expected = (c + K * s_star**2 - K * eps**2
                 - eps**gamma * np.log(s_star / eps))
     assert np.abs(out.values - expected).max() < 1e-8
-
-
-def test_kiselman_log_term_disabled_limit(grid64):
-    # log barrier off: constant fields give exactly c - K eps^2 (1 - (s_min/eps)^2),
-    # decreasing to c - K eps^2 as the ladder floor drops
-    eps, K = 0.125, 1.0
-    c = -0.7
-    outs = []
-    for floor in (2.0**-4, 2.0**-9):
-        params = RegularizationParams(epsilon=eps, gamma=0.5, K=K,
-                                      ladder_floor=floor, refine_rounds=0,
-                                      log_coefficient=0.0)
-        out = kiselman_legendre(grid64.constant_field(c), params)
-        closed = c - K * eps**2 * (1.0 - floor**2)
-        assert np.abs(out.values - closed).max() < 1e-12
-        outs.append(float(out.values[0, 0]))
-    assert outs[1] <= outs[0]
-    assert outs[1] >= c - K * eps**2 - 1e-12
 
 
 def test_kiselman_sandwich_random_admissible(grid64):
@@ -101,12 +87,13 @@ def test_kiselman_sandwich_random_admissible(grid64):
         assert (out.values - (f.values - K * params.epsilon**2)).min() >= -1e-10
 
 
-def test_kiselman_ladder_doubling_stable(grid64):
+def test_kiselman_ladder_doubling_stable(grid64, monkeypatch):
     rng = np.random.default_rng(33)
     f = random_admissible_field(grid64, rng, margin=0.3)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
     outs = []
     for m in (32, 64):
-        params = RegularizationParams(epsilon=0.125, gamma=0.5, s_samples=m)
+        monkeypatch.setattr(reg, "_S_SAMPLES", m)
         outs.append(kiselman_legendre(f, params).values)
     assert np.abs(outs[0] - outs[1]).max() < 1e-6
 
@@ -118,28 +105,28 @@ def test_kiselman_rejects_large_epsilon(grid64):
 
 
 def _stacked_kiselman_legendre(field, params):
-    """Reference transform: every ladder objective stacked, then min/argmin."""
+    """Reference transform: every ladder objective stacked, then min/argmin.
+
+    Reads the ladder constants off the module, so a test may patch them."""
     grid = field.grid
     eps = params.epsilon
-    K = params.compensator(grid.real_dim)
-    log_weight = params.log_weight()
+    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
+    log_weight = eps**params.gamma
 
     def stack(s_values):
         out = np.empty((len(s_values),) + grid.shape)
         for i, s in enumerate(s_values):
-            smoothed = convolve_radial(field, float(s), params.kernel).values
+            smoothed = convolve_radial(field, float(s)).values
             out[i] = (smoothed + K * s * s - K * eps * eps
                       - log_weight * np.log(s / eps))
         return out
 
-    ladder = np.geomspace(eps * params.ladder_floor, eps, params.s_samples)
+    ladder = np.geomspace(eps * reg._LADDER_FLOOR, eps, reg._S_SAMPLES)
     objective = stack(ladder)
     best = objective.min(axis=0)
     s_best = ladder[objective.argmin(axis=0)]
-    log_gap = np.log(ladder[1] / ladder[0]) if len(ladder) > 1 else 0.0
-    for _ in range(params.refine_rounds):
-        if log_gap < 1e-12:
-            break
+    log_gap = np.log(ladder[1] / ladder[0])
+    for _ in range(reg._REFINE_ROUNDS):
         uniq, counts = np.unique(s_best, return_counts=True)
         if len(uniq) > 16:
             uniq = uniq[np.argsort(counts)[-16:]]
@@ -147,7 +134,7 @@ def _stacked_kiselman_legendre(field, params):
         for s0 in uniq:
             for m in (-2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0):
                 s_new = s0 * np.exp(m * log_gap)
-                if eps * params.ladder_floor * 0.5 <= s_new <= eps:
+                if eps * reg._LADDER_FLOOR * 0.5 <= s_new <= eps:
                     children.append(s_new)
         if not children:
             break
@@ -162,13 +149,13 @@ def _stacked_kiselman_legendre(field, params):
 
 
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
-@pytest.mark.parametrize("overrides", [{}, {"log_coefficient": 0.0},
-                                       {"refine_rounds": 0}],
-                         ids=["default", "no_log", "no_refine"])
-def test_kiselman_matches_stacked_oracle(n, N, overrides):
+@pytest.mark.parametrize("refine_rounds", [reg._REFINE_ROUNDS, 0],
+                         ids=["default", "no_refine"])
+def test_kiselman_matches_stacked_oracle(n, N, refine_rounds, monkeypatch):
+    monkeypatch.setattr(reg, "_REFINE_ROUNDS", refine_rounds)
     grid = TorusGrid(n, N)
     rng = np.random.default_rng(40 + n)
-    params = RegularizationParams(epsilon=0.125, gamma=0.5, **overrides)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
     for _ in range(2):
         f = random_admissible_field(grid, rng, margin=0.3)
         np.testing.assert_array_equal(kiselman_legendre(f, params).values,
@@ -176,17 +163,19 @@ def test_kiselman_matches_stacked_oracle(n, N, overrides):
 
 
 @pytest.mark.parametrize("s_samples", [4, 32, 96])
-def test_kiselman_one_forward_transform_per_call(forward_transforms, s_samples):
+def test_kiselman_one_forward_transform_per_call(forward_transforms, s_samples,
+                                                 monkeypatch):
+    monkeypatch.setattr(reg, "_S_SAMPLES", s_samples)
     grid = TorusGrid(1, 32)
     f = random_admissible_field(grid, np.random.default_rng(41), margin=0.3)
-    params = RegularizationParams(epsilon=0.125, gamma=0.5, s_samples=s_samples)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
     kiselman_legendre(f, params)   # warm the kernel-transform cache
     forward_transforms.clear()
     kiselman_legendre(f, params)
     assert forward_transforms == [grid.shape]
 
 
-def _fft_smoother(field, kernel):
+def _fft_smoother(field):
     """Reference smoother: every scale, sub-grid ones too, through the kernel
     transform."""
     import scipy.fft
@@ -195,7 +184,7 @@ def _fft_smoother(field, kernel):
     fhat = scipy.fft.rfftn(field.values)
 
     def smooth(s):
-        khat = _kernel_fft(grid, s, kernel)
+        khat = _kernel_fft(grid, s)
         return scipy.fft.irfftn(fhat * khat, s=grid.shape,
                                 axes=grid.axes) * grid.cell_volume
 
@@ -210,7 +199,7 @@ def test_kiselman_matches_the_all_transform_oracle(n, N):
     params = RegularizationParams(epsilon=0.125, gamma=0.5)
     out = kiselman_legendre(f, params).values
     assert np.array_equal(f.values, before)
-    oracle = kiselman_legendre(f, params, smooth=_fft_smoother(f, params.kernel))
+    oracle = kiselman_legendre(f, params, smooth=_fft_smoother(f))
     assert np.abs(out - oracle.values).max() < 1e-12
 
 
@@ -221,7 +210,7 @@ def test_kiselman_inverse_transforms_only_at_resolved_scales(monkeypatch):
     grid = TorusGrid(2, 16)
     f = random_admissible_field(grid, np.random.default_rng(47), margin=0.3)
     params = RegularizationParams(epsilon=0.125, gamma=0.5)
-    smooth = radial_smoother(f, params.kernel)
+    smooth = radial_smoother(f)
     scales = []
 
     def recording(s):
@@ -264,22 +253,17 @@ def test_kiselman_rejects_non_finite_field(grid32):
         kiselman_legendre(ScalarField(grid32, values), params)
 
 
-def test_kiselman_rejects_empty_ladder():
-    with pytest.raises(ValueError, match="s_samples"):
-        RegularizationParams(epsilon=0.125, gamma=0.5, s_samples=0)
-
-
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
-def test_kiselman_memory_independent_of_ladder_length(n, N):
+def test_kiselman_memory_independent_of_ladder_length(n, N, monkeypatch):
     """The ladder is folded into a running minimum, never stacked."""
     import tracemalloc
 
     grid = TorusGrid(n, N)
     f = random_admissible_field(grid, np.random.default_rng(42), margin=0.3)
+    params = RegularizationParams(epsilon=0.125, gamma=0.5)
     peaks = []
     for s_samples in (32, 128):
-        params = RegularizationParams(epsilon=0.125, gamma=0.5,
-                                      s_samples=s_samples)
+        monkeypatch.setattr(reg, "_S_SAMPLES", s_samples)
         kiselman_legendre(f, params)   # warm the kernel-transform cache
         tracemalloc.start()
         try:
@@ -523,8 +507,7 @@ def test_ball_mass_smooth_exponent_2n():
     f = grid.scalar_field(np.cos(2.0 * np.pi * x))
     h = grid.spacing
     radii = np.geomspace(8 * h, 1.0 / 16.0, 5)
-    out = ball_mass_profile(f, centers=[(0.0, 0.3), (0.5, 0.8)], radii=radii,
-                            fit_min_cells=8)
+    out = ball_mass_profile(f, centers=[(0.0, 0.3), (0.5, 0.8)], radii=radii)
     assert abs(out["fitted_exponent"] - 2.0) <= 0.1
 
 
