@@ -31,7 +31,6 @@ from .flow_ma import RhsSpec, solve_flow
 from .manufactured import ManufacturedSolution, admissible_horizon
 from .grid import (
     DEFAULT_KERNEL,
-    ScalarField,
     TorusGrid,
     Trajectory,
     hessian_parts,
@@ -174,18 +173,23 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def validate(self) -> None:
+        """Refuse a config that cannot run, before any directory or step is
+        made: the grid, right-hand side, symbol and FlowParams are built
+        here, so their own checks run up front."""
         if self.flow.equation not in ("ma", "hessian"):
             raise ValueError("flow.equation must be 'ma' or 'hessian'")
-        if self.rhs.kind not in ("zero", "time_only", "smooth_product",
-                                 "mollified_log_singularity", "manufactured"):
-            raise ValueError(f"unknown rhs.kind {self.rhs.kind!r}")
-        if self.rhs.profile not in TIME_PROFILES:
-            raise ValueError(f"unknown rhs.profile {self.rhs.profile!r}")
-        if self.rhs.p0 <= 1.0:
-            raise ValueError("rhs.p0 must exceed 1")
-        if not 0.0 < self.flow.dt <= self.flow.T:
-            raise ValueError("flow must satisfy 0 < dt <= T")
-        _flow_params(self)   # FlowParams' own checks, before any step
+        for name, value, table in (
+                ("rhs.kind", self.rhs.kind, RHS_KINDS),
+                ("rhs.profile", self.rhs.profile, TIME_PROFILES),
+                ("flow.initial_condition", self.flow.initial_condition,
+                 INITIAL_CONDITIONS)):
+            if value not in table:
+                raise ValueError(f"unknown {name} {value!r}")
+        real_dim = 2 * self.grid.n_complex
+        if self.rhs.center and len(self.rhs.center) != real_dim:
+            raise ValueError(f"rhs.center must be empty or hold 2n = {real_dim} "
+                             f"coordinates, got {self.rhs.center}")
+        _build(self)
         if self.rhs.kind == "manufactured":
             if self.rhs.scale != 1.0:
                 raise ValueError(
@@ -218,47 +222,34 @@ class RunConfig:
 # config -> objects
 
 
-def _build_grid(cfg: RunConfig) -> TorusGrid:
-    g = cfg.grid
-    return TorusGrid(g.n_complex, g.points_per_axis, g.period, g.derivative_mode)
+def _smooth_product(r: RhsConfig, grid: TorusGrid) -> RhsSpec:
+    mode = 2.0 * np.pi * r.spatial_mode / grid.period
+    return RhsSpec.smooth_product(lambda *xs: r.spatial_amplitude * np.cos(mode * xs[0]),
+                                  TIME_PROFILES[r.profile], p0=r.p0, scale=r.scale)
 
 
-def _build_rhs(cfg: RunConfig, grid: TorusGrid):
-    r = cfg.rhs
-    if r.kind == "zero":
-        return RhsSpec.zero()
-    if r.kind == "manufactured":
-        return ManufacturedSolution(grid, curvature=r.time_curvature, p0=r.p0)
-    if r.kind == "time_only":
-        prof = TIME_PROFILES[r.profile]
-        return RhsSpec.time_only(prof, p0=r.p0, scale=r.scale)
-    if r.kind == "smooth_product":
-        mode = 2.0 * np.pi * r.spatial_mode / grid.period
-        amp = r.spatial_amplitude
+# rhs.kind -> the right-hand side, built from (rhs config, grid)
+RHS_KINDS = {
+    "zero": lambda r, grid: RhsSpec.zero(r.p0),
+    "time_only": lambda r, grid: RhsSpec.time_only(TIME_PROFILES[r.profile],
+                                                   p0=r.p0, scale=r.scale),
+    "smooth_product": _smooth_product,
+    "mollified_log_singularity": lambda r, grid: RhsSpec.mollified_log_singularity(
+        tuple(r.center) or (grid.period / 2.0,) * grid.real_dim, r.strength,
+        r.moll_radius, p0=r.p0, scale=r.scale),
+    "manufactured": lambda r, grid: ManufacturedSolution(
+        grid, curvature=r.time_curvature, p0=r.p0),
+}
 
-        def spatial(*coords):
-            return amp * np.cos(mode * coords[0])
-
-        return RhsSpec.smooth_product(spatial, TIME_PROFILES[r.profile],
-                                      p0=r.p0, scale=r.scale)
-    center = tuple(r.center) if r.center else (grid.period / 2.0,) * grid.real_dim
-    return RhsSpec.mollified_log_singularity(center, r.strength, r.moll_radius,
-                                             p0=r.p0, scale=r.scale)
-
-
-def _build_phi0(cfg: RunConfig, grid: TorusGrid) -> ScalarField:
-    f = cfg.flow
-    if f.initial_condition == "zero":
-        return grid.constant_field(0.0)
-    if f.initial_condition == "cos_mode":
-        x = grid.meshgrid()[0]
-        return grid.scalar_field(
-            f.ic_amplitude * np.cos(2.0 * np.pi * x / grid.period))
-    if f.initial_condition == "random_band":
-        rng = np.random.default_rng(cfg.seed)
-        return random_admissible_field(grid, rng, margin=f.ic_margin,
-                                       amplitude=f.ic_amplitude)
-    raise ValueError(f"unknown initial_condition {f.initial_condition!r}")
+# flow.initial_condition -> phi_0, built from (run config, grid)
+INITIAL_CONDITIONS = {
+    "zero": lambda cfg, grid: grid.constant_field(0.0),
+    "cos_mode": lambda cfg, grid: grid.scalar_field(
+        cfg.flow.ic_amplitude * np.cos(2.0 * np.pi * grid.meshgrid()[0] / grid.period)),
+    "random_band": lambda cfg, grid: random_admissible_field(
+        grid, np.random.default_rng(cfg.seed), margin=cfg.flow.ic_margin,
+        amplitude=cfg.flow.ic_amplitude),
+}
 
 
 def _flow_params(cfg: RunConfig) -> FlowParams:
@@ -268,20 +259,22 @@ def _flow_params(cfg: RunConfig) -> FlowParams:
                       admissibility_floor=f.admissibility_floor)
 
 
-def _solve(cfg: RunConfig) -> tuple[Trajectory, object, FlowParams]:
-    """Build the configured flow and solve it: (trajectory, rhs, params).
+def _build(cfg: RunConfig) -> tuple:
+    """(grid, rhs, symbol, params) of a config; the symbol is None for
+    `equation: "ma"`, the Monge-Ampere flow, and `flow.symbol` otherwise."""
+    grid = TorusGrid(**asdict(cfg.grid))
+    f = cfg.flow
+    symbol = (symbol_from_config(f.symbol, grid.n_complex, f.k, f.l)
+              if f.equation == "hessian" else None)
+    return grid, RHS_KINDS[cfg.rhs.kind](cfg.rhs, grid), symbol, _flow_params(cfg)
 
-    `equation: "ma"` is the Monge-Ampere flow (the `det` symbol);
-    `equation: "hessian"` takes its symbol from `flow.symbol`.
-    """
-    grid = _build_grid(cfg)
-    rhs = _build_rhs(cfg, grid)
-    phi0 = _build_phi0(cfg, grid)
-    params = _flow_params(cfg)
-    if cfg.flow.equation == "ma":
+
+def _solve(cfg: RunConfig) -> tuple[Trajectory, object, FlowParams]:
+    """Build the configured flow and solve it: (trajectory, rhs, params)."""
+    grid, rhs, symbol, params = _build(cfg)
+    phi0 = INITIAL_CONDITIONS[cfg.flow.initial_condition](cfg, grid)
+    if symbol is None:   # the Monge-Ampere entry point, which perfbench's tracer times
         return solve_flow(phi0, rhs, params), rhs, params
-    symbol = symbol_from_config(cfg.flow.symbol, grid.n_complex,
-                                cfg.flow.k, cfg.flow.l)
     return solve_hessian_flow(phi0, rhs, symbol, params), rhs, params
 
 

@@ -414,7 +414,8 @@ def holder_moduli(phi: Trajectory) -> dict:
 
     Sup-quotients over dyadic separations, least squares in log-log.
     Spatial separations run from 4 grid cells (below that is discretization
-    noise) to max(N/16, 8) cells; constant-in-time or flat trajectories
+    noise; 2 cells when N < 16, which has room for no second separation
+    above 4) to max(N/16, 8) cells; constant-in-time or flat trajectories
     return the +inf exponent sentinel with constant 0.
     """
     if phi.n_times < 8:
@@ -439,7 +440,7 @@ def holder_moduli(phi: Trajectory) -> dict:
 
     grid = phi.grid
     N = grid.points_per_axis
-    j = 4
+    j = 2 if N < 16 else 4
     j_max = max(N // 16, 8)
     sseps, squots = [], []
     while j <= min(j_max, N // 2):

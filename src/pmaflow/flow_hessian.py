@@ -41,6 +41,7 @@ from .grid import (
 )
 from .stepping import (
     AdmissibilityLost,
+    FlowError,
     FlowParams,
     NewtonDiverged,
     newton_step,
@@ -58,17 +59,8 @@ __all__ = [
 ]
 
 
-class ConeViolation(ValueError):
+class ConeViolation(FlowError, ValueError):
     """Point outside the symbol's admissible cone, or data it cannot reach."""
-
-    def __init__(self, message, location=None, t=None):
-        if location is not None:
-            message = f"{message} (grid location {location})"
-        if t is not None:
-            message = f"{message} (at flow time t={t:.6g})"
-        super().__init__(message)
-        self.location = location
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -91,9 +83,9 @@ class HessianSymbol:
         if self.n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if self.kind == "sigma_quotient_power" and not 0 <= self.l < self.k <= self.n:
-            raise ValueError("need 0 <= l < k <= n")
+            raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
         if self.kind == "full_sigma_k" and not 1 <= self.k <= self.n + 1:
-            raise ValueError("need 1 <= k <= n + 1")
+            raise ValueError(f"need 1 <= k <= n + 1, got k={self.k}, n={self.n}")
 
     @property
     def degree(self) -> float:

@@ -80,8 +80,8 @@ class RhsSpec:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls) -> "RhsSpec":
-        return cls(lambda grid, t: np.zeros(grid.shape))
+    def zero(cls, p0: float = 2.0) -> "RhsSpec":
+        return cls(lambda grid, t: np.zeros(grid.shape), p0)
 
     @classmethod
     def time_only(cls, g, p0: float = 2.0, scale: float = 1.0) -> "RhsSpec":
@@ -105,7 +105,7 @@ class RhsSpec:
                                   moll_radius: float, p0: float = 2.0,
                                   scale: float = 1.0) -> "RhsSpec":
         if moll_radius <= 0:
-            raise ValueError("mollification radius must be positive")
+            raise ValueError(f"moll_radius must be positive, got {moll_radius}")
         strength, moll_radius = float(strength), float(moll_radius)
 
         @_once_per_grid

@@ -70,7 +70,8 @@ class TorusGrid:
         if self.n_complex not in (1, 2):
             raise ValueError(f"n_complex must be 1 or 2, got {self.n_complex}")
         if self.points_per_axis <= 0 or self.points_per_axis % 2 != 0:
-            raise ValueError("points_per_axis must be positive and even")
+            raise ValueError("points_per_axis must be positive and even, "
+                             f"got {self.points_per_axis}")
         if self.period <= 0:
             raise ValueError("period must be positive")
         if self.derivative_mode not in ("spectral", "finite_difference_2nd"):
@@ -158,24 +159,23 @@ class TorusGrid:
     def constant_field(self, c: float) -> "ScalarField":
         return ScalarField(self, np.full(self.shape, float(c)))
 
-    def periodic_offsets(self) -> tuple:
-        """Signed periodic offsets from the origin along each axis, in (-L/2, L/2]."""
-        n, h = self.points_per_axis, self.spacing
-        idx = np.arange(n)
-        w = np.where(idx <= n // 2, idx, idx - n) * h
-        return tuple(
-            w.reshape([n if a == ax else 1 for a in range(self.real_dim)])
-            for ax in range(self.real_dim)
-        )
-
     def periodic_distance_sq(self, center) -> np.ndarray:
-        """Squared periodic distance from every grid point to `center`."""
-        coords = self.meshgrid()
+        """Squared periodic distance from every grid point to `center`, a
+        point with one coordinate per real axis; one broadcast axis each.
+
+        Offsets are taken in cells, min(|k - x0/h|, N - |k - x0/h|) h, so a
+        center at the origin sees the exactly symmetric distances
+        min(k, N - k) h: the mollifier's kernel is even to the last bit.
+        """
+        if len(center) != self.real_dim:
+            raise ValueError(f"center {tuple(center)} has {len(center)} coordinates; "
+                             f"the grid has {self.real_dim} real axes")
+        n, h = self.points_per_axis, self.spacing
         out = np.zeros(self.shape)
-        for c, x0 in zip(coords, center):
-            d = np.abs(c - x0)
-            d = np.minimum(d, self.period - d)
-            out += d * d
+        for ax, x0 in enumerate(center):
+            cells = np.abs(np.arange(n) - x0 / h)
+            d = np.minimum(cells, n - cells) * h
+            out += (d * d).reshape([-1 if a == ax else 1 for a in range(self.real_dim)])
         return out
 
 
@@ -431,11 +431,7 @@ DEFAULT_KERNEL = RadialKernel()
 def _kernel_on_grid_normalized(grid: TorusGrid, s: float) -> np.ndarray:
     """Discrete kernel centered at the origin, renormalized to unit discrete mass."""
     d = grid.real_dim
-    offs = grid.periodic_offsets()
-    r2 = np.zeros(grid.shape)
-    for w in offs:
-        r2 = r2 + w * w
-    r = np.sqrt(r2)
+    r = np.sqrt(grid.periodic_distance_sq((0.0,) * d))
     k = DEFAULT_KERNEL.density(r / s, d) / s**d
     return k / (k.sum() * grid.cell_volume)
 

@@ -38,7 +38,8 @@ class ManufacturedSolution(RhsSpec):
 
     def __init__(self, grid: TorusGrid, curvature: float = 1.0, p0: float = 2.0):
         if grid.n_complex != 1:
-            raise ValueError("manufactured family is defined on n = 1 grids")
+            raise ValueError("manufactured family is defined on n = 1 grids, "
+                             f"got n_complex = {grid.n_complex}")
         super().__init__(self._F, p0)
         self.grid = grid
         self.curvature = float(curvature)

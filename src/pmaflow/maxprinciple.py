@@ -118,27 +118,16 @@ class SpaceTimeGridReal:
         return d2 <= self.ball_radius**2 + 1e-12
 
     def interior_mask(self) -> np.ndarray:
-        """Domain nodes all of whose axis neighbors are domain nodes."""
+        """Domain nodes all of whose axis neighbors are domain nodes: the
+        domain ANDed with its +-1 shifts along each axis, off-array nodes
+        counting as outside."""
         dom = self.domain_mask()
-        interior = dom.copy()
+        padded = np.pad(dom, 1)
+        core = (slice(1, -1),) * self.m
         for axis in range(self.m):
-            lo = np.ones_like(dom)
-            hi = np.ones_like(dom)
-            sl_lo = [slice(None)] * self.m
-            sl_hi = [slice(None)] * self.m
-            sl_lo[axis] = slice(1, None)
-            sl_hi[axis] = slice(None, -1)
-            lo[tuple(sl_lo)] = dom[tuple(sl_hi)]
-            hi[tuple(sl_hi)] = dom[tuple(sl_lo)]
-            # nodes at array edges have no neighbor: never interior
-            edge_lo = [slice(None)] * self.m
-            edge_lo[axis] = 0
-            lo[tuple(edge_lo)] = False
-            edge_hi = [slice(None)] * self.m
-            edge_hi[axis] = -1
-            hi[tuple(edge_hi)] = False
-            interior &= lo & hi
-        return interior
+            for step in (-1, 1):
+                dom = dom & np.roll(padded, step, axis)[core]
+        return dom
 
     def domain_volume(self) -> float:
         """Discrete volume consistent with the contact-set quadrature."""
@@ -291,6 +280,18 @@ def _first_nonfinite_time(arr: np.ndarray) -> int | None:
     return None
 
 
+def _sups(stg: SpaceTimeGridReal, u: np.ndarray) -> tuple:
+    """(interior mask, sup of u over the domain, sup of u over the parabolic
+    boundary: the t = 0 slice and the non-interior domain nodes at all
+    times)."""
+    interior = stg.interior_mask()
+    dom = stg.domain_mask()
+    boundary = dom & ~interior
+    sup_pb = max(float(u[0][dom].max()),
+                 float(u[:, boundary].max()) if boundary.any() else -np.inf)
+    return interior, float(u[:, dom].max()), sup_pb
+
+
 def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:
     """Contact set, its integral, and the two sups of the maximum principle.
 
@@ -304,10 +305,7 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:
     h, dt, m = stg.h, stg.dt, stg.m
     tol = 10.0 * h
 
-    interior = stg.interior_mask()
-    dom = stg.domain_mask()
-    boundary = dom & ~interior
-
+    interior, sup_interior, sup_pb = _sups(stg, u)
     mask = np.zeros(u.shape, dtype=bool)
     integrand = np.zeros(u.shape)
     flat_mask = mask.reshape(len(mask), -1)
@@ -317,10 +315,6 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:
         det_neg = np.maximum((-1.0) ** m * _det(_take(H, on_e)), 0.0)
         flat_integrand[k, idx[on_e]] = du[on_e] * det_neg
     integral = float(integrand.sum() * h**m * dt)
-
-    sup_interior = float(u[:, dom].max()) if dom.any() else -np.inf
-    sup_pb = max(float(u[0][dom].max()),
-                 float(u[:, boundary].max()) if boundary.any() else -np.inf)
     return ContactSetReport(mask, integral, sup_interior, sup_pb,
                             stg.domain_volume(), tol, integrand)
 
@@ -370,9 +364,7 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     if bad:
         k, name = min(bad)
         raise ValueError(f"{name} contains non-finite values at time index {k}")
-    interior = stg.interior_mask()
-    dom = stg.domain_mask()
-    boundary = dom & ~interior
+    interior, sup_interior, sup_pb = _sups(stg, u)
     # a multi-index: a_field and f_field may be broadcast views, whose
     # ravel() would copy a whole slice
     nodes = np.nonzero(interior)
@@ -397,9 +389,6 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
         raise HypothesisViolated(
             f"differential inequality fails on {bad}/{total} interior points")
 
-    sup_interior = float(u[:, dom].max())
-    sup_pb = max(float(u[0][dom].max()),
-                 float(u[:, boundary].max()) if boundary.any() else -np.inf)
     numer = sup_interior - sup_pb
     denom = stg.diameter ** (m / (m + 1.0)) * mask_integral ** (1.0 / q)
     implied = 0.0

@@ -312,10 +312,7 @@ def ball_lower_bound_check(field: ScalarField, eps: float) -> dict:
     h = grid.spacing
     r_half = max(round((eps / 2.0) / h), 1) * h
     # ball masses around every grid point at radius eps/2 via convolution
-    offs = grid.periodic_offsets()
-    r2 = np.zeros(grid.shape)
-    for w in offs:
-        r2 = r2 + w * w
+    r2 = grid.periodic_distance_sq((0.0,) * d)
     mask = (r2 <= r_half**2 + 1e-12).astype(float)
     mass = scipy.fft.irfftn(scipy.fft.rfftn(lap) * scipy.fft.rfftn(mask),
                             s=grid.shape, axes=grid.axes,

@@ -63,7 +63,8 @@ import scipy.fft
 
 from .grid import TorusGrid
 
-__all__ = ["FlowParams", "NewtonDiverged", "AdmissibilityLost", "newton_step"]
+__all__ = ["FlowParams", "FlowError", "NewtonDiverged", "AdmissibilityLost",
+           "newton_step"]
 
 
 @dataclass
@@ -85,24 +86,26 @@ class FlowParams:
             raise ValueError("newton_max_iter must be at least 1")
 
 
-class NewtonDiverged(RuntimeError):
+class FlowError(Exception):
+    """A flow failure that names where it happened: the message ends with
+    the grid location and the flow time, where they are known."""
+
+    def __init__(self, message, t=None, location=None):
+        if location is not None:
+            message = f"{message} (grid location {location})"
+        if t is not None:
+            message = f"{message} (at flow time t={t:.6g})"
+        super().__init__(message)
+        self.t = t
+        self.location = location
+
+
+class NewtonDiverged(FlowError, RuntimeError):
     """Newton failed to reduce the residual within the line-search ladder."""
 
-    def __init__(self, message, t=None):
-        if t is not None:
-            message = f"{message} (at flow time t={t:.6g})"
-        super().__init__(message)
-        self.t = t
 
-
-class AdmissibilityLost(RuntimeError):
+class AdmissibilityLost(FlowError, RuntimeError):
     """Eigenvalue floor of I + H violated; usually signals dt too large."""
-
-    def __init__(self, message, t=None):
-        if t is not None:
-            message = f"{message} (at flow time t={t:.6g})"
-        super().__init__(message)
-        self.t = t
 
 
 def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple,

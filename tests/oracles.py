@@ -10,6 +10,7 @@ the package computes another way, or a check only the tests make:
   test, and the sampled structural conditions (monotone, symmetric, c0, C0)
 - the elementary-inequality battery of the L-infinity argument
 - the sup distance between two trajectories sampled at the same times
+- the interior of a masked domain, node by node
 
 `tests/` has no `__init__.py`, so pytest puts this directory on `sys.path`
 and a test module imports these with `from oracles import ...`.
@@ -243,3 +244,19 @@ def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:
     if traj_a.n_times != traj_b.n_times or not np.allclose(traj_a.times, traj_b.times):
         raise ValueError("trajectories sample different times")
     return float(np.abs(traj_a.values - traj_b.values).max())
+
+
+# ---------------------------------------------------------------------------
+# the interior of a masked real domain
+
+
+def interior_by_neighbours(dom: np.ndarray) -> np.ndarray:
+    """Nodes of the boolean array dom whose 2m axis neighbours all lie in
+    dom, decided one node at a time; a neighbour off the array is outside."""
+    out = np.zeros_like(dom)
+    for node in zip(*np.nonzero(dom)):
+        out[node] = all(
+            0 <= node[axis] + step < dom.shape[axis]
+            and dom[node[:axis] + (node[axis] + step,) + node[axis + 1:]]
+            for axis in range(dom.ndim) for step in (-1, 1))
+    return out

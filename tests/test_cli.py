@@ -1,6 +1,7 @@
 """Config round-trips, the run pipeline, sweeps, and CLI exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,47 @@ def test_config_rejects_scaled_manufactured_data(monkeypatch, capsys, tmp_path):
     out = tmp_path / "x"
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "rhs.scale must be 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Configs that `from_dict` once accepted and that failed only once `run` had
+# made the output directory; the wrong-length center ran, with e^F constant
+# along x_2 and y_2.  Each entry: the changed sections, and a fragment of
+# the message that names the field.
+LATE_FAILING_CONFIGS = {
+    "unknown_symbol": ({"flow": {"equation": "hessian", "symbol": "bogus"}},
+                       "symbol name 'bogus'"),
+    "k_l_out_of_range": ({"flow": {"equation": "hessian", "symbol": "sigma_quotient",
+                                   "k": 1, "l": 1}}, "k=1, l=1"),
+    "unknown_initial_condition": ({"flow": {"initial_condition": "bogus"}},
+                                  "unknown flow.initial_condition 'bogus'"),
+    "odd_points_per_axis": ({"grid": {"points_per_axis": 31}}, "points_per_axis"),
+    "nonpositive_moll_radius": ({"rhs": {"kind": "mollified_log_singularity",
+                                         "moll_radius": 0.0}}, "moll_radius"),
+    "manufactured_at_n2": ({"grid": {"n_complex": 2, "points_per_axis": 8},
+                            "rhs": {"kind": "manufactured"}}, "n_complex = 2"),
+    "short_center": ({"grid": {"n_complex": 2, "points_per_axis": 8},
+                      "rhs": {"kind": "mollified_log_singularity",
+                              "center": [0.5, 0.5]}}, "rhs.center"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATE_FAILING_CONFIGS))
+def test_config_refused_before_any_directory(monkeypatch, capsys, tmp_path, name):
+    """Each config is refused by `from_dict` with its field named, and
+    `pmaflow estimate` exits 1 without making its output directory."""
+    changes, fragment = LATE_FAILING_CONFIGS[name]
+    data = trivial_config(flow={"T": 0.1, "dt": 0.05}).to_dict()
+    for section, values in changes.items():
+        data[section].update(values)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        RunConfig.from_dict(data)
+    monkeypatch.setattr(cli, "_solve", lambda cfg: pytest.fail("solved"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert fragment in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -691,3 +691,16 @@ def test_mt_sup_stable_across_resolutions():
         stats = level_stats(traj, eF, np.array([0.0, 0.05]))
         sups.append(float(moser_trudinger(traj, stats, 0.05, beta=0.3).max()))
     assert max(sups) / min(sups) <= 1.05
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_holder_space_fits_below_n16(N):
+    """Below N = 16 the spatial separations start at 2 cells, so a smooth
+    field gets a finite exponent instead of the one-separation sentinel."""
+    grid = TorusGrid(2, N)
+    times = np.linspace(0.0, 0.1, 9)
+    x = grid.meshgrid()[0]
+    values = np.stack([(1.0 + t) * np.cos(2.0 * np.pi * x) for t in times])
+    fits = holder_moduli(Trajectory(grid, times, values))
+    assert len(fits["space_points"][0]) == 2
+    assert 0.0 < fits["space"][0] <= 1.05

@@ -615,3 +615,54 @@ def test_load_rejects_wrong_byte_count(tmp_path, trivial_flow, kind, damage):
     with pytest.raises(ValueError, match=f"holds {len(bad)} bytes; "
                                          f"its header implies {len(data)}"):
         load_trajectory(path)
+
+
+def _meshgrid_distance_sq(grid, center):
+    """The distance recipe on full coordinate arrays: |x - x0| wrapped to
+    min(d, L - d), axis by axis."""
+    out = np.zeros(grid.shape)
+    for c, x0 in zip(grid.meshgrid(), center):
+        d = np.abs(c - x0)
+        d = np.minimum(d, grid.period - d)
+        out += d * d
+    return out
+
+
+@pytest.mark.parametrize("n_complex, N", [(1, 10), (1, 12), (1, 64), (2, 8), (2, 16)])
+def test_periodic_distance_from_the_origin_is_even(n_complex, N):
+    """From the origin the distances are min(k, N - k) h, bit for bit: the
+    squared offsets the kernel was built from, so the kernel is even.  On
+    coordinates, L - 9h < h at N = 10, and the kernel took one neighbour
+    of the origin but not the other."""
+    grid = TorusGrid(n_complex, N)
+    d2 = grid.periodic_distance_sq((0.0,) * grid.real_dim)
+    k = np.arange(N)
+    w = np.where(k <= N // 2, k, k - N) * grid.spacing
+    expect = sum((w * w).reshape([-1 if a == ax else 1 for a in range(grid.real_dim)])
+                 for ax in range(grid.real_dim))
+    np.testing.assert_array_equal(d2, np.broadcast_to(expect, grid.shape))
+    mirror = np.roll(np.flip(d2), 1, axis=tuple(range(grid.real_dim)))
+    np.testing.assert_array_equal(d2, mirror)
+
+
+@pytest.mark.parametrize("n_complex, N, center", [
+    (1, 12, (0.3, 0.71)), (1, 64, (0.5, 0.5)), (1, 64, (0.0, 0.0)),
+    (2, 8, (0.1, 0.9, 0.55, 0.0)), (2, 16, (0.5,) * 4)])
+def test_periodic_distance_agrees_with_the_coordinate_recipe(n_complex, N, center):
+    """Off the origin the offsets in cells round differently from offsets in
+    coordinates, by a few ulps at most; on the benchmark grids (N = 64, and
+    N = 16 at n = 2) with dyadic centers both are exact."""
+    grid = TorusGrid(n_complex, N)
+    d2 = grid.periodic_distance_sq(center)
+    expect = _meshgrid_distance_sq(grid, center)
+    np.testing.assert_allclose(d2, expect, rtol=1e-14, atol=1e-16)
+    if N in (16, 64) and all(c in (0.0, 0.5) for c in center):
+        np.testing.assert_array_equal(d2, expect)
+
+
+def test_periodic_distance_refuses_a_center_of_the_wrong_length():
+    """A center with fewer coordinates than real axes once left the others
+    unread: at n = 2, (0.5, 0.5) measured the distance to a plane."""
+    grid = TorusGrid(2, 8)
+    with pytest.raises(ValueError, match="has 2 coordinates; the grid has 4"):
+        grid.periodic_distance_sq((0.5, 0.5))

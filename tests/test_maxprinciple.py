@@ -18,6 +18,8 @@ from pmaflow.maxprinciple import (
     sample_space_time,
 )
 
+from oracles import interior_by_neighbours
+
 
 def paraboloid(a, center):
     def fn(t, *xs):
@@ -543,3 +545,17 @@ def test_guard_band_covers_closed_form_error_at_double_eigenvalue():
     err = np.abs(_largest_eigenvalue(_nested(stack))
                  - np.linalg.eigvalsh(stack)[:, -1])
     assert err.max() <= 0.1 * _GUARD_BAND * np.abs(stack).max(axis=(1, 2)).min()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), domain=st.sampled_from(["box", "ball"]), data=st.data())
+def test_interior_mask_matches_the_neighbour_oracle(m, domain, data):
+    """The padded-shift interior is the node-by-node one, on boxes and on
+    balls of any centre and radius, off-centre and clipped ones included."""
+    n_points = data.draw(st.integers(5, 41 if m < 3 else 21), label="n_points")
+    center = tuple(data.draw(st.floats(0.0, 1.0), label="center") for _ in range(m))
+    radius = data.draw(st.floats(0.05, 0.8), label="radius")
+    stg = SpaceTimeGridReal(m=m, n_points=n_points, T=1.0, n_steps=2, domain=domain,
+                            ball_center=center, ball_radius=radius)
+    np.testing.assert_array_equal(stg.interior_mask(),
+                                  interior_by_neighbours(stg.domain_mask()))

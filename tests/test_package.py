@@ -12,6 +12,7 @@ import pytest
 
 import pmaflow
 from pmaflow import FlowParams, cli
+from pmaflow.cli import RunConfig
 
 SRC = pathlib.Path(pmaflow.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -156,6 +157,30 @@ def test_flow_params_are_the_config_controls():
     passed = {kw.arg for kw in call.keywords}
     assert {f.name for f in dataclasses.fields(FlowParams)} == passed
     assert passed <= {f.name for f in dataclasses.fields(cli.FlowConfig)}
+
+
+def test_flow_error_suffix_is_written_once():
+    """The "(at flow time t=...)" suffix is formatted in one place,
+    `stepping.FlowError`, the base of every flow error."""
+    hits = [f"{path.stem}:{i}" for path in MODULES
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "at flow time" in line]
+    assert len(hits) == 1, hits
+
+
+@pytest.mark.parametrize("section, key, table", [
+    ("rhs", "kind", cli.RHS_KINDS),
+    ("flow", "initial_condition", cli.INITIAL_CONDITIONS)])
+def test_config_accepts_exactly_its_builder_tables(section, key, table):
+    """The table that builds a config's right-hand side or phi_0 is also
+    the list of names its validation accepts."""
+    for name in table:
+        data = {"flow": {"T": 0.1, "dt": 0.05}}
+        data.setdefault(section, {})[key] = name
+        assert getattr(getattr(RunConfig.from_dict(data), section), key) == name
+    data = {section: {key: "bogus"}}
+    with pytest.raises(ValueError, match=f"unknown {section}.{key} 'bogus'"):
+        RunConfig.from_dict(data)
 
 
 def test_regularization_params_are_the_battery_controls():

@@ -18,7 +18,9 @@ from pmaflow import cli, flow_hessian, stepping
 from pmaflow.cli import RunConfig
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
 from pmaflow.grid import hessian_parts, random_admissible_field
-from pmaflow.stepping import NewtonDiverged, _forcing_term, _preconditioned_operator
+from pmaflow.flow_hessian import ConeViolation
+from pmaflow.stepping import (AdmissibilityLost, FlowError, NewtonDiverged,
+                              _forcing_term, _preconditioned_operator)
 
 from oracles import complex_hessian_matrices
 
@@ -751,3 +753,27 @@ def test_n2_monge_ampere_on_singular_data_at_n24_solves(monkeypatch):
     resolves = sum(norm == prev for step in steps
                    for (prev, _, _), (norm, _, _) in zip(step, step[1:]))
     assert resolves >= 1
+
+
+# ---------------------------------------------------------------------------
+# one flow-error base
+
+
+@pytest.mark.parametrize("cls, base, args, kwargs, suffix", [
+    (ConeViolation, ValueError, (), {"location": (1, 2), "t": 0.5},
+     " (grid location (1, 2)) (at flow time t=0.5)"),
+    (ConeViolation, ValueError, (), {"location": (3, 0)}, " (grid location (3, 0))"),
+    (ConeViolation, ValueError, (), {}, ""),
+    (NewtonDiverged, RuntimeError, (0.01,), {}, " (at flow time t=0.01)"),
+    (NewtonDiverged, RuntimeError, (), {}, ""),
+    (AdmissibilityLost, RuntimeError, (1.0 / 3.0,), {}, " (at flow time t=0.333333)"),
+])
+def test_flow_errors_keep_their_class_base_and_suffix(cls, base, args, kwargs, suffix):
+    """Each flow error keeps its name and builtin base, and carries .t and
+    .location; its message, which a sweep's `error` column shows, ends with
+    where the failure happened."""
+    exc = cls("no step", *args, **kwargs)
+    assert isinstance(exc, FlowError) and isinstance(exc, base)
+    assert str(exc) == "no step" + suffix
+    assert exc.t == (args[0] if args else kwargs.get("t"))
+    assert exc.location == kwargs.get("location")
