@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, fields
@@ -301,13 +302,13 @@ def _trajectory_checks(traj: Trajectory, params: FlowParams,
     t, flux = traj.times, []
     for k in range(traj.n_times):
         phi = traj.field_at(k).require_finite("field")
-        eigs = identity_plus_eigenvalues(hessian_parts(phi.values, traj.grid))
-        min_eig = min(min_eig, float(eigs.min()))
+        slots = identity_plus_eigenvalues(hessian_parts(phi.values, traj.grid))
+        min_eig = min(min_eig, float(slots[0].min()))
         if i_values is not None:
-            i_values.append(est.i_functional(phi, eigs))
+            i_values.append(est.i_functional(phi, slots))
             if 0 < k < traj.n_times - 1:
                 flux.append(float(np.vdot(traj.values[k + 1] - traj.values[k - 1],
-                                          eigs.prod(axis=-1)))
+                                          math.prod(slots)))
                             * traj.grid.cell_volume / (t[k + 1] - t[k - 1]))
     checks = {
         "monotone": mono <= slack,

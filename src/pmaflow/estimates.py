@@ -160,19 +160,20 @@ def entropy(eF: Trajectory, F: Trajectory, p: float,
 # the I functional and its dissipation identity
 
 
-def i_functional(phi: ScalarField, eigs: np.ndarray | None = None) -> float:
+def i_functional(phi: ScalarField, slots: tuple | None = None) -> float:
     """Energy I(phi) = 1/(n+1) int phi sum_j w0^{n-j} ^ w_phi^j.
 
     In flat coordinates w0^{n-j} ^ w_phi^j / w0^n = sigma_j(lambda) / C(n, j)
     for the eigenvalues lambda of I + H, so the density is
-    phi sum_{j=0..n} sigma_j(lambda) / C(n, j).  `eigs` are those
-    eigenvalues when the caller already has them.
+    phi sum_{j=0..n} sigma_j(lambda) / C(n, j).  `slots` are those
+    eigenvalues (`identity_plus_eigenvalues`) when the caller already has
+    them.
     """
     grid = phi.grid
     n = grid.n_complex
-    if eigs is None:
-        eigs = identity_plus_eigenvalues(hessian_parts(phi.values, grid))
-    e = elementary_symmetric([eigs[..., i] for i in range(n)], n)
+    if slots is None:
+        slots = identity_plus_eigenvalues(hessian_parts(phi.values, grid))
+    e = elementary_symmetric(slots, n)
     dens = phi.values * sum(e[j] / math.comb(n, j) for j in range(n + 1))
     return float(dens.mean() * grid.volume) / (n + 1)
 

@@ -163,6 +163,8 @@ class TorusGrid:
         """Squared periodic distance from every grid point to `center`, a
         point with one coordinate per real axis; one broadcast axis each.
 
+        Each coordinate is first reduced mod L (exact, and the identity on
+        [0, L)), so a center any number of periods away is the same point.
         Offsets are taken in cells, min(|k - x0/h|, N - |k - x0/h|) h, so a
         center at the origin sees the exactly symmetric distances
         min(k, N - k) h: the mollifier's kernel is even to the last bit.
@@ -173,7 +175,7 @@ class TorusGrid:
         n, h = self.points_per_axis, self.spacing
         out = np.zeros(self.shape)
         for ax, x0 in enumerate(center):
-            cells = np.abs(np.arange(n) - x0 / h)
+            cells = np.abs(np.arange(n) - float(x0) % self.period / h)
             d = np.minimum(cells, n - cells) * h
             out += (d * d).reshape([-1 if a == ax else 1 for a in range(self.real_dim)])
         return out
@@ -287,44 +289,50 @@ def hessian_parts(values: np.ndarray, grid: TorusGrid) -> tuple:
                  for sym in grid.hessian_symbols)
 
 
-def identity_plus_eigenvalues(parts: tuple) -> np.ndarray:
+def identity_plus_eigenvalues(parts: tuple) -> tuple:
     """Ascending eigenvalues of I + H from `hessian_parts`, closed form.
 
-    Shape (*grid.shape, n) with n = 1 for (h11,) and n = 2 for
-    (h11, h22, Re h12, Im h12).
+    One C-contiguous field per eigenvalue slot, in the layout of the parts:
+    (1 + h11,) for n = 1 and (lambda_minus, lambda_plus) for n = 2, so
+    slots[0] is the smallest eigenvalue at every point.
     """
     if len(parts) == 1:
-        return 1.0 + parts[0][..., None]
+        return (1.0 + parts[0],)
     h11, h22, re, im = parts
-    # mean +- sqrt(0.25 (a - b)^2 + |h12|^2), a = 1 + h11, b = 1 + h22,
+    # mean -+ sqrt(0.25 (a - b)^2 + re^2 + im^2), a = 1 + h11, b = 1 + h22,
     # evaluated in place
     a = 1.0 + h11
     b = 1.0 + h22
-    mean = a + b
-    mean *= 0.5
+    lo = a + b
+    lo *= 0.5
     a -= b
     np.square(a, out=a)
     a *= 0.25
-    rad = np.hypot(re, im)
-    np.square(rad, out=rad)
-    rad += a
-    np.sqrt(rad, out=rad)
-    eigs = np.empty(mean.shape + (2,))
-    np.subtract(mean, rad, out=eigs[..., 0])
-    np.add(mean, rad, out=eigs[..., 1])
-    return eigs
+    a += np.square(re, out=b)
+    a += np.square(im, out=b)
+    rad = np.sqrt(a, out=a)
+    hi = lo + rad
+    lo -= rad
+    return lo, hi
 
 
-def elementary_symmetric(slots: list, k: int) -> list:
-    """[sigma_0, ..., sigma_k] of a list of slot arrays (or scalars).
+def elementary_symmetric(slots, k: int) -> list:
+    """[sigma_0, ..., sigma_k] of a sequence of slot arrays (or scalars).
 
     The recurrence e_j <- e_j + lambda e_{j-1}, one slot at a time from
-    e = (1, 0, ..., 0); entries that stay zero are the scalar 0.0.
+    e = (1, 0, ..., 0); entries that stay zero are the scalar 0.0.  The
+    products with e_0 = 1 and the sums with an e_j still 0 are skipped,
+    which changes no bit; every array entry is a fresh array.
     """
     e = [1.0] + [0.0] * k
     for i, lam in enumerate(slots):
         for j in range(min(i + 1, k), 0, -1):
-            e[j] = e[j] + lam * e[j - 1]
+            if j == 1:
+                e[1] = e[1] + lam
+            elif j > i:
+                e[j] = lam * e[j - 1]
+            else:
+                e[j] = e[j] + lam * e[j - 1]
     return e
 
 
@@ -332,7 +340,7 @@ def min_admissibility_eigenvalue(field: ScalarField) -> float:
     """Smallest eigenvalue of I + H[field] over all grid points."""
     field.require_finite("field")
     parts = hessian_parts(field.values, field.grid)
-    return float(identity_plus_eigenvalues(parts).min())
+    return float(identity_plus_eigenvalues(parts)[0].min())
 
 
 def complex_laplacian(field: ScalarField) -> np.ndarray:

@@ -53,6 +53,8 @@ _LADDER_FLOOR = 2.0**-8
 _REFINE_ROUNDS = 6
 # Largest inner fraction theta that `theta_scale_bound` uses.
 _THETA_CAP = 0.5
+# Scratch of `_trailing_average`: its rows go in blocks of this many bytes.
+_AVERAGE_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -169,7 +171,8 @@ def _trailing_average(times: np.ndarray, values: np.ndarray,
     values has shape (K+1, ...); the interpolant is constant (= values[0])
     before t = 0, so output[0] = values[0] exactly.  Each window integral
     is a difference of prefix integrals of the interpolant, taken at t and
-    at t - eps for all output times at once.
+    at t - eps, in place over blocks of output times; the only allocations
+    are the result and one block of scratch (`_AVERAGE_BLOCK_BYTES`).
     """
     if len(times) < 2:
         return values.copy()
@@ -186,16 +189,26 @@ def _trailing_average(times: np.ndarray, values: np.ndarray,
     k = np.clip(np.searchsorted(times, start, side="right") - 1, 0, len(span) - 1)
     dx = start - times[k]
     c = 0.5 * dx * dx / span[k]
-    term = out[k]   # one scratch array, reused for each term
-    out -= term
-    for rows, weight in ((k, dx - c), (k + 1, c)):
-        np.take(flat, rows, axis=0, out=term, mode="clip")   # unbuffered
-        term *= weight[:, None]
-        out -= term
+    weight = dx - c
     # plus the constant extension over the part of the window before 0
-    np.multiply(np.maximum(eps - times, 0.0)[:, None], flat[0], out=term)
-    out += term
-    out /= eps
+    before = np.maximum(eps - times, 0.0)
+    # blocks of rows from the last, with one block of scratch: row j reads
+    # the prefix integral at k[j] <= j, which no later block has changed,
+    # and each block gathers what it reads before it writes
+    size = max(1, _AVERAGE_BLOCK_BYTES // out[0].nbytes)
+    scratch = np.empty((min(size, len(times)),) + out.shape[1:], dtype=out.dtype)
+    for hi in range(len(times), 0, -size):
+        lo = max(hi - size, 0)
+        block, term, rows = out[lo:hi], scratch[:hi - lo], k[lo:hi]
+        np.take(out, rows, axis=0, out=term, mode="clip")   # unbuffered
+        block -= term
+        for at, w in ((rows, weight[lo:hi]), (rows + 1, c[lo:hi])):
+            np.take(flat, at, axis=0, out=term, mode="clip")
+            term *= w[:, None]
+            block -= term
+        np.multiply(before[lo:hi, None], flat[0], out=term)
+        block += term
+        block /= eps
     out[times <= 0.0] = flat[0]
     return out.reshape(values.shape)
 

@@ -169,10 +169,23 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
         return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes, overwrite_x=True)
 
     def apply(y: np.ndarray) -> np.ndarray:
+        # (c_u u + c_y y) - (w'_1 part'_1 + w'_2 part'_2 + ...), in place
         y = cast(y.reshape(grid.shape))
         uhat = spectrum(y)
-        others = sum(w * inverse(sym * uhat) for w, sym in rest)
-        return np.asarray(c_u * inverse(uhat) + c_y * y - others, dtype=float).ravel()
+        others = None
+        for w, sym in rest:
+            part = inverse(sym * uhat)
+            part *= w
+            if others is None:
+                others = part
+            else:
+                others += part
+        out = inverse(uhat)
+        out *= c_u
+        out += c_y * y
+        if others is not None:
+            out -= others
+        return np.asarray(out, dtype=float).ravel()
 
     def precondition(y: np.ndarray) -> np.ndarray:
         u = inverse(spectrum(cast(y.reshape(grid.shape))))

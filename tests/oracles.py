@@ -6,6 +6,11 @@ the package computes another way, or a check only the tests make:
 - the entrywise complex-Hessian tensor and, from it, the backward-Euler
   Monge-Ampere residual ((phi_prev - phi_next)/dt) det(I + H) - e^F, an
   oracle for the eigenvalue path the `det` symbol takes
+- the eigenvalues of I + H and the linearization weights of
+  B = sum_a w_a q_a q_a^* by `np.linalg.eigvalsh` and `np.linalg.eigh`
+- adapters between the package's eigenvalue slots (one field per slot)
+  and arrays with the slots on a trailing axis, and a hypothesis strategy
+  of Hessian components with exactly and nearly degenerate points
 - the symbol value and gradient at one cone point, with its cone-membership
   test, and the sampled structural conditions (monotone, symmetric, c0, C0)
 - the elementary-inequality battery of the L-infinity argument
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pmaflow.flow_hessian import ConeViolation, HessianSymbol, f_eval_grad_arrays
 from pmaflow.grid import (
@@ -37,11 +43,11 @@ from pmaflow.grid import (
 # the complex-Hessian tensor and the entrywise Monge-Ampere residual
 
 
-def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Hessian matrices of a raw value array, assembled from `hessian_parts`."""
-    n = grid.n_complex
-    parts = hessian_parts(values, grid)
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
+def hermitian_from_parts(parts: tuple) -> np.ndarray:
+    """The Hermitian matrices (..., n, n) of `hessian_parts`-ordered
+    components: (h11,) or (h11, h22, Re h12, Im h12)."""
+    n = 1 if len(parts) == 1 else 2
+    out = np.zeros(np.shape(parts[0]) + (n, n), dtype=complex)
     out[..., 0, 0] = parts[0]
     if n == 2:
         _, h22, re, im = parts
@@ -49,6 +55,11 @@ def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
         out[..., 0, 1] = re + 1j * im
         out[..., 1, 0] = re - 1j * im
     return out
+
+
+def complex_hessian_matrices(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Hessian matrices of a raw value array, assembled from `hessian_parts`."""
+    return hermitian_from_parts(hessian_parts(values, grid))
 
 
 def _det_identity_plus(hmat: np.ndarray, n: int) -> np.ndarray:
@@ -67,6 +78,69 @@ def ma_residual(phi_prev: ScalarField, phi_next: ScalarField, dt: float,
     hmat = complex_hessian_matrices(phi_next.values, grid)
     det = _det_identity_plus(hmat, grid.n_complex)
     return ScalarField(grid, lam0 * det - np.exp(f_next.values))
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue slots: layout adapters and dense-eigensolver oracles
+
+
+def slot_fields(stacked) -> tuple:
+    """The slot tuple of an array with the slots on its trailing axis."""
+    stacked = np.asarray(stacked, dtype=float)
+    return tuple(stacked[..., i] for i in range(stacked.shape[-1]))
+
+
+def trailing_axis(fields, shape: tuple | None = None) -> np.ndarray:
+    """Slot fields (scalars broadcast to `shape`) stacked on a trailing axis."""
+    if shape is None:
+        shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
+    return np.stack([np.broadcast_to(f, shape) for f in fields], axis=-1)
+
+
+def identity_plus_matrices(parts: tuple) -> np.ndarray:
+    """The Hermitian matrices I + H, (..., n, n), from `hessian_parts`-ordered
+    components."""
+    hmat = hermitian_from_parts(parts)
+    return hmat + np.eye(hmat.shape[-1])
+
+
+def hermitian_weights(b: np.ndarray) -> tuple:
+    """Real weights of tr(B . H[u]) for a Hermitian field B, in
+    `hessian_parts` order: (b11,) or (b11, b22, 2 Re b12, 2 Im b12)."""
+    if b.shape[-1] == 1:
+        return (b[..., 0, 0].real,)
+    return (b[..., 0, 0].real, b[..., 1, 1].real,
+            2.0 * b[..., 0, 1].real, 2.0 * b[..., 0, 1].imag)
+
+
+def eigh_trace_weights(parts: tuple, grad: tuple) -> tuple:
+    """The weights of B = sum_a grad_a q_a q_a^*, with the eigenvectors q_a
+    of I + H (ascending eigenvalues) from `np.linalg.eigh`."""
+    _, q = np.linalg.eigh(identity_plus_matrices(parts))
+    b = np.einsum("...a,...ia,...ja->...ij", trailing_axis(grad), q, np.conj(q))
+    return hermitian_weights(b)
+
+
+def hessian_parts_points(max_points=12):
+    """Strategy: n = 2 `hessian_parts` at a few points, some exactly
+    degenerate (h11 = h22, h12 = 0) and some with a tiny h12."""
+    @st.composite
+    def build(draw):
+        size = draw(st.integers(1, max_points))
+        entry = st.floats(-3.0, 3.0, allow_nan=False)
+        parts = [np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+                 for _ in range(4)]
+        for i in range(size):
+            kind = draw(st.sampled_from(["generic", "degenerate", "near"]))
+            if kind == "degenerate":
+                parts[1][i] = parts[0][i]
+                parts[2][i] = parts[3][i] = 0.0
+            elif kind == "near":
+                parts[1][i] = parts[0][i]
+                parts[2][i] *= 1e-9
+                parts[3][i] *= 1e-9
+        return tuple(parts)
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +178,8 @@ def f_eval_grad(symbol: HessianSymbol, point: ConePoint) -> tuple[float, np.ndar
         raise ConeViolation(f"point {point} outside the cone of {symbol.kind}")
     lam0 = np.array(point.lambda0)
     lams = np.asarray(point.lambdas, dtype=float)
-    val, grad = f_eval_grad_arrays(symbol, lam0, lams)
-    return float(val), grad.reshape(symbol.n + 1)
+    val, grad = f_eval_grad_arrays(symbol, lam0, slot_fields(lams))
+    return float(val), trailing_axis(grad).reshape(symbol.n + 1)
 
 
 @dataclass

@@ -59,7 +59,8 @@ from pmaflow.regularize import (
     time_average,
 )
 
-from oracles import ConePoint, comparison_check, f_eval_grad, inequality_oracles
+from oracles import (ConePoint, comparison_check, f_eval_grad, inequality_oracles,
+                     slot_fields, trailing_axis)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -301,7 +302,8 @@ def test_criterion_09_hessian_symbols():
     for sym in symbols:
         lam = np.exp(rng.uniform(np.log(0.05), np.log(20.0),
                                  size=(per_symbol, sym.n + 1)))
-        val, grad = f_eval_grad_arrays(sym, lam[:, 0], lam[:, 1:])
+        val, grad = f_eval_grad_arrays(sym, lam[:, 0], slot_fields(lam[:, 1:]))
+        grad = trailing_axis(grad)
         euler = (lam * grad).sum(axis=1)
         rel = np.abs(euler - sym.degree * val) / np.abs(val)
         euler_ok = euler_ok and float(rel.max()) <= 1e-9

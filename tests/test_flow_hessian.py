@@ -1,5 +1,6 @@
 """Hessian symbols, structural conditions, and the general flow solver."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -21,9 +22,11 @@ from pmaflow import (
 )
 from pmaflow import flow_hessian
 from pmaflow.flow_hessian import f_eval_grad_arrays
-from pmaflow.grid import elementary_symmetric
+from pmaflow.grid import elementary_symmetric, identity_plus_eigenvalues
 
-from oracles import ConePoint, comparison_check, f_eval_grad, structural_check
+from oracles import (ConePoint, comparison_check, eigh_trace_weights, f_eval_grad,
+                     hessian_parts_points, slot_fields, structural_check,
+                     trailing_axis)
 
 
 ALL_SYMBOLS = [
@@ -141,7 +144,7 @@ def test_sigma_recurrence_matches_subset_sums(data):
     if k < m and data.draw(st.booleans()):
         lams[data.draw(st.integers(0, m - 1))] *= -data.draw(st.floats(0.01, 0.5))
     e = elementary_symmetric(lams, k)
-    grad = flow_hessian._sigma_gradient(lams, k)
+    grad = trailing_axis(flow_hessian._sigma_gradient(tuple(lams), k), (size,))
     assert grad.shape == (size, m)
     scale = max(1.0, float(np.abs(lams).max())) ** k
     for j in range(k + 1):
@@ -157,7 +160,8 @@ def _iterative_rate(symbol, target, eigs):
     """The pointwise monotone Newton iteration for f(r, eigs) = target."""
     r = np.ones_like(target)
     for _ in range(60):
-        val, grad = f_eval_grad_arrays(symbol, r, eigs)
+        val, grad = f_eval_grad_arrays(symbol, r, slot_fields(eigs))
+        grad = trailing_axis(grad)
         step = (val - target) / np.maximum(grad[..., 0], 1e-300)
         r_new = np.maximum(r - step, 0.5 * r)
         if np.max(np.abs(r_new - r)) <= 1e-14 * np.max(np.abs(r_new)):
@@ -172,13 +176,13 @@ def test_closed_form_rate_matches_newton_iteration(symbol):
     rng = np.random.default_rng(21)
     eigs = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(64, symbol.n)))
     # targets above f(0+, eigs), so every point has a rate r > 0
-    f_zero, _ = f_eval_grad_arrays(symbol, np.full(64, 1e-300), eigs)
+    f_zero, _ = f_eval_grad_arrays(symbol, np.full(64, 1e-300), slot_fields(eigs))
     target = f_zero + np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=64))
-    got = flow_hessian._scalar_rate(symbol, target, eigs)
+    got = flow_hessian._scalar_rate(symbol, target, slot_fields(eigs))
     want = _iterative_rate(symbol, target, eigs)
     assert np.all(got > 0.0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    val, _ = f_eval_grad_arrays(symbol, got, eigs)
+    val, _ = f_eval_grad_arrays(symbol, got, slot_fields(eigs))
     assert np.allclose(val, target, rtol=1e-13, atol=0.0)
 
 
@@ -303,8 +307,8 @@ def test_value_only_evaluation_matches_f_eval_grad_arrays(symbol, data):
         k = symbol.k if symbol.kind == "full_sigma_k" else n + 1
         cond = elementary_symmetric(list(np.abs(lam)), k)[k] \
             / elementary_symmetric(list(lam), k)[k]
-    value = flow_hessian._symbol_value(symbol, lam0, lams)
-    expected = f_eval_grad_arrays(symbol, lam0, lams)[0]
+    value = flow_hessian._symbol_value(symbol, lam0, slot_fields(lams))
+    expected = f_eval_grad_arrays(symbol, lam0, slot_fields(lams))[0]
     assert value == pytest.approx(expected, rel=1e-14 * cond, abs=0.0)
 
 
@@ -344,7 +348,8 @@ def test_symbol_value_matches_subset_sum_definition(symbol, data):
         slots, orders = lam, (n + 1 if symbol.kind == "det" else symbol.k,)
     cond = max(float(_sigma_oracle(list(np.abs(slots)), j, ())
                      / _sigma_oracle(list(slots), j, ())) for j in orders)
-    value = flow_hessian._symbol_value(symbol, np.array([lam[0]]), lam[None, 1:])[0]
+    value = flow_hessian._symbol_value(symbol, np.array([lam[0]]),
+                                       slot_fields(lam[None, 1:]))[0]
     assert value == pytest.approx(_definition_oracle(symbol, lam), rel=1e-13 * cond,
                                   abs=0.0)
 
@@ -372,6 +377,39 @@ def test_residuals_never_build_the_gradient(symbol, monkeypatch):
     scale = np.abs(expected).max() + 1.0
     for got in (direct, residual(nxt)):
         assert np.allclose(got, expected, rtol=0.0, atol=1e-14 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=hessian_parts_points(), data=st.data())
+def test_trace_weights_match_eigh_oracle(parts, data):
+    """The projector weights are those of B = sum_a w_a q_a q_a^* with q_a
+    from `np.linalg.eigh`, to the projector formula's eps scale / gap.  At
+    degenerate points (gap <= 1e-12 scale; h11 = h22, h12 = 0 among them)
+    B is mean(w) I exactly, and no point raises a RuntimeWarning."""
+    size = len(parts[0])
+    grad = tuple(np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=size,
+                                             max_size=size)))
+                 for _ in range(2))
+    slots = identity_plus_eigenvalues(parts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flow_hessian._trace_weights(parts, slots, grad)
+    lam_minus, lam_plus = slots
+    gap = lam_plus - lam_minus
+    scale = np.maximum(np.abs(lam_plus), np.abs(lam_minus))
+    degenerate = gap <= 1e-12 * (scale + 1e-30)
+    exact = (parts[0] == parts[1]) & (parts[2] == 0.0) & (parts[3] == 0.0)
+    assert np.all(degenerate[exact])
+    ok = ~degenerate
+    want = eigh_trace_weights(parts, grad)
+    tol = 1e-13 * max(float(np.abs(w).max()) for w in grad) * (1.0 + scale[ok] / gap[ok])
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g[ok] - w[ok]) <= tol)
+    mean_w = 0.5 * (grad[1] + grad[0])
+    for g in got[:2]:
+        assert np.array_equal(g[degenerate], mean_w[degenerate])
+    for g in got[2:]:
+        assert np.all(g[degenerate] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +462,7 @@ def test_flat_flow_matches_scalar_ode_oracle(grid32, symbol):
     def rate(t):
         target = np.exp(g_fn(t))
         return brentq(
-            lambda r: f_eval_grad_arrays(symbol, np.array(r), ones)[0] - target,
+            lambda r: f_eval_grad_arrays(symbol, np.array(r), slot_fields(ones))[0] - target,
             1e-10, 1e4)
 
     exact = np.array([-quad(rate, 0.0, t, limit=200)[0] for t in traj.times])

@@ -22,7 +22,8 @@ from pmaflow import (
 )
 from pmaflow.grid import identity_plus_eigenvalues
 
-from oracles import complex_hessian_matrices
+from oracles import (complex_hessian_matrices, hessian_parts_points,
+                     identity_plus_matrices, trailing_axis)
 
 
 def band_limited(grid, rng, max_mode=5, n_modes=6):
@@ -150,15 +151,15 @@ def test_spectral_vs_finite_difference_order():
 
 
 def test_eigenvalues_of_zero_hessian(grid32):
-    eigs = identity_plus_eigenvalues(
-        hessian_parts(grid32.constant_field(0.0).values, grid32))
+    eigs = trailing_axis(identity_plus_eigenvalues(
+        hessian_parts(grid32.constant_field(0.0).values, grid32)))
     assert np.allclose(eigs, 1.0, atol=1e-12)
 
 
 def test_eigenvalues_constant_diagonal_sorted(grid2d):
     a, b = 0.7, -0.2
     zero = np.zeros(grid2d.shape)
-    eigs = identity_plus_eigenvalues((zero + a, zero + b, zero, zero))
+    eigs = trailing_axis(identity_plus_eigenvalues((zero + a, zero + b, zero, zero)))
     assert np.allclose(eigs[..., 0], 1 + b, atol=1e-14)
     assert np.allclose(eigs[..., 1], 1 + a, atol=1e-14)
 
@@ -166,7 +167,7 @@ def test_eigenvalues_constant_diagonal_sorted(grid2d):
 def test_eigenvalues_match_eigvalsh_oracle(grid2d):
     rng = np.random.default_rng(2)
     f = band_limited(grid2d, rng, max_mode=2, n_modes=4)
-    eigs = identity_plus_eigenvalues(hessian_parts(f.values, grid2d))
+    eigs = trailing_axis(identity_plus_eigenvalues(hessian_parts(f.values, grid2d)))
     eye = np.eye(2)
     oracle = np.linalg.eigvalsh(complex_hessian_matrices(f.values, grid2d) + eye)
     assert np.abs(eigs - oracle).max() < 1e-10
@@ -175,7 +176,7 @@ def test_eigenvalues_match_eigvalsh_oracle(grid2d):
 def test_eigenvalue_trace_identity(grid2d):
     rng = np.random.default_rng(3)
     f = band_limited(grid2d, rng, max_mode=2, n_modes=4)
-    eigs = identity_plus_eigenvalues(hessian_parts(f.values, grid2d))
+    eigs = trailing_axis(identity_plus_eigenvalues(hessian_parts(f.values, grid2d)))
     h = complex_hessian_matrices(f.values, grid2d)
     trace = 2.0 + np.trace(h, axis1=-2, axis2=-1).real
     assert np.abs(eigs.sum(axis=-1) - trace).max() < 1e-10
@@ -184,24 +185,39 @@ def test_eigenvalue_trace_identity(grid2d):
 def test_eigenvalues_ascending(grid2d):
     rng = np.random.default_rng(4)
     f = band_limited(grid2d, rng, max_mode=2, n_modes=4)
-    eigs = identity_plus_eigenvalues(hessian_parts(f.values, grid2d))
+    eigs = trailing_axis(identity_plus_eigenvalues(hessian_parts(f.values, grid2d)))
     assert np.all(np.diff(eigs, axis=-1) >= 0.0)
 
 
 def test_eigenvalues_bit_identical_to_closed_form_expression(grid2d):
-    """Evaluated in place into one array, the eigenvalues are exactly those
-    of the stacked closed-form expression, and the parts are not written."""
+    """Evaluated in place, the eigenvalue slots are exactly those of the
+    closed-form expression with the radicand 0.25 (a - b)^2 + re^2 + im^2
+    summed in that order, and the parts are not written."""
     rng = np.random.default_rng(5)
     f = band_limited(grid2d, rng, max_mode=3, n_modes=6)
     parts = hessian_parts(f.values, grid2d)
     kept = [p.copy() for p in parts]
-    eigs = identity_plus_eigenvalues(parts)
+    eigs = trailing_axis(identity_plus_eigenvalues(parts))
     h11, h22, re, im = kept
     a, b = 1.0 + h11, 1.0 + h22
     mean = 0.5 * (a + b)
-    rad = np.sqrt(0.25 * (a - b) ** 2 + np.hypot(re, im) ** 2)
+    rad = np.sqrt(0.25 * (a - b) ** 2 + re ** 2 + im ** 2)
     assert np.array_equal(eigs, np.stack([mean - rad, mean + rad], axis=-1))
     assert all(np.array_equal(p, k) for p, k in zip(parts, kept))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=hessian_parts_points())
+def test_eigenvalue_slots_match_eigvalsh(parts):
+    """The closed-form slots are the ascending eigenvalues of the 2x2
+    Hermitian I + H, to 1e-13 times the largest eigenvalue modulus."""
+    slots = identity_plus_eigenvalues(parts)
+    oracle = np.linalg.eigvalsh(identity_plus_matrices(parts))
+    scale = np.abs(oracle).max(axis=-1)
+    assert len(slots) == 2
+    assert np.all(slots[0] <= slots[1])
+    for got, want in zip(slots, oracle.T):
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +682,15 @@ def test_periodic_distance_refuses_a_center_of_the_wrong_length():
     grid = TorusGrid(2, 8)
     with pytest.raises(ValueError, match="has 2 coordinates; the grid has 4"):
         grid.periodic_distance_sq((0.5, 0.5))
+
+
+@pytest.mark.parametrize("center", [(2.25, 0.5), (-0.75, 0.5), (0.25, 1.5), (0.25, -2.5)])
+def test_periodic_distance_reduces_centers_a_period_or_more_away(center):
+    """A center whole periods outside [0, L) is the same point as its
+    reduction: bit for bit the distances to (0.25, 0.5).  Wrapping each
+    offset once gave (2.25, 0.5) a smallest d^2 of 0.14 at N = 8."""
+    grid = TorusGrid(1, 8)
+    want = grid.periodic_distance_sq((0.25, 0.5))
+    got = grid.periodic_distance_sq(center)
+    np.testing.assert_array_equal(got, want)
+    assert got.min() == 0.0

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pmaflow
@@ -205,3 +206,27 @@ def test_regularization_params_are_the_battery_controls():
                 if "kernel" in names:
                     takers.append(f"{path.stem}:{node.lineno}")
     assert takers == []
+
+
+@pytest.mark.parametrize("n_complex", [1, 2])
+def test_pointwise_layer_returns_contiguous_float64_fields(n_complex):
+    """The eigenvalue slots and the symbol's value and gradient are one
+    C-contiguous float64 field each, with no trailing slot axis, so the
+    linearization's weighted sums read them without striding."""
+    from pmaflow import HessianSymbol, TorusGrid, hessian_parts, random_admissible_field
+    from pmaflow.flow_hessian import f_eval_grad_arrays
+    from pmaflow.grid import identity_plus_eigenvalues
+
+    grid = TorusGrid(n_complex, 8)
+    phi = random_admissible_field(grid, np.random.default_rng(1), margin=0.3)
+    slots = identity_plus_eigenvalues(hessian_parts(phi.values, grid))
+    lam0 = np.full(grid.shape, 1.5)
+    symbols = [HessianSymbol.det(n_complex), HessianSymbol.full_sigma_k(n_complex, 1),
+               HessianSymbol.sigma_quotient(n_complex, n_complex, n_complex - 1)]
+    for sym in symbols:
+        val, grad = f_eval_grad_arrays(sym, lam0, slots)
+        fields = list(slots) + [val] + list(grad)
+        assert len(slots) == n_complex and len(grad) == n_complex + 1
+        for f in fields:
+            assert isinstance(f, np.ndarray) and f.dtype == np.float64
+            assert f.shape == grid.shape and f.flags["C_CONTIGUOUS"]

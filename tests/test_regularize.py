@@ -414,6 +414,27 @@ def test_trailing_average_matches_segment_walk(eps):
     assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+def test_time_average_allocates_its_result_and_one_block():
+    """On a README-shaped trajectory (101 x 64^2, 3.3 MB) the trailing
+    average allocates its result and one block of scratch (256 KiB), not
+    a second slab: tracemalloc's peak over the base stays below 1.25
+    result sizes."""
+    import tracemalloc
+
+    rng = np.random.default_rng(45)
+    grid = TorusGrid(1, 64)
+    traj = Trajectory(grid, np.linspace(0.0, 1.0, 101),
+                      rng.normal(size=(101,) + grid.shape))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        avg = time_average(traj, 0.125)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * avg.values.nbytes
+
+
 def test_time_average_single_time(grid32):
     values = random_admissible_field(
         grid32, np.random.default_rng(44), margin=0.3).values[None]

@@ -22,7 +22,8 @@ from pmaflow.flow_hessian import ConeViolation
 from pmaflow.stepping import (AdmissibilityLost, FlowError, NewtonDiverged,
                               _forcing_term, _preconditioned_operator)
 
-from oracles import complex_hessian_matrices
+from oracles import (complex_hessian_matrices, hermitian_weights, slot_fields,
+                     trailing_axis)
 
 CASES = [(1, 16), (2, 8)]
 
@@ -32,14 +33,6 @@ def _random_hermitian(grid, rng):
     a = (rng.standard_normal(grid.shape + (n, n))
          + 1j * rng.standard_normal(grid.shape + (n, n)))
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
-def _weights(b):
-    """Real weights of a Hermitian field B, in `hessian_parts` order."""
-    if b.shape[-1] == 1:
-        return (b[..., 0, 0].real,)
-    return (b[..., 0, 0].real, b[..., 1, 1].real,
-            2.0 * b[..., 0, 1].real, 2.0 * b[..., 0, 1].imag)
 
 
 def _trace_oracle(b, u, grid):
@@ -56,7 +49,7 @@ def test_matvec_matches_complex_tensor_trace(n_complex, N):
     b = _random_hermitian(grid, rng)
     zeroth = 1.0 + rng.random(grid.shape)
     y = rng.standard_normal(grid.shape)   # white noise, Nyquist modes included
-    apply, precondition = _preconditioned_operator(grid, zeroth, _weights(b))
+    apply, precondition = _preconditioned_operator(grid, zeroth, hermitian_weights(b))
     u = precondition(y).reshape(grid.shape)
     got = apply(y).reshape(grid.shape)
     want = zeroth * u - _trace_oracle(b, u, grid)
@@ -79,10 +72,11 @@ def test_linearization_weights_match_eigenvector_oracle(symbol):
 
     eye = np.eye(grid.n_complex)
     lam, q = np.linalg.eigh(complex_hessian_matrices(vals, grid) + eye)
-    _, grad = f_eval_grad_arrays(symbol, (prev - vals) / 0.01, lam)
+    _, grad = f_eval_grad_arrays(symbol, (prev - vals) / 0.01, slot_fields(lam))
+    grad = trailing_axis(grad)
     b = np.einsum("...a,...ia,...ja->...ij", grad[..., 1:], q, np.conj(q))
     assert np.allclose(zeroth, grad[..., 0] / 0.01, rtol=1e-12, atol=0.0)
-    for got, want in zip(weights, _weights(b)):
+    for got, want in zip(weights, hermitian_weights(b)):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(b).max()
 
 
@@ -119,7 +113,7 @@ def _linearization_at(symbol, N, seed, mode="spectral", dt=0.01):
 
 
 def _hermitian_from_weights(weights):
-    """The Hermitian field B whose real weights (`_weights`) these are."""
+    """The Hermitian field B whose real weights (`hermitian_weights`) these are."""
     if len(weights) == 1:
         return weights[0][..., None, None].astype(complex)
     b11, b22, re2, im2 = weights
@@ -609,6 +603,44 @@ def test_newton_and_application_counts_hold(monkeypatch):
     _solve_readme()
     assert sum(len(step) for step in steps) == 213
     assert count[0] <= 992
+
+
+# The benchmark's n=2 config (`sigma_n2`, config seed 0): N=16, four steps
+# of sigma_2/sigma_1 from a seeded random admissible field.
+SIGMA_N2_CONFIG = {
+    "grid": {"n_complex": 2, "points_per_axis": 16},
+    "flow": {"equation": "hessian", "symbol": "sigma_quotient", "k": 2, "l": 1,
+             "T": 0.04, "dt": 0.01, "initial_condition": "random_band"},
+    "rhs": README_CONFIG["rhs"],
+    "estimates": README_CONFIG["estimates"],
+    "seed": 0,
+    "label": "sigma_n2",
+}
+
+
+@pytest.mark.parametrize("config, solves, applications", [
+    (README_CONFIG, 213, 992), (SIGMA_N2_CONFIG, 15, 73)], ids=["readme", "sigma_n2"])
+def test_linear_solve_and_application_counts_are_pinned(monkeypatch, config, solves,
+                                                        applications):
+    """Work-count guard: each linear solve builds one operator, so wrapping
+    `_preconditioned_operator` counts the solves and the applications of
+    A M^{-1}.  A change to the pointwise layer or to the operator's
+    arithmetic that moves either count changes the Newton-Krylov path."""
+    counts = {"solves": 0, "applications": 0}
+    build = stepping._preconditioned_operator
+
+    def counted(*args, **kwargs):
+        counts["solves"] += 1
+        apply, precondition = build(*args, **kwargs)
+
+        def counted_apply(y):
+            counts["applications"] += 1
+            return apply(y)
+        return counted_apply, precondition
+
+    monkeypatch.setattr(stepping, "_preconditioned_operator", counted)
+    cli._solve(RunConfig.from_dict(config))
+    assert counts == {"solves": solves, "applications": applications}
 
 
 def test_stalled_krylov_solve_names_time_and_forcing(monkeypatch):
