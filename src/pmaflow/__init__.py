@@ -8,13 +8,13 @@ their a priori bounds.
 """
 
 from .grid import (
-    DEFAULT_KERNEL,
     ScalarField,
     TorusGrid,
     Trajectory,
     convolve_radial,
     hessian_parts,
     integrate,
+    kernel_second_moment,
     load_trajectory,
     min_admissibility_eigenvalue,
     random_admissible_field,

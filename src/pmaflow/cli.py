@@ -31,11 +31,11 @@ from .flow_hessian import solve_hessian_flow, symbol_from_config
 from .flow_ma import RhsSpec, solve_flow
 from .manufactured import ManufacturedSolution, admissible_horizon
 from .grid import (
-    DEFAULT_KERNEL,
     TorusGrid,
     Trajectory,
     hessian_parts,
     identity_plus_eigenvalues,
+    kernel_second_moment,
     radial_smoother,
     random_admissible_field,
     save_trajectory,
@@ -541,7 +541,7 @@ def _regularize_battery(traj_path, epsilon: float, gamma: float) -> dict:
 
     traj = load_trajectory(traj_path)
     params = reg.RegularizationParams(epsilon=epsilon, gamma=gamma)
-    K = DEFAULT_KERNEL.second_moment(traj.grid.real_dim)
+    K = kernel_second_moment(traj.grid.real_dim)
     worst_low = np.inf
     worst_high = -np.inf
     gap = -np.inf

@@ -34,7 +34,7 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "Trajectory",
-    "DEFAULT_KERNEL",
+    "kernel_second_moment",
     "integrate",
     "hessian_parts",
     "identity_plus_eigenvalues",
@@ -344,104 +344,39 @@ def min_admissibility_eigenvalue(field: ScalarField) -> float:
 
 
 def complex_laplacian(field: ScalarField) -> np.ndarray:
-    """Trace of the complex Hessian, sum_i phi_{i ibar} = (1/4) real Laplacian."""
-    return sum(hessian_parts(field.values, field.grid)[:field.grid.n_complex])
+    """Trace of the complex Hessian, sum_i phi_{i ibar} = (1/4) real Laplacian:
+    one irfftn against the grid's `quarter_laplacian_symbol`."""
+    grid = field.grid
+    return scipy.fft.irfftn(grid.quarter_laplacian_symbol * scipy.fft.rfftn(field.values),
+                            s=grid.shape, axes=grid.axes, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
 # radial mollification kernel
 
 
-# Gauss-Legendre rule on [-1, 1] (Golub & Welsch 1969): 48 nodes integrate
-# polynomials of degree up to 95 exactly.
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
+def kernel_second_moment(d: int) -> float:
+    """K = int_{R^d} |w|^2 rho(|w|) dV of the unit-scale mollifier rho, the
+    (1 - r^2)^3 profile normalized to unit mass in real dimension d.
 
-
-def _gauss_legendre(f, a, b):
-    """Integral of f over [a, b], one for each entry of an array a; f is
-    called once, on the array of mapped nodes."""
-    a = np.asarray(a, dtype=float)
-    half = 0.5 * (b - a)
-    x = (0.5 * (b + a))[..., None] + half[..., None] * _GAUSS_NODES
-    return half * (f(x) @ _GAUSS_WEIGHTS)
-
-
-class RadialKernel:
-    """Radial mollifier with profile (1 - r^2)^3 on [0, 1], normalized per
-    dimension.
-
-    The density in real dimension d is c_d (1 - r^2)^3 with c_d fixed so
-    that the kernel integrates to 1 over R^d; the second moment
-    K = int |w|^2 rho(|w|) dV is the convexity compensator used by the
-    Kiselman-Legendre transform.  The constants are radial integrals by
-    one fixed 48-node Gauss-Legendre rule, cached per dimension.  The rule
-    is exact for polynomials up to degree 95, so for every integrand here
-    (degree 13 at d = 6) but the ball constant's, which is smooth on
-    [1/2, 1] and converges to round-off.
+    Both integrals are Beta functions in r^2: K = B(d/2 + 1, 4) / B(d/2, 4)
+    = d / (d + 8), the convexity compensator of the Kiselman-Legendre
+    transform.
     """
-
-    def __init__(self):
-        self._norm: dict[int, float] = {}
-        self._moment: dict[int, float] = {}
-
-    @staticmethod
-    def _profile(r):
-        return (1.0 - r * r) ** 3
-
-    @staticmethod
-    def _sphere_area(d: int) -> float:
-        from math import gamma, pi
-        return 2.0 * pi ** (d / 2.0) / gamma(d / 2.0)
-
-    def _normalization(self, d: int) -> float:
-        if d not in self._norm:
-            area = self._sphere_area(d)
-            val = _gauss_legendre(lambda r: self._profile(r) * r ** (d - 1), 0.0, 1.0)
-            self._norm[d] = 1.0 / (area * float(val))
-        return self._norm[d]
-
-    def density(self, r, d: int):
-        """Normalized density at radius r (vectorized), zero outside [0, 1]."""
-        r = np.asarray(r, dtype=float)
-        c = self._normalization(d)
-        inside = r <= 1.0
-        return np.where(inside, c * self._profile(np.minimum(r, 1.0)), 0.0)
-
-    def second_moment(self, d: int) -> float:
-        """K = int_{R^d} |w|^2 rho(|w|) dV for the unit-scale kernel."""
-        if d not in self._moment:
-            area = self._sphere_area(d)
-            c = self._normalization(d)
-            val = _gauss_legendre(lambda r: c * self._profile(r) * r ** (d + 1), 0.0, 1.0)
-            self._moment[d] = area * float(val)
-        return self._moment[d]
-
-    def tail_mass(self, t, d: int):
-        """Kernel mass outside radius t (unit scale), vectorized in t."""
-        area = self._sphere_area(d)
-        c = self._normalization(d)
-        return area * _gauss_legendre(lambda r: c * self._profile(r) * r ** (d - 1),
-                                      np.minimum(t, 1.0), 1.0)
-
-    def ball_lower_constant(self, d: int) -> float:
-        """Weight c_kernel = int_{1/2}^{1} t^{1-d} * tail_mass(t) dt.
-
-        This is the flat-torus constant in the lower bound relating
-        rho_eps u - u to the mass of the complex Laplacian on B(z, eps/2).
-        """
-        return float(_gauss_legendre(lambda t: t ** (1 - d) * self.tail_mass(t, d),
-                                     0.5, 1.0))
-
-
-DEFAULT_KERNEL = RadialKernel()
+    return d / (d + 8.0)
 
 
 def _kernel_on_grid_normalized(grid: TorusGrid, s: float) -> np.ndarray:
-    """Discrete kernel centered at the origin, renormalized to unit discrete mass."""
-    d = grid.real_dim
-    r = np.sqrt(grid.periodic_distance_sq((0.0,) * d))
-    k = DEFAULT_KERNEL.density(r / s, d) / s**d
-    return k / (k.sum() * grid.cell_volume)
+    """Discrete kernel max(1 - |w|^2/s^2, 0)^3 centered at the origin,
+    renormalized to unit discrete mass, so the continuum constant of the
+    profile cancels."""
+    k = grid.periodic_distance_sq((0.0,) * grid.real_dim)
+    k /= -(s * s)
+    k += 1.0
+    np.maximum(k, 0.0, out=k)
+    k *= k * k
+    k /= k.sum() * grid.cell_volume
+    return k
 
 
 # Bytes of kernel transforms kept, least recently used evicted first.  One
@@ -479,10 +414,11 @@ def radial_smoother(field: ScalarField):
     from the byte-bounded cache.
 
     A scale below the grid spacing h is the identity and returns a fresh
-    copy of the values, with no kernel, transform or cache entry: every
-    nonzero periodic offset has |w| >= h > s, so the discrete kernel is
-    the unit mass at the origin.  The test h / s > 1 is the kernel
-    builder's own r / s <= 1 at r = h (sqrt(h * h) rounds back to h).
+    copy of the values, with no kernel, transform or cache entry.  If
+    fl(h / s) > 1 then h > s, so fl(h * h) >= fl(s * s) by monotone
+    rounding; every nonzero periodic offset has |w|^2 >= fl(h * h), so its
+    weight max(1 - |w|^2 / s^2, 0)^3 is exactly 0 and the discrete kernel
+    is the unit mass at the origin.
     """
     grid = field.grid
     field.require_finite("field")

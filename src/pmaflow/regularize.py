@@ -15,7 +15,8 @@ The infimum is discretized on a log-spaced ladder of _S_SAMPLES scales on
 [eps _LADDER_FLOOR, eps]; _REFINE_ROUNDS rounds of local ladder refinement
 around the per-point argmin follow, so the reported infimum resolves the
 continuous one on smooth fields well below the ladder spacing.  The
-compensator K is the second moment of `grid.DEFAULT_KERNEL`, the exact
+compensator K is the mollifier's second moment
+`grid.kernel_second_moment`, d / (d + 8) in real dimension d, the exact
 flat-torus constant making s -> rho_s phi + K s^2 nondecreasing for
 admissible phi.
 """
@@ -25,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grid import (
-    DEFAULT_KERNEL,
     ScalarField,
     Trajectory,
     complex_laplacian,
     convolve_radial,
+    kernel_second_moment,
     radial_smoother,
 )
 
@@ -106,7 +106,7 @@ def kiselman_legendre(field: ScalarField, params: RegularizationParams,
     eps = params.epsilon
     if eps >= grid.period / 2.0:
         raise ValueError("epsilon must stay below half the period")
-    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
+    K = kernel_second_moment(grid.real_dim)
     log_weight = eps**params.gamma
 
     ladder = np.geomspace(eps * _LADDER_FLOOR, eps, _S_SAMPLES)
@@ -145,7 +145,7 @@ def theta_scale_bound(phi: Trajectory, params: RegularizationParams,
     """
     grid = phi.grid
     eps = params.epsilon
-    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
+    K = kernel_second_moment(grid.real_dim)
     rate = K + max(measured_gap, 0.0) / eps**params.gamma
     # shrinking theta only strengthens the selection condition
     # log(1/theta) > rate
@@ -304,33 +304,3 @@ def ball_mass_profile(field: ScalarField, centers, radii) -> dict:
     return {"rows": rows, "fitted_exponent": fitted[0],
             "fitted_constant": fitted[1]}
 
-
-def ball_lower_bound_check(field: ScalarField, eps: float) -> dict:
-    """Flat-torus surrogate of the mollification lower bound.
-
-    Verifies rho_eps u(z) - u(z) >= (4 c_kernel / eps^{2n-2})
-    int_{B(z, eps/2)} Lap_c u dV - C eps^2 with c_kernel from the kernel
-    profile and C = 2 n omega_{2n} (valid for admissible u; the factor 4
-    converts the complex trace Laplacian to the real one).
-    """
-    grid = field.grid
-    d = grid.real_dim
-    n = grid.n_complex
-    from math import gamma as _gamma, pi
-    omega_d = pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
-    c_kernel = DEFAULT_KERNEL.ball_lower_constant(d)
-    smoothed = convolve_radial(field, eps).values
-    lhs = smoothed - field.values
-    lap = complex_laplacian(field)
-    h = grid.spacing
-    r_half = max(round((eps / 2.0) / h), 1) * h
-    # ball masses around every grid point at radius eps/2 via convolution
-    r2 = grid.periodic_distance_sq((0.0,) * d)
-    mask = (r2 <= r_half**2 + 1e-12).astype(float)
-    mass = scipy.fft.irfftn(scipy.fft.rfftn(lap) * scipy.fft.rfftn(mask),
-                            s=grid.shape, axes=grid.axes,
-                            overwrite_x=True) * grid.cell_volume
-    rhs = 4.0 * c_kernel / eps ** (2 * n - 2) * mass - 2.0 * n * omega_d * eps**2
-    margin = lhs - rhs
-    return {"min_margin": float(margin.min()), "c_kernel": float(c_kernel),
-            "holds": bool(margin.min() >= -1e-9)}

@@ -16,6 +16,9 @@ the package computes another way, or a check only the tests make:
 - the elementary-inequality battery of the L-infinity argument
 - the sup distance between two trajectories sampled at the same times
 - the interior of a masked domain, node by node
+- the discrete mollifier built from the radius, and the flat-torus lower
+  bound of rho_eps u - u by the Laplacian's ball masses, with the kernel's
+  tail mass and ball constant by adaptive quadrature
 
 `tests/` has no `__init__.py`, so pytest puts this directory on `sys.path`
 and a test module imports these with `from oracles import ...`.
@@ -27,13 +30,17 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+import scipy.fft
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from pmaflow.flow_hessian import ConeViolation, HessianSymbol, f_eval_grad_arrays
 from pmaflow.grid import (
     ScalarField,
     TorusGrid,
     Trajectory,
+    complex_laplacian,
+    convolve_radial,
     elementary_symmetric,
     hessian_parts,
 )
@@ -334,3 +341,64 @@ def interior_by_neighbours(dom: np.ndarray) -> np.ndarray:
             and dom[node[:axis] + (node[axis] + step,) + node[axis + 1:]]
             for axis in range(dom.ndim) for step in (-1, 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the radial mollifier (1 - r^2)^3
+
+
+def kernel_profile(r):
+    """The mollifier's profile (1 - r^2)^3 on [0, 1]."""
+    return (1.0 - r * r) ** 3
+
+
+def kernel_by_radius(grid: TorusGrid, s: float) -> np.ndarray:
+    """The discrete mollifier at scale s built from the radius: r = sqrt of
+    the periodic distance over s, (1 - r^2)^3 for r <= 1 and 0 beyond, then
+    renormalized to unit discrete mass."""
+    r = np.sqrt(grid.periodic_distance_sq((0.0,) * grid.real_dim)) / s
+    k = np.where(r <= 1.0, kernel_profile(np.minimum(r, 1.0)), 0.0)
+    return k / (k.sum() * grid.cell_volume)
+
+
+def kernel_tail_mass(t: float, d: int) -> float:
+    """Mass of the unit-scale mollifier in real dimension d outside radius t."""
+    def radial(r):
+        return kernel_profile(r) * r ** (d - 1)
+    return quad(radial, min(t, 1.0), 1.0)[0] / quad(radial, 0.0, 1.0)[0]
+
+
+def ball_lower_constant(d: int) -> float:
+    """c_kernel = int_{1/2}^{1} t^{1-d} tail_mass(t) dt."""
+    return quad(lambda t: t ** (1 - d) * kernel_tail_mass(t, d), 0.5, 1.0)[0]
+
+
+def ball_lower_bound_check(field: ScalarField, eps: float) -> dict:
+    """Flat-torus surrogate of the mollification lower bound.
+
+    Verifies rho_eps u(z) - u(z) >= (4 c_kernel / eps^{2n-2})
+    int_{B(z, eps/2)} Lap_c u dV - C eps^2 with c_kernel from the kernel
+    profile and C = 2 n omega_{2n} (valid for admissible u; the factor 4
+    converts the complex trace Laplacian to the real one).
+    """
+    grid = field.grid
+    d = grid.real_dim
+    n = grid.n_complex
+    from math import gamma as _gamma, pi
+    omega_d = pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
+    c_kernel = ball_lower_constant(d)
+    smoothed = convolve_radial(field, eps).values
+    lhs = smoothed - field.values
+    lap = complex_laplacian(field)
+    h = grid.spacing
+    r_half = max(round((eps / 2.0) / h), 1) * h
+    # ball masses around every grid point at radius eps/2 via convolution
+    r2 = grid.periodic_distance_sq((0.0,) * d)
+    mask = (r2 <= r_half**2 + 1e-12).astype(float)
+    mass = scipy.fft.irfftn(scipy.fft.rfftn(lap) * scipy.fft.rfftn(mask),
+                            s=grid.shape, axes=grid.axes,
+                            overwrite_x=True) * grid.cell_volume
+    rhs = 4.0 * c_kernel / eps ** (2 * n - 2) * mass - 2.0 * n * omega_d * eps**2
+    margin = lhs - rhs
+    return {"min_margin": float(margin.min()), "c_kernel": float(c_kernel),
+            "holds": bool(margin.min() >= -1e-9)}

@@ -39,11 +39,11 @@ from pmaflow.estimates import (
 from pmaflow.flow_hessian import f_eval_grad_arrays
 from pmaflow import regularize as reg
 from pmaflow.grid import (
-    DEFAULT_KERNEL,
     ScalarField,
     Trajectory,
     convolve_radial,
     integrate,
+    kernel_second_moment,
     spacetime_integral,
 )
 from pmaflow.manufactured import ManufacturedSolution
@@ -258,7 +258,7 @@ def test_criterion_08_regularization_sandwich_and_rates(stability_runs):
     grid = traj.grid
     eps = 0.125
     params = RegularizationParams(epsilon=eps, gamma=0.5)
-    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
+    K = kernel_second_moment(grid.real_dim)
 
     sandwich_ok = True
     for k in range(0, traj.n_times, 4):

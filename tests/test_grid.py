@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pmaflow import (
-    DEFAULT_KERNEL,
     ScalarField,
     TorusGrid,
     Trajectory,
     convolve_radial,
     hessian_parts,
     integrate,
+    kernel_second_moment,
     load_trajectory,
     random_admissible_field,
     save_trajectory,
@@ -23,7 +23,8 @@ from pmaflow import (
 from pmaflow.grid import identity_plus_eigenvalues
 
 from oracles import (complex_hessian_matrices, hessian_parts_points,
-                     identity_plus_matrices, trailing_axis)
+                     identity_plus_matrices, kernel_by_radius, kernel_profile,
+                     trailing_axis)
 
 
 def band_limited(grid, rng, max_mode=5, n_modes=6):
@@ -180,6 +181,18 @@ def test_eigenvalue_trace_identity(grid2d):
     h = complex_hessian_matrices(f.values, grid2d)
     trace = 2.0 + np.trace(h, axis1=-2, axis2=-1).real
     assert np.abs(eigs.sum(axis=-1) - trace).max() < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["spectral", "finite_difference_2nd"])
+@pytest.mark.parametrize("n_complex", [1, 2])
+def test_complex_laplacian_is_the_hessian_trace(n_complex, mode):
+    """One inverse transform against the quarter-Laplacian symbol gives the
+    sum of the diagonal `hessian_parts`, in either derivative mode."""
+    from pmaflow.grid import complex_laplacian
+    grid = TorusGrid(n_complex, 12, period=1.3, derivative_mode=mode)
+    f = band_limited(grid, np.random.default_rng(12), max_mode=3, n_modes=4)
+    trace = sum(hessian_parts(f.values, grid)[:n_complex])
+    assert np.abs(complex_laplacian(f) - trace).max() <= 1e-12 * np.abs(trace).max()
 
 
 def test_eigenvalues_ascending(grid2d):
@@ -422,35 +435,39 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
 
 
 def test_kernel_normalization_and_moment():
-    # closed forms for rho(r) = c (1-r^2)^3: c = 4/pi, K = 1/5 in d = 2
-    assert float(DEFAULT_KERNEL.density(0.0, 2)) == pytest.approx(4.0 / np.pi, rel=1e-10)
-    assert DEFAULT_KERNEL.second_moment(2) == pytest.approx(0.2, rel=1e-10)
-    # d = 4: c = 20/pi^2, K = 1/3
-    assert float(DEFAULT_KERNEL.density(0.0, 4)) == pytest.approx(20.0 / np.pi**2, rel=1e-10)
-    assert DEFAULT_KERNEL.second_moment(4) == pytest.approx(1.0 / 3.0, rel=1e-10)
+    # closed forms d / (d + 8): K = 1/5 in d = 2, K = 1/3 in d = 4
+    assert kernel_second_moment(2) == pytest.approx(0.2, rel=1e-15)
+    assert kernel_second_moment(4) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
-    # d = 6, the tail masses and the ball constant against adaptive quadrature
-    # of the same integrands (the package itself uses a fixed Gauss rule)
+    # against adaptive quadrature of the normalized profile c_d (1 - r^2)^3
     from math import gamma
     from scipy.integrate import quad
 
-    def profile(r):
-        return (1.0 - r * r) ** 3
-
     for d in (2, 4, 6):
         area = 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
-        c = 1.0 / (area * quad(lambda r: profile(r) * r ** (d - 1), 0.0, 1.0)[0])
-        moment = area * quad(lambda r: c * profile(r) * r ** (d + 1), 0.0, 1.0)[0]
+        c = 1.0 / (area * quad(lambda r: kernel_profile(r) * r ** (d - 1), 0.0, 1.0)[0])
+        moment = area * quad(lambda r: c * kernel_profile(r) * r ** (d + 1), 0.0, 1.0)[0]
+        assert kernel_second_moment(d) == pytest.approx(moment, rel=1e-12)
 
-        def tail(t):
-            return area * quad(lambda r: c * profile(r) * r ** (d - 1), min(t, 1.0), 1.0)[0]
 
-        ball = quad(lambda t: t ** (1 - d) * tail(t), 0.5, 1.0)[0]
-        assert float(DEFAULT_KERNEL.density(0.0, d)) == pytest.approx(c, rel=1e-12)
-        assert DEFAULT_KERNEL.second_moment(d) == pytest.approx(moment, rel=1e-12)
-        for t in (0.0, 0.3, 0.5, 0.9, 1.0, 1.5):
-            assert DEFAULT_KERNEL.tail_mass(t, d) == pytest.approx(tail(t), rel=1e-12)
-        assert DEFAULT_KERNEL.ball_lower_constant(d) == pytest.approx(ball, rel=1e-12)
+# n=2 stops at N=24: an N=64 kernel on the 4-torus is 128 MiB per array
+@settings(max_examples=60, deadline=None)
+@given(n_complex=st.sampled_from([1, 2]), half_n=st.integers(2, 32),
+       period=st.sampled_from([1.0, 2.0 * np.pi, 0.3]), data=st.data())
+def test_kernel_matches_the_radius_construction(n_complex, half_n, period, data):
+    """The kernel built from squared distances equals the one built from
+    the radius, (1 - r^2)^3 for r <= 1 then renormalized, to round-off; it
+    is exactly zero wherever |w|^2 >= s^2, and its discrete mass is 1."""
+    from pmaflow.grid import _kernel_on_grid_normalized
+    N = 2 * (half_n if n_complex == 1 else min(half_n, 12))
+    grid = TorusGrid(n_complex, N, period)
+    s = data.draw(st.floats(grid.spacing, period / 2.0, exclude_max=True), label="s")
+    kern = _kernel_on_grid_normalized(grid, s)
+    oracle = kernel_by_radius(grid, s)
+    assert np.abs(kern - oracle).max() <= 1e-14 * kern.max()
+    d2 = grid.periodic_distance_sq((0.0,) * grid.real_dim)
+    assert not kern[d2 >= s * s].any()
+    assert kern.sum() * grid.cell_volume == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,28 @@ def test_every_export_is_reached():
     assert sorted(LIBRARY_API - set(unreached)) == []
 
 
+def test_every_public_definition_is_referenced():
+    """Every public top-level function or class of a package module, in
+    `__all__` or not, is read by package code outside its own definition
+    (its module, or another module through an import) or is listed in
+    LIBRARY_API: a check only the tests make lives in `tests/oracles.py`."""
+    reached = _reached_names()
+    unreferenced = []
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or (path.stem, node.name) in reached):
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(isinstance(sub, ast.Name) and sub.id == node.name
+                       and id(sub) not in own for sub in ast.walk(tree)):
+                unreferenced.append(f"{path.stem}.{node.name}")
+    assert sorted(set(unreferenced) - LIBRARY_API) == []
+
+
 def test_cli_import_leaves_out_integrate_and_optimize():
     """The CLI loads numpy and scipy.fft only: no scipy.integrate and,
     through it, no scipy.optimize; no scipy.sparse or scipy.linalg, which
@@ -186,8 +208,8 @@ def test_config_accepts_exactly_its_builder_tables(section, key, table):
 
 def test_regularization_params_are_the_battery_controls():
     """RegularizationParams holds exactly the keywords `cli._regularize_battery`
-    passes, and no package function takes a `kernel`: the one mollifier is
-    `grid.DEFAULT_KERNEL`, and no test-only knob of the measurement layer
+    passes, and no package function takes a `kernel`: there is one
+    mollifier, (1 - r^2)^3, and no test-only knob of the measurement layer
     grows back."""
     from pmaflow.regularize import RegularizationParams
     tree = ast.parse((SRC / "cli.py").read_text())

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from pmaflow import (
-    DEFAULT_KERNEL,
     ScalarField,
     TorusGrid,
     Trajectory,
     integrate,
+    kernel_second_moment,
     random_admissible_field,
 )
 from pmaflow import regularize as reg
 from pmaflow.grid import complex_laplacian, convolve_radial, spacetime_integral
 from pmaflow.regularize import (
     RegularizationParams,
-    ball_lower_bound_check,
     ball_mass_profile,
     decreasing_holder_from_averages,
     kiselman_legendre,
     theta_scale_bound,
     time_average,
 )
+
+from oracles import ball_lower_bound_check
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def test_mollify_l1_gap_order_two(generic_flow):
 def test_mollify_monotone_family(grid64):
     rng = np.random.default_rng(31)
     f = random_admissible_field(grid64, rng, margin=0.3)
-    K = DEFAULT_KERNEL.second_moment(grid64.real_dim)
+    K = kernel_second_moment(grid64.real_dim)
     scales = np.linspace(0.02, 0.2, 10)
     prev = f.values  # s -> 0 limit
     for s in scales:
@@ -65,7 +66,7 @@ def test_kiselman_constant_closed_form(grid64, monkeypatch):
     # with the kernel's own K an interior minimum would need eps > 1.2,
     # beyond L/2, so K is patched to reach one at eps = 0.2
     K, eps, gamma = 8.0, 0.2, 0.5
-    monkeypatch.setattr(DEFAULT_KERNEL, "second_moment", lambda d: K)
+    monkeypatch.setattr(reg, "kernel_second_moment", lambda d: K)
     params = RegularizationParams(epsilon=eps, gamma=gamma)
     c = 3.0
     out = kiselman_legendre(grid64.constant_field(c), params)
@@ -77,7 +78,7 @@ def test_kiselman_constant_closed_form(grid64, monkeypatch):
 
 def test_kiselman_sandwich_random_admissible(grid64):
     rng = np.random.default_rng(32)
-    K = DEFAULT_KERNEL.second_moment(grid64.real_dim)
+    K = kernel_second_moment(grid64.real_dim)
     params = RegularizationParams(epsilon=0.125, gamma=0.5)
     for _ in range(5):
         f = random_admissible_field(grid64, rng, margin=0.25)
@@ -110,7 +111,7 @@ def _stacked_kiselman_legendre(field, params):
     Reads the ladder constants off the module, so a test may patch them."""
     grid = field.grid
     eps = params.epsilon
-    K = DEFAULT_KERNEL.second_moment(grid.real_dim)
+    K = kernel_second_moment(grid.real_dim)
     log_weight = eps**params.gamma
 
     def stack(s_values):
