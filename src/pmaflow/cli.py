@@ -591,11 +591,11 @@ def _maxprinciple_battery(m: int) -> dict:
     stg = SpaceTimeGridReal(m=m, n_points=41, T=0.4, n_steps=16,
                             domain="ball", ball_radius=0.45)
     center = (0.5,) * m
+    # |x - c|^2 does not change with t or the cap: compute it once
+    r2 = sum((x - c) ** 2 for x, c in zip(stg.meshgrid(), center))
 
     def cap(a):
-        return sample_space_time(
-            stg, lambda t, *xs: t - a * sum((x - c) ** 2
-                                            for x, c in zip(xs, center)))
+        return sample_space_time(stg, lambda t, *xs: t - a * r2)
 
     # keep the report's scalars only: its mask and integrand, like the
     # field, are full space-time arrays

@@ -430,8 +430,10 @@ def radial_smoother(field: ScalarField):
         if grid.spacing / s > 1.0:
             return field.values.copy()
         khat = _kernel_fft(grid, s)
-        return scipy.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes,
-                                overwrite_x=True) * grid.cell_volume
+        out = scipy.fft.irfftn(fhat * khat, s=grid.shape, axes=grid.axes,
+                               overwrite_x=True)
+        out *= grid.cell_volume
+        return out
 
     return smooth
 

@@ -31,8 +31,15 @@ them; no (..., m, m) tensor is built.  Near a repeated eigenvalue the
 m = 3 closed form is only accurate to about 2.4e-8 max|H_ab|, so points
 within a guard band of _GUARD_BAND max|H_ab| around `eig_tol` are decided
 by LAPACK's eigvalsh, and the contact mask is the one eigvalsh gives,
-point for point.  a_field and f_field may be read-only broadcast views;
-they are read one slice at a time, at the interior nodes.
+point for point.
+
+a_field and f_field may be read-only broadcast views, and each stored value
+is read once per call: a field broadcast along time (stride 0 on axis 0) is
+gathered at the interior nodes once, not once per slice, and a slice
+broadcast over every spatial axis is read as its one stored value,
+broadcast to the node count.  det a^{ij} and the hypothesis floor are
+computed from what was read, so they too are computed once for such a field.
+A materialized field is gathered slice by slice.
 """
 
 from __future__ import annotations
@@ -280,6 +287,19 @@ def _first_nonfinite_time(arr: np.ndarray) -> int | None:
     return None
 
 
+def _time_slices(arr: np.ndarray, read):
+    """k -> read(arr[k]) for the times k >= 1.
+
+    A field broadcast along time (stride 0 on axis 0) stores one slice,
+    so it is read once, at k = 1, and that result serves every k.
+    """
+    arr = np.asarray(arr)
+    if arr.strides[0] == 0:
+        once = read(arr[1])
+        return lambda k: once
+    return lambda k: read(arr[k])
+
+
 def _sups(stg: SpaceTimeGridReal, u: np.ndarray) -> tuple:
     """(interior mask, sup of u over the domain, sup of u over the parabolic
     boundary: the t = 0 slice and the non-interior domain nodes at all
@@ -315,8 +335,10 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:
         det_neg = np.maximum((-1.0) ** m * _det(_take(H, on_e)), 0.0)
         flat_integrand[k, idx[on_e]] = du[on_e] * det_neg
     integral = float(integrand.sum() * h**m * dt)
-    return ContactSetReport(mask, integral, sup_interior, sup_pb,
-                            stg.domain_volume(), tol, integrand)
+    # stg.domain_volume(), from the interior mask already at hand
+    volume = float(interior.sum() * h**m)
+    return ContactSetReport(mask, integral, sup_interior, sup_pb, volume, tol,
+                            integrand)
 
 
 @dataclass
@@ -368,21 +390,40 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     # a multi-index: a_field and f_field may be broadcast views, whose
     # ravel() would copy a whole slice
     nodes = np.nonzero(interior)
+    count = nodes[0].size
 
+    def at_nodes(values, entry=()):
+        """values[nodes + entry] for one time slice; a slice broadcast over
+        every spatial axis gives its one stored value."""
+        if any(values.strides[:m]):
+            return values[nodes + entry]
+        return values[(0,) * m + entry]
+
+    def read_a(values):
+        """a^{ij} and max(det a, 1e-300) at the nodes."""
+        a = [[at_nodes(values, (i, j)) for j in range(m)] for i in range(m)]
+        return ([[np.broadcast_to(entry, (count,)) for entry in row] for row in a],
+                np.broadcast_to(np.maximum(_det(a), 1e-300), (count,)))
+
+    def read_f(values):
+        """f and the hypothesis floor f - 1e-9 (1 + |f|) at the nodes."""
+        f = at_nodes(values)
+        return (np.broadcast_to(f, (count,)),
+                np.broadcast_to(f - 1e-9 * (1.0 + np.abs(f)), (count,)))
+
+    a_at, f_at = _time_slices(a_field, read_a), _time_slices(f_field, read_f)
     bad = 0
     total = 0
     mask_integral = 0.0
     for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
-        a_k = [[a_field[k][nodes + (i, j)] for j in range(m)] for i in range(m)]
-        f_k = f_field[k][nodes]
+        a_k, det_a = a_at(k)
+        f_k, f_floor = f_at(k)
         lhs = -du + sum(a_k[i][j] * H[i][j]
                         for i in range(m) for j in range(m))
-        scale = 1.0 + np.abs(f_k)
-        bad += int((lhs < f_k - 1e-9 * scale).sum())
+        bad += int((lhs < f_floor).sum())
         total += idx.size
         f_minus = np.maximum(-f_k[on_e], 0.0)
-        det_a = _det(_take(a_k, on_e))
-        contrib = f_minus**q / np.maximum(det_a, 1e-300)
+        contrib = f_minus**q / det_a[on_e]
         mask_integral += float(contrib.sum() * h**m * dt)
 
     if bad > 0.001 * total:

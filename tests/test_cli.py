@@ -10,6 +10,8 @@ from pmaflow import FlowParams, cli, flow_hessian
 from pmaflow.cli import RunConfig, main, run, sweep
 from pmaflow.estimates import EstimateReport
 from pmaflow.grid import convolve_radial, load_trajectory
+from pmaflow.maxprinciple import (SpaceTimeGridReal, contact_set,
+                                  lieberman_form_check, sample_space_time)
 
 
 def trivial_config(**overrides):
@@ -344,6 +346,28 @@ def test_run_hessian_equation(tmp_path):
     assert all(v for v in checks.values() if isinstance(v, bool))
 
 
+def test_full_sigma_2_cannot_run_the_sigma_n2_data(tmp_path):
+    """A finding about the range of full_sigma_k, pinned: on the n=2 N=16
+    benchmark config (config seed 0) with sigma_2 in place of sigma_2 /
+    sigma_1, e^F falls below f(0+, lambda) = sigma_2(lambda')^{1/2} at the
+    first step, so no rate solves it and the run stops there."""
+    cfg = RunConfig.from_dict({
+        "grid": {"n_complex": 2, "points_per_axis": 16},
+        "flow": {"equation": "hessian", "symbol": "full_sigma_k", "k": 2,
+                 "l": 1, "T": 0.04, "dt": 0.01,
+                 "initial_condition": "random_band"},
+        "rhs": {"kind": "smooth_product", "spatial_amplitude": 0.4,
+                "profile": "decay", "p0": 2.0},
+        "estimates": {"entropy_p": 2.0, "beta": 0.25, "alpha0": 1.0},
+        "seed": 0, "label": "sigma_n2"})
+    with pytest.raises(flow_hessian.ConeViolation,
+                       match=re.escape("e^F = 1.4859 <= f(0+, lambda) = 1.52118")
+                       ) as caught:
+        run(cfg, tmp_path / "run")
+    assert caught.value.location == (0, 2, 0, 14)
+    assert caught.value.t == 0.01
+
+
 def test_hessian_estimate_checks_the_variation_identity(tmp_path):
     """dI/dt = -int e^F is the Monge-Ampere identity; a sigma_2/sigma_1 flow
     is checked against dI = int dphi det(I + H), and `estimate` exits 0."""
@@ -526,6 +550,24 @@ def test_cli_maxprinciple_battery(tmp_path, dim):
     assert result["checks"]["spread_bounded"]
     assert abs(result["paraboloid_integral"]
                - result["paraboloid_exact"]) <= 1e-8
+    if dim == 2:
+        # the same numbers from the two checks called directly, on caps
+        # sampled by sample_space_time and on materialized coefficients
+        stg = SpaceTimeGridReal(m=2, n_points=41, T=0.4, n_steps=16,
+                                domain="ball", ball_radius=0.45)
+        shape = (17, 41, 41)
+
+        def cap(a):
+            return sample_space_time(stg, lambda t, *xs: t - a * sum(
+                (x - 0.5) ** 2 for x in xs))
+
+        assert (result["paraboloid_integral"]
+                == contact_set(stg, cap(1.0)).integral_value)
+        implied = [lieberman_form_check(
+            stg, cap(a), np.broadcast_to(np.eye(2), shape + (2, 2)).copy(),
+            np.full(shape, -(1.0 + 2.0 * a * 2))).implied_constant
+            for a in (2.0, 3.0, 4.0)]
+        assert result["implied_constants"] == implied
 
 
 def test_cli_execution_error_exit_code(tmp_path):

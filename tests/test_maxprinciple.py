@@ -1,5 +1,6 @@
 """Contact sets and the parabolic Alexandrov inequality on real domains."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -481,6 +482,54 @@ def test_lieberman_finds_nan_in_an_ordinary_f_slice():
     with pytest.raises(ValueError,
                        match="a_field contains non-finite values at time index 4$"):
         lieberman_form_check(stg, u, a_field, f_field)
+
+
+def _coefficient_views(stg, case):
+    """Broadcast views (a_field, f_field) that store one slice ("constant",
+    "space") or one value per slice ("time"); a and f change with k only in
+    "time", where a = (1 + t)(I + v v^T / 2) and f = -40 (1 + t)."""
+    m = stg.m
+    shape = (stg.n_steps + 1,) + (stg.n_points,) * m
+    if case == "constant":
+        return (np.broadcast_to(np.eye(m), shape + (m, m)),
+                np.broadcast_to(-40.0, shape))
+    if case == "space":
+        v = np.stack(stg.meshgrid(), axis=-1) - 0.5
+        a = np.eye(m) + 0.5 * v[..., :, None] * v[..., None, :]
+        f = -40.0 - 5.0 * np.sin(7.0 * v.sum(axis=-1))
+        return np.broadcast_to(a, shape + (m, m)), np.broadcast_to(f, shape)
+    v = np.arange(1.0, m + 1.0) / m
+    scale = (1.0 + stg.times).reshape((-1,) + (1,) * m)
+    a = scale[..., None, None] * (np.eye(m) + 0.5 * np.outer(v, v))
+    return (np.broadcast_to(a, shape + (m, m)),
+            np.broadcast_to(-40.0 * scale, shape))
+
+
+@pytest.mark.parametrize("case", ["constant", "space", "time"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_lieberman_reads_broadcast_coefficients_like_their_copies(m, case):
+    """Stored values are read once: a field broadcast along time is gathered
+    at one slice, and a slice broadcast over space is read as its one value.
+    The report equals the one for the materialized fields, to the bit."""
+    stg = SpaceTimeGridReal(m=m, n_points=21 if m == 2 else 13, T=0.4,
+                            n_steps=6, domain="ball", ball_radius=0.45)
+    # d_t u changes sign, so E is a proper part of the interior
+    u = sample_space_time(stg, lambda t, *xs: (
+        np.sin(3.0 * t + xs[0]) - sum((x - 0.5) ** 2 for x in xs)
+        + 0.3 * (xs[0] - 0.5) * (xs[-1] - 0.5)))
+    a_field, f_field = _coefficient_views(stg, case)
+    spatial = slice(1, 1 + m)
+    assert (a_field.strides[0] == 0) == (case != "time")
+    assert (not any(a_field.strides[spatial])) == (case != "space")
+    assert (not any(f_field.strides[spatial])) == (case != "space")
+
+    views = lieberman_form_check(stg, u, a_field, f_field)
+    copies = lieberman_form_check(stg, u, a_field.copy(), f_field.copy())
+    assert dataclasses.astuple(views) == dataclasses.astuple(copies)
+    assert views.hypothesis_violations == 0
+    assert 0.0 < views.integral_value
+    rising = np.diff(u[:, stg.interior_mask()], axis=0) >= 0.0
+    assert 0 < rising.sum() < rising.size
 
 
 # ---------------------------------------------------------------------------
