@@ -33,13 +33,11 @@ within a guard band of _GUARD_BAND max|H_ab| around `eig_tol` are decided
 by LAPACK's eigvalsh, and the contact mask is the one eigvalsh gives,
 point for point.
 
-a_field and f_field may be read-only broadcast views, and each stored value
-is read once per call: a field broadcast along time (stride 0 on axis 0) is
-gathered at the interior nodes once, not once per slice, and a slice
-broadcast over every spatial axis is read as its one stored value,
-broadcast to the node count.  det a^{ij} and the hypothesis floor are
-computed from what was read, so they too are computed once for such a field.
-A materialized field is gathered slice by slice.
+a_field and f_field may be read-only broadcast views.  They are read one
+slice at a time: a slice broadcast over every spatial axis is read as its
+one stored value, and det a^{ij} and the hypothesis floor are computed on
+that value, then broadcast to the interior nodes; any other slice is
+gathered at the interior nodes.
 """
 
 from __future__ import annotations
@@ -287,19 +285,6 @@ def _first_nonfinite_time(arr: np.ndarray) -> int | None:
     return None
 
 
-def _time_slices(arr: np.ndarray, read):
-    """k -> read(arr[k]) for the times k >= 1.
-
-    A field broadcast along time (stride 0 on axis 0) stores one slice,
-    so it is read once, at k = 1, and that result serves every k.
-    """
-    arr = np.asarray(arr)
-    if arr.strides[0] == 0:
-        once = read(arr[1])
-        return lambda k: once
-    return lambda k: read(arr[k])
-
-
 def _sups(stg: SpaceTimeGridReal, u: np.ndarray) -> tuple:
     """(interior mask, sup of u over the domain, sup of u over the parabolic
     boundary: the t = 0 slice and the non-interior domain nodes at all
@@ -335,10 +320,8 @@ def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:
         det_neg = np.maximum((-1.0) ** m * _det(_take(H, on_e)), 0.0)
         flat_integrand[k, idx[on_e]] = du[on_e] * det_neg
     integral = float(integrand.sum() * h**m * dt)
-    # stg.domain_volume(), from the interior mask already at hand
-    volume = float(interior.sum() * h**m)
-    return ContactSetReport(mask, integral, sup_interior, sup_pb, volume, tol,
-                            integrand)
+    return ContactSetReport(mask, integral, sup_interior, sup_pb,
+                            stg.domain_volume(), tol, integrand)
 
 
 @dataclass
@@ -411,13 +394,12 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
         return (np.broadcast_to(f, (count,)),
                 np.broadcast_to(f - 1e-9 * (1.0 + np.abs(f)), (count,)))
 
-    a_at, f_at = _time_slices(a_field, read_a), _time_slices(f_field, read_f)
     bad = 0
     total = 0
     mask_integral = 0.0
     for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
-        a_k, det_a = a_at(k)
-        f_k, f_floor = f_at(k)
+        a_k, det_a = read_a(a_field[k])
+        f_k, f_floor = read_f(f_field[k])
         lhs = -du + sum(a_k[i][j] * H[i][j]
                         for i in range(m) for j in range(m))
         bad += int((lhs < f_floor).sum())

@@ -508,9 +508,9 @@ def _coefficient_views(stg, case):
 @pytest.mark.parametrize("case", ["constant", "space", "time"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_lieberman_reads_broadcast_coefficients_like_their_copies(m, case):
-    """Stored values are read once: a field broadcast along time is gathered
-    at one slice, and a slice broadcast over space is read as its one value.
-    The report equals the one for the materialized fields, to the bit."""
+    """A slice broadcast over space is read as its one stored value, and any
+    other slice is gathered at the interior nodes.  The report equals the
+    one for the materialized fields, to the bit."""
     stg = SpaceTimeGridReal(m=m, n_points=21 if m == 2 else 13, T=0.4,
                             n_steps=6, domain="ball", ball_radius=0.45)
     # d_t u changes sign, so E is a proper part of the interior
