@@ -597,13 +597,8 @@ def _maxprinciple_battery(m: int) -> dict:
     def cap(a):
         return sample_space_time(stg, lambda t, *xs: t - a * r2)
 
-    # keep the report's scalars only: its mask and integrand, like the
-    # field, are full space-time arrays
     rep = contact_set(stg, cap(1.0))
-    integral, sup_interior, sup_pb = (rep.integral_value, rep.sup_interior,
-                                      rep.sup_parabolic_boundary)
     exact = 2.0**m * stg.T * rep.domain_volume
-    del rep
     implied = []
     shape = (stg.n_steps + 1,) + (stg.n_points,) * m
     a_field = np.broadcast_to(np.eye(m), shape + (m, m))
@@ -614,14 +609,14 @@ def _maxprinciple_battery(m: int) -> dict:
     spread = max(implied) / min(implied)
     return {
         "m": m,
-        "paraboloid_integral": integral,
+        "paraboloid_integral": rep.integral_value,
         "paraboloid_exact": exact,
-        "sup_interior": sup_interior,
-        "sup_parabolic_boundary": sup_pb,
+        "sup_interior": rep.sup_interior,
+        "sup_parabolic_boundary": rep.sup_parabolic_boundary,
         "implied_constants": implied,
         "implied_spread": spread,
         "checks": {
-            "paraboloid_exact": bool(abs(integral - exact)
+            "paraboloid_exact": bool(abs(rep.integral_value - exact)
                                      <= 1e-8 * max(exact, 1.0)),
             "spread_bounded": bool(spread <= 3.0),
         },

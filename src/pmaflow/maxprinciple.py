@@ -17,21 +17,24 @@ C is never asserted in absolute form; families of test functions report the
 implied constant and its spread.  The curvature test D^2 u <= 0 uses a
 tolerance eig_tol = 10 h, the discrete curvature noise floor;
 marginally positive determinant fuzz admitted by the tolerance is clamped
-to keep the integrand nonnegative on the mask by construction.
+to keep the integrand nonnegative on E by construction.
 
-Only interior nodes can be on E, so the work is done there alone: for each
-time slice d_t u and the m(m+1)/2 independent components d_ab u (a <= b) of
-the centered spatial Hessian are gathered at the interior nodes' flat
-indices, and no full-size array of d_t u is kept.  The contact test runs
-on the nodes with d_t u >= 0 only, and the determinant of -D^2 u on the
-nodes that pass it.  The largest eigenvalue and the determinants, of
--D^2 u and of a^{ij}, are closed forms over those components (O. K.
-Smith's trigonometric solution at m = 3), and a^{ij} d_ij u is a sum over
-them; no (..., m, m) tensor is built.  Near a repeated eigenvalue the
-m = 3 closed form is only accurate to about 2.4e-8 max|H_ab|, so points
-within a guard band of _GUARD_BAND max|H_ab| around `eig_tol` are decided
-by LAPACK's eigvalsh, and the contact mask is the one eigvalsh gives,
-point for point.
+Both checks enter through one step that checks u, builds the domain mask
+once, and derives the interior and the two sups from it.  Only interior
+nodes can be on E, so the work is done there alone: for each time slice
+d_t u and the m(m+1)/2 independent components d_ab u (a <= b) of the
+centered spatial Hessian are gathered at the interior nodes' flat indices,
+and both integrals are summed one time slice at a time.  The reports hold
+scalars only: no contact mask, integrand or full-size array of d_t u is
+kept.  The contact test runs on the nodes with d_t u >= 0 only, and the
+determinant of -D^2 u on the nodes that pass it.  The largest eigenvalue
+and the determinants, of -D^2 u and of a^{ij}, are closed forms over those
+components (O. K. Smith's trigonometric solution at m = 3), and
+a^{ij} d_ij u is a sum over them; no (..., m, m) tensor is built.  Near a
+repeated eigenvalue the m = 3 closed form is only accurate to about
+2.4e-8 max|H_ab|, so points within a guard band of _GUARD_BAND max|H_ab|
+around `eig_tol` are decided by LAPACK's eigvalsh, and E is the set
+eigvalsh gives, point for point.
 
 a_field and f_field may be read-only broadcast views.  They are read one
 slice at a time: a slice broadcast over every spatial axis is read as its
@@ -42,7 +45,7 @@ gathered at the interior nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -87,8 +90,15 @@ class SpaceTimeGridReal:
             raise ValueError("grid too small")
         if self.domain not in ("box", "ball"):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if not self.T > 0.0:
+            raise ValueError(f"T = {self.T!r} is not positive")
+        if not self.ball_radius > 0.0:
+            raise ValueError(f"ball_radius = {self.ball_radius!r} is not positive")
         if self.ball_center is None:
             self.ball_center = (0.5,) * self.m
+        if np.shape(self.ball_center) != (self.m,):
+            raise ValueError(f"ball_center = {self.ball_center!r} does not have "
+                             f"m = {self.m} coordinates")
 
     @property
     def h(self) -> float:
@@ -123,20 +133,23 @@ class SpaceTimeGridReal:
         return d2 <= self.ball_radius**2 + 1e-12
 
     def interior_mask(self) -> np.ndarray:
-        """Domain nodes all of whose axis neighbors are domain nodes: the
-        domain ANDed with its +-1 shifts along each axis, off-array nodes
-        counting as outside."""
-        dom = self.domain_mask()
-        padded = np.pad(dom, 1)
-        core = (slice(1, -1),) * self.m
-        for axis in range(self.m):
-            for step in (-1, 1):
-                dom = dom & np.roll(padded, step, axis)[core]
-        return dom
+        """Domain nodes all of whose axis neighbors are domain nodes."""
+        return _interior_of(self.domain_mask())
 
     def domain_volume(self) -> float:
         """Discrete volume consistent with the contact-set quadrature."""
         return float(self.interior_mask().sum() * self.h**self.m)
+
+
+def _interior_of(dom: np.ndarray) -> np.ndarray:
+    """The domain mask dom ANDed with its +-1 shifts along each axis,
+    off-array nodes counting as outside."""
+    padded = np.pad(dom, 1)
+    core = (slice(1, -1),) * dom.ndim
+    for axis in range(dom.ndim):
+        for step in (-1, 1):
+            dom = dom & np.roll(padded, step, axis)[core]
+    return dom
 
 
 def sample_space_time(stg: SpaceTimeGridReal, fn) -> np.ndarray:
@@ -150,13 +163,11 @@ def sample_space_time(stg: SpaceTimeGridReal, fn) -> np.ndarray:
 
 @dataclass
 class ContactSetReport:
-    contact_mask: np.ndarray       # (K+1, spatial...) True on E
     integral_value: float          # int_E d_t u det(-D^2 u)
     sup_interior: float
     sup_parabolic_boundary: float
     domain_volume: float
     eig_tol: float
-    integrand: np.ndarray = field(repr=False, default=None)
 
 
 def _take(M: list, sel: np.ndarray) -> list:
@@ -265,11 +276,6 @@ def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
                          f"grid expects {shape}")
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-
-
 def _first_nonfinite_time(arr: np.ndarray) -> int | None:
     """The least k >= 1 with a non-finite value in arr[k], or None.
 
@@ -286,42 +292,36 @@ def _first_nonfinite_time(arr: np.ndarray) -> int | None:
 
 
 def _sups(stg: SpaceTimeGridReal, u: np.ndarray) -> tuple:
-    """(interior mask, sup of u over the domain, sup of u over the parabolic
-    boundary: the t = 0 slice and the non-interior domain nodes at all
-    times)."""
-    interior = stg.interior_mask()
+    """Check u's shape and finiteness, build the domain mask once, and
+    return (interior mask, interior volume, eig_tol = 10 h, sup of u over
+    the domain, sup of u over the parabolic boundary: the t = 0 slice and
+    the non-interior domain nodes at all times)."""
+    _check_shape("u", u, (stg.n_steps + 1,) + (stg.n_points,) * stg.m)
+    if not np.isfinite(u).all():
+        raise ValueError("u contains non-finite values")
     dom = stg.domain_mask()
+    interior = _interior_of(dom)
     boundary = dom & ~interior
     sup_pb = max(float(u[0][dom].max()),
                  float(u[:, boundary].max()) if boundary.any() else -np.inf)
-    return interior, float(u[:, dom].max()), sup_pb
+    return (interior, float(interior.sum() * stg.h**stg.m), 10.0 * stg.h,
+            float(u[:, dom].max()), sup_pb)
 
 
 def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:
     """Contact set, its integral, and the two sups of the maximum principle.
 
-    The mask lives on interior nodes at times t_1..t_K; the parabolic
-    boundary sup combines the t = 0 slice with the spatial boundary at all
-    times.  Quadrature is point-mass h^m dt on masked nodes.
+    E lives on interior nodes at times t_1..t_K; the parabolic boundary sup
+    combines the t = 0 slice with the spatial boundary at all times.
+    Quadrature is point-mass h^m dt on E, summed one time slice at a time.
     """
-    shape = (stg.n_steps + 1,) + (stg.n_points,) * stg.m
-    _check_shape("u", u, shape)
-    _check_finite("u", u)
-    h, dt, m = stg.h, stg.dt, stg.m
-    tol = 10.0 * h
-
-    interior, sup_interior, sup_pb = _sups(stg, u)
-    mask = np.zeros(u.shape, dtype=bool)
-    integrand = np.zeros(u.shape)
-    flat_mask = mask.reshape(len(mask), -1)
-    flat_integrand = integrand.reshape(len(integrand), -1)
+    interior, volume, tol, sup_interior, sup_pb = _sups(stg, u)
+    integral = 0.0
     for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
-        flat_mask[k, idx[on_e]] = True
-        det_neg = np.maximum((-1.0) ** m * _det(_take(H, on_e)), 0.0)
-        flat_integrand[k, idx[on_e]] = du[on_e] * det_neg
-    integral = float(integrand.sum() * h**m * dt)
-    return ContactSetReport(mask, integral, sup_interior, sup_pb,
-                            stg.domain_volume(), tol, integrand)
+        det_neg = np.maximum((-1.0) ** stg.m * _det(_take(H, on_e)), 0.0)
+        integral += float((du[on_e] * det_neg).sum())
+    return ContactSetReport(integral * stg.h**stg.m * stg.dt, sup_interior,
+                            sup_pb, volume, tol)
 
 
 @dataclass
@@ -357,19 +357,15 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     m = stg.m
     q = float(m + 1 if exponent is None else exponent)
     h, dt = stg.h, stg.dt
-    tol = 10.0 * h
-    shape = (stg.n_steps + 1,) + (stg.n_points,) * m
-    _check_shape("u", u, shape)
-    _check_shape("a_field", a_field, shape + (m, m))
-    _check_shape("f_field", f_field, shape)
-    _check_finite("u", u)
+    interior, _, tol, sup_interior, sup_pb = _sups(stg, u)
+    _check_shape("a_field", a_field, u.shape + (m, m))
+    _check_shape("f_field", f_field, u.shape)
     # the earliest bad time index; at a tie a_field, which sorts first
     bad = [(k, name) for name, arr in (("a_field", a_field), ("f_field", f_field))
            if (k := _first_nonfinite_time(arr)) is not None]
     if bad:
         k, name = min(bad)
         raise ValueError(f"{name} contains non-finite values at time index {k}")
-    interior, sup_interior, sup_pb = _sups(stg, u)
     # a multi-index: a_field and f_field may be broadcast views, whose
     # ravel() would copy a whole slice
     nodes = np.nonzero(interior)

@@ -15,7 +15,9 @@ the package computes another way, or a check only the tests make:
   test, and the sampled structural conditions (monotone, symmetric, c0, C0)
 - the elementary-inequality battery of the L-infinity argument
 - the sup distance between two trajectories sampled at the same times
-- the interior of a masked domain, node by node
+- the interior of a masked domain, node by node, and the contact mask
+  and integrand of the contact set on it, rebuilt slice by slice from the
+  package's own contact decision
 - the discrete mollifier built from the radius, and the flat-torus lower
   bound of rho_eps u - u by the Laplacian's ball masses, with the kernel's
   tail mass and ball constant by adaptive quadrature
@@ -44,6 +46,8 @@ from pmaflow.grid import (
     elementary_symmetric,
     hessian_parts,
 )
+from pmaflow.maxprinciple import (SpaceTimeGridReal, _det, _interior_slices,
+                                  _sups, _take)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +332,30 @@ def comparison_check(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the interior of a masked real domain
+# the interior of a masked real domain, and the contact arrays on it
+
+
+def contact_arrays(stg: SpaceTimeGridReal, u: np.ndarray,
+                   clamp: bool = True) -> tuple:
+    """The contact mask (True on E) and the integrand d_t u det(-D^2 u),
+    zero off E, as (K+1, spatial...) arrays.
+
+    Both are rebuilt from `maxprinciple._interior_slices` with the interior
+    and eig_tol of `maxprinciple._sups`, so E is the package's own contact
+    decision, point for point.  The integrand clamps det(-D^2 u) at 0 as
+    `contact_set` does; clamp=False leaves the clamp out.
+    """
+    interior, _, tol, _, _ = _sups(stg, u)
+    mask = np.zeros(u.shape, dtype=bool)
+    integrand = np.zeros(u.shape)
+    flat_mask = mask.reshape(len(u), -1)
+    flat_integrand = integrand.reshape(len(u), -1)
+    for k, idx, du, H, on_e in _interior_slices(stg, u, interior, tol):
+        det_neg = (-1.0) ** stg.m * _det(_take(H, on_e))
+        flat_mask[k, idx[on_e]] = True
+        flat_integrand[k, idx[on_e]] = du[on_e] * (
+            np.maximum(det_neg, 0.0) if clamp else det_neg)
+    return mask, integrand
 
 
 def interior_by_neighbours(dom: np.ndarray) -> np.ndarray:

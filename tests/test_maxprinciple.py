@@ -19,7 +19,7 @@ from pmaflow.maxprinciple import (
     sample_space_time,
 )
 
-from oracles import interior_by_neighbours
+from oracles import contact_arrays, interior_by_neighbours
 
 
 def paraboloid(a, center):
@@ -39,7 +39,8 @@ def test_paraboloid_cap_exact_integral(m):
     u = sample_space_time(stg, paraboloid(1.0, (0.5,) * m))
     rep = contact_set(stg, u)
     # on E everything: d_t u = 1, det(-D^2 u) = 2^m
-    assert rep.contact_mask[1:, stg.interior_mask()].all()
+    mask, _ = contact_arrays(stg, u)
+    assert mask[1:, stg.interior_mask()].all()
     expect = 2.0**m * stg.T * rep.domain_volume
     assert rep.integral_value == pytest.approx(expect, rel=1e-12)
 
@@ -48,7 +49,7 @@ def test_decreasing_in_time_empty_contact_set():
     stg = SpaceTimeGridReal(m=2, n_points=21, T=0.3, n_steps=6)
     u = sample_space_time(stg, lambda t, x, y: -t + 0.1 * x)
     rep = contact_set(stg, u)
-    assert rep.contact_mask.sum() == 0
+    assert contact_arrays(stg, u)[0].sum() == 0
     assert rep.integral_value == 0.0
     # supremum attained on the {0} x Omega slice: inequality trivially tight
     assert rep.sup_interior == pytest.approx(rep.sup_parabolic_boundary, abs=1e-14)
@@ -66,11 +67,12 @@ def test_contact_set_matches_per_point_oracle():
 
     u = sample_space_time(stg, smooth)
     rep = contact_set(stg, u)
+    mask, _ = contact_arrays(stg, u)
 
     h, dt = stg.h, stg.dt
     tol = rep.eig_tol
     interior = stg.interior_mask()
-    mask_oracle = np.zeros_like(rep.contact_mask)
+    mask_oracle = np.zeros_like(mask)
     integral_oracle = 0.0
     N = stg.n_points
     for k in range(1, stg.n_steps + 1):
@@ -91,7 +93,7 @@ def test_contact_set_matches_per_point_oracle():
                     mask_oracle[k, i, j] = True
                     integral_oracle += dudt * max(hxx * hyy - hxy**2, 0.0)
     integral_oracle *= h**2 * dt
-    assert np.array_equal(rep.contact_mask, mask_oracle)
+    assert np.array_equal(mask, mask_oracle)
     assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10, abs=1e-12)
 
 
@@ -138,8 +140,9 @@ def test_contact_set_matches_per_point_oracle_m3():
     stg = SpaceTimeGridReal(m=3, n_points=9, T=0.4, n_steps=4)
     u = sample_space_time(stg, _smooth3(43))
     rep = contact_set(stg, u)
+    mask, _ = contact_arrays(stg, u)
 
-    mask_oracle = np.zeros_like(rep.contact_mask)
+    mask_oracle = np.zeros_like(mask)
     integral_oracle = 0.0
     for k, ijl, dudt, hess in _oracle_points3(stg, u):
         if dudt >= 0.0 and np.linalg.eigvalsh(hess).max() <= rep.eig_tol:
@@ -148,7 +151,7 @@ def test_contact_set_matches_per_point_oracle_m3():
     integral_oracle *= stg.h**3 * stg.dt
     n_points = stg.n_steps * int(stg.interior_mask().sum())
     assert 0 < mask_oracle.sum() < n_points  # partial contact set
-    assert np.array_equal(rep.contact_mask, mask_oracle)
+    assert np.array_equal(mask, mask_oracle)
     assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
 
 
@@ -162,9 +165,10 @@ def _ball3():
 def test_contact_set_matches_per_point_oracle_m3_ball():
     stg, u = _ball3()
     rep = contact_set(stg, u)
+    mask, integrand = contact_arrays(stg, u)
 
-    mask_oracle = np.zeros_like(rep.contact_mask)
-    integrand_oracle = np.zeros_like(rep.integrand)
+    mask_oracle = np.zeros_like(mask)
+    integrand_oracle = np.zeros_like(integrand)
     rising = falling = 0
     for k, ijl, dudt, hess in _oracle_points3(stg, u):
         rising += dudt >= 0.0
@@ -179,8 +183,8 @@ def test_contact_set_matches_per_point_oracle_m3_ball():
                 0.0)
     assert rising > 0 and falling > 0
     assert 0 < mask_oracle.sum() < rising     # the curvature test bites too
-    assert np.array_equal(rep.contact_mask, mask_oracle)
-    assert np.array_equal(rep.integrand, integrand_oracle)
+    assert np.array_equal(mask, mask_oracle)
+    assert np.array_equal(integrand, integrand_oracle)
     assert rep.integral_value == pytest.approx(
         integrand_oracle.sum() * stg.h**3 * stg.dt, rel=1e-12)
 
@@ -195,7 +199,14 @@ def test_integrand_nonnegative_on_mask():
 
     u = sample_space_time(stg, rough)
     rep = contact_set(stg, u)
-    assert rep.integrand.min() >= -1e-12
+    mask, integrand = contact_arrays(stg, u)
+    _, unclamped = contact_arrays(stg, u, clamp=False)
+    # the rough data puts points with det(-D^2 u) < 0 on E ...
+    assert (unclamped[mask] < 0.0).any()
+    # ... and contact_set's integral is the clamped sum, not the raw one
+    cell = stg.h**2 * stg.dt
+    assert rep.integral_value == pytest.approx(integrand.sum() * cell, rel=1e-12)
+    assert rep.integral_value != pytest.approx(unclamped.sum() * cell, rel=1e-6)
 
 
 def test_mask_stability_under_refinement():
@@ -225,8 +236,7 @@ def test_mask_stability_under_refinement():
     for n_points in (17, 33, 65):
         stg = SpaceTimeGridReal(m=2, n_points=n_points, T=0.25, n_steps=5)
         u = sample_space_time(stg, fn)
-        rep = contact_set(stg, u)
-        sym_diff = np.logical_xor(rep.contact_mask, exact_mask(stg))
+        sym_diff = np.logical_xor(contact_arrays(stg, u)[0], exact_mask(stg))
         measures.append(float(sym_diff.sum()) * stg.h**2 * stg.dt)
     assert measures[0] >= measures[1] >= measures[2]
 
@@ -237,6 +247,22 @@ def test_contact_set_rejects_bad_shapes():
         contact_set(stg, np.zeros((3, 11)))
     with pytest.raises(ValueError):
         contact_set(stg, np.full((5, 11), np.nan))
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    # zip would drop the missing axis and make the ball a cylinder
+    ("ball_center", dict(m=3, domain="ball", ball_center=(0.5, 0.5))),
+    ("ball_center", dict(m=1, domain="ball", ball_center=0.5)),
+    # the squared radius would build the ball of radius 0.45
+    ("ball_radius", dict(m=3, domain="ball", ball_radius=-0.45)),
+    ("ball_radius", dict(m=2, domain="ball", ball_radius=0.0)),
+    # dt = T / n_steps would flip the sign of d_t u
+    ("T", dict(m=2, T=-0.4)),
+    ("T", dict(m=2, T=0.0)),
+])
+def test_grid_rejects_what_it_cannot_represent(name, kwargs):
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        SpaceTimeGridReal(**{"n_points": 9, "T": 0.4, "n_steps": 4, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +410,12 @@ def _traced_peak(fn):
 
 
 def test_battery_sized_checks_hold_no_full_size_temporaries():
-    # d_t u and the Hessian are gathered slice by slice on interior nodes:
-    # a full (K+1) x N^3 array of d_t u alone would add u.nbytes
+    # d_t u and the Hessian are gathered slice by slice on interior nodes,
+    # and the contact integral is summed per slice with no mask or
+    # integrand: a full (K+1) x N^3 array of d_t u alone would add u.nbytes
     stg, u = _battery3(1.0)
-    rep, peak = _traced_peak(lambda: contact_set(stg, u))
-    report_bytes = rep.contact_mask.nbytes + rep.integrand.nbytes
-    assert peak <= report_bytes + 0.9 * u.nbytes
-    del rep
+    _, peak = _traced_peak(lambda: contact_set(stg, u))
+    assert peak <= 0.9 * u.nbytes
 
     stg, u = _battery3(2.0)
     shape = u.shape

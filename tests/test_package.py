@@ -14,6 +14,7 @@ import pytest
 import pmaflow
 from pmaflow import FlowParams, cli
 from pmaflow.cli import RunConfig
+from pmaflow.maxprinciple import ContactSetReport, LiebermanReport
 
 SRC = pathlib.Path(pmaflow.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -180,6 +181,15 @@ def test_flow_params_are_the_config_controls():
     passed = {kw.arg for kw in call.keywords}
     assert {f.name for f in dataclasses.fields(FlowParams)} == passed
     assert passed <= {f.name for f in dataclasses.fields(cli.FlowConfig)}
+
+
+@pytest.mark.parametrize("report", [ContactSetReport, LiebermanReport],
+                         ids=lambda cls: cls.__name__)
+def test_max_principle_reports_hold_scalars_only(report):
+    """Every field of a max-principle report is a scalar: no full-size
+    space-time array that no command reads grows back into them."""
+    types = {f.name: f.type for f in dataclasses.fields(report)}
+    assert types and set(types.values()) <= {"int", "float"}, types
 
 
 def test_flow_error_suffix_is_written_once():
