@@ -170,9 +170,15 @@ class ContactSetReport:
     eig_tol: float
 
 
-def _take(M: list, sel: np.ndarray) -> list:
-    """The nested list M of point arrays at the points sel."""
-    return [[entry[sel] for entry in row] for row in M]
+def _take(H: list, sel: np.ndarray) -> list:
+    """The symmetric nested list H of point arrays at the points sel; each
+    entry a <= b is gathered once, and H[b][a] is the same array."""
+    m = len(H)
+    out = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            out[a][b] = out[b][a] = H[a][b][sel]
+    return out
 
 
 def _det(M: list) -> np.ndarray:
@@ -295,17 +301,19 @@ def _sups(stg: SpaceTimeGridReal, u: np.ndarray) -> tuple:
     """Check u's shape and finiteness, build the domain mask once, and
     return (interior mask, interior volume, eig_tol = 10 h, sup of u over
     the domain, sup of u over the parabolic boundary: the t = 0 slice and
-    the non-interior domain nodes at all times)."""
+    the non-interior domain nodes at all times).  Both sups are read off
+    u's maximum over time and its t = 0 slice, single spatial arrays."""
     _check_shape("u", u, (stg.n_steps + 1,) + (stg.n_points,) * stg.m)
     if not np.isfinite(u).all():
         raise ValueError("u contains non-finite values")
     dom = stg.domain_mask()
     interior = _interior_of(dom)
     boundary = dom & ~interior
+    umax = u.max(axis=0)
     sup_pb = max(float(u[0][dom].max()),
-                 float(u[:, boundary].max()) if boundary.any() else -np.inf)
+                 float(umax[boundary].max()) if boundary.any() else -np.inf)
     return (interior, float(interior.sum() * stg.h**stg.m), 10.0 * stg.h,
-            float(u[:, dom].max()), sup_pb)
+            float(umax[dom].max()), sup_pb)
 
 
 def contact_set(stg: SpaceTimeGridReal, u: np.ndarray) -> ContactSetReport:

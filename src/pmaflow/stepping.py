@@ -13,12 +13,12 @@ A M^{-1}, M the constant-coefficient operator, whose symbol is diagonal in
 Fourier space.  One forward real FFT per application gives the spectrum of
 u = M^{-1} y.  Since M u = y, the trace of H[u] is known without a
 transform, so only u and n^2 - 1 Hessian components of u (all but h_nn) are
-inverse transforms of it: n^2 per application (real transforms from
-`scipy.fft`).
+inverse transforms of it: n^2 per application (real transforms through
+the grid's seam, `TorusGrid.rfftn` and `TorusGrid.irfftn`).
 
 With the preconditioner inside the operator, the Krylov method is plain
 BiCGStab (van der Vorst 1992), written here as a port of scipy's
-(`bicgstab`), so the module imports numpy and `scipy.fft` only.  A solve
+(`bicgstab`), so numpy is the module's only third-party import.  A solve
 that stops short of its tolerance (a rho or omega breakdown, or
 _LINEAR_MAX_ITER iterations) raises NewtonDiverged with BiCGStab's reason.
 
@@ -59,7 +59,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grid import TorusGrid
 
@@ -161,12 +160,9 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
     rest += [(cast(w), cast(sym)) for w, sym in zip(weights[n:], symbols[n:])]
 
     def spectrum(y: np.ndarray) -> np.ndarray:
-        uhat = scipy.fft.rfftn(y)
+        uhat = grid.rfftn(y)
         uhat /= denom
         return uhat
-
-    def inverse(vhat: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(vhat, s=grid.shape, axes=grid.axes, overwrite_x=True)
 
     def apply(y: np.ndarray) -> np.ndarray:
         # (c_u u + c_y y) - (w'_1 part'_1 + w'_2 part'_2 + ...), in place
@@ -174,13 +170,13 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
         uhat = spectrum(y)
         others = None
         for w, sym in rest:
-            part = inverse(sym * uhat)
+            part = grid.irfftn(sym * uhat)
             part *= w
             if others is None:
                 others = part
             else:
                 others += part
-        out = inverse(uhat)
+        out = grid.irfftn(uhat)
         out *= c_u
         out += c_y * y
         if others is not None:
@@ -188,7 +184,7 @@ def _preconditioned_operator(grid: TorusGrid, zeroth: np.ndarray, weights: tuple
         return np.asarray(out, dtype=float).ravel()
 
     def precondition(y: np.ndarray) -> np.ndarray:
-        u = inverse(spectrum(cast(y.reshape(grid.shape))))
+        u = grid.irfftn(spectrum(cast(y.reshape(grid.shape))))
         return np.asarray(u, dtype=float).ravel()
 
     return apply, precondition

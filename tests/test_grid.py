@@ -79,6 +79,36 @@ def test_quadrature_exact_below_nyquist(grid32):
 
 
 # ---------------------------------------------------------------------------
+# the transform seam
+
+
+@pytest.mark.parametrize("real,spectral", [(np.float64, np.complex128),
+                                           (np.float32, np.complex64)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("n_complex,N", [(1, 12), (1, 64), (2, 12), (2, 16)])
+def test_transform_seam_is_bit_identical_to_scipy_fft(n_complex, N, real, spectral):
+    """`TorusGrid.rfftn` and `irfftn`, through which every package FFT goes,
+    give scipy.fft's public rfftn and irfftn bit for bit, in either
+    precision, on the spectrum of a real field and on any other; the
+    spectrum is left as it was."""
+    import scipy.fft
+    grid = TorusGrid(n_complex, N)
+    rng = np.random.default_rng(10 * N + n_complex)
+    values = rng.standard_normal(grid.shape).astype(real)
+    spectrum = grid.rfftn(values)
+    assert spectrum.dtype == spectral
+    assert np.array_equal(spectrum, scipy.fft.rfftn(values))
+    arbitrary = (rng.standard_normal(spectrum.shape)
+                 + 1j * rng.standard_normal(spectrum.shape)).astype(spectral)
+    for spec in (spectrum, arbitrary):
+        before = spec.copy()
+        back = grid.irfftn(spec)
+        assert back.dtype == real and back.shape == grid.shape
+        assert np.array_equal(back, scipy.fft.irfftn(spec, s=grid.shape, axes=grid.axes))
+        assert np.array_equal(spec, before)
+
+
+# ---------------------------------------------------------------------------
 # complex Hessian
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -199,6 +200,14 @@ def test_flow_error_suffix_is_written_once():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if "at flow time" in line]
     assert len(hits) == 1, hits
+
+
+def test_transforms_go_through_the_grid_seam():
+    """Only `grid` names scipy.fft or pocketfft: every package FFT goes
+    through `TorusGrid.rfftn` and `TorusGrid.irfftn`."""
+    pattern = re.compile(r"scipy\.fft|pocketfft|from scipy import .*\bfft\b")
+    hits = {path.stem for path in MODULES if pattern.search(path.read_text())}
+    assert hits == {"grid"}
 
 
 @pytest.mark.parametrize("section, key, table", [
