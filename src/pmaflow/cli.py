@@ -14,12 +14,13 @@ error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
 import sys
 import traceback
+# concurrent.futures loads its thread pool lazily: import it with the CLI
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -514,7 +515,7 @@ def sweep(base_config: RunConfig, axis: str, values, out_dir,
 
     values = list(values)
     if values:
-        with concurrent.futures.ThreadPoolExecutor(
+        with ThreadPoolExecutor(
                 max_workers=min(max_workers, max(len(values), 1))) as pool:
             for idx, row in pool.map(one, enumerate(values)):
                 rows.append((idx, row))
@@ -592,7 +593,7 @@ def _maxprinciple_battery(m: int) -> dict:
                             domain="ball", ball_radius=0.45)
     center = (0.5,) * m
     # |x - c|^2 does not change with t or the cap: compute it once
-    r2 = sum((x - c) ** 2 for x, c in zip(stg.meshgrid(), center))
+    r2 = sum((x - c) ** 2 for x, c in zip(stg.meshgrid(sparse=True), center))
 
     def cap(a):
         return sample_space_time(stg, lambda t, *xs: t - a * r2)

@@ -14,7 +14,12 @@ so in complex dimension one the complex Hessian is the single value
 (1/4) Laplacian(phi).  Derivatives are spectral (FFT) by default, with a
 second-order centered finite-difference mode kept as a cross-check; both
 are applied as Fourier symbols on real FFTs.  Every transform of the
-package goes through one seam, `TorusGrid.rfftn` and `TorusGrid.irfftn`.
+package goes through one seam, `TorusGrid.rfftn` and `TorusGrid.irfftn`,
+onto two entry points of scipy's compiled pocketfft module.  That module
+is loaded from its file in the scipy install (`_load_pocketfft`), not
+imported by its dotted name, which would first run the `__init__`s of
+scipy and scipy.fft and load scipy.special, scipy._lib._array_api and
+numpy.f2py, none of which the package calls.
 
 Only n in {1, 2} is supported; axis order of the value arrays is
 (x_1, y_1[, x_2, y_2]).
@@ -22,15 +27,15 @@ Only n in {1, 2} is supported; axis order of the value arrays is
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-# The pocketfft entry points of scipy.fft's rfftn and irfftn (see TorusGrid.rfftn)
-from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 __all__ = [
     "TorusGrid",
@@ -49,6 +54,34 @@ __all__ = [
     "save_trajectory",
     "load_trajectory",
 ]
+
+
+def _load_pocketfft():
+    """scipy's compiled `scipy.fft._pocketfft.pypocketfft`, loaded from its
+    file without running any package `__init__` on the way.
+
+    `find_spec` locates the scipy install without executing it.  The module
+    is not entered in `sys.modules`, so a later `import scipy.fft` runs as
+    it would have.  A missing file raises ImportError naming its path.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft",
+                        "pypocketfft" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's pocketfft extension is missing: no file {path}",
+                          name=name, path=path)
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+# The pocketfft entry points of scipy.fft's rfftn and irfftn (see TorusGrid.rfftn)
+_pocketfft = _load_pocketfft()
+_r2c, _c2r = _pocketfft.r2c, _pocketfft.c2r
 
 
 @dataclass(eq=True)
@@ -118,7 +151,10 @@ class TorusGrid:
         With `irfftn`, the transform seam every package FFT goes through:
         one pocketfft call each, without scipy.fft's per-call dispatch
         (backend lookup, argument normalization), which adds about half
-        again to the transform of an n = 1, N = 64 field.  values is a
+        again to the transform of an n = 1, N = 64 field.  It is the call
+        scipy.fft's rfftn ends in, on the same compiled module, which
+        `_load_pocketfft` loads without importing scipy's 85 modules
+        (scipy 1.17).  values is a
         float64 or float32 array of the grid's shape; the spectrum is
         complex128 or complex64 to match.
         """
@@ -148,8 +184,14 @@ class TorusGrid:
         fd = self.derivative_mode == "finite_difference_2nd"
 
         def k(axis: int, odd: bool) -> np.ndarray:
-            freq = np.fft.rfftfreq if axis == d - 1 else np.fft.fftfreq
-            w = 2.0 * np.pi * freq(n, d=h)
+            # fftfreq (rfftfreq on the last axis) by its own operations,
+            # without importing numpy's fft module
+            if axis == d - 1:
+                j = np.arange(n // 2 + 1)
+            else:
+                j = np.arange(n)
+                j[n // 2:] -= n
+            w = 2.0 * np.pi * (j * (1.0 / (n * h)))
             if odd:
                 w[n // 2] = 0.0
             return w.reshape([len(w) if a == axis else 1 for a in range(d)])

@@ -115,8 +115,10 @@ class SpaceTimeGridReal:
     def axis(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_points)
 
-    def meshgrid(self) -> tuple:
-        return np.meshgrid(*([self.axis()] * self.m), indexing="ij")
+    def meshgrid(self, sparse: bool = False) -> tuple:
+        """Coordinate arrays with 'ij' indexing; sparse gives open axes, one
+        length-N array per axis that broadcasts against the others."""
+        return np.meshgrid(*([self.axis()] * self.m), indexing="ij", sparse=sparse)
 
     @property
     def diameter(self) -> float:
@@ -128,7 +130,7 @@ class SpaceTimeGridReal:
         """Nodes belonging to the closed domain."""
         if self.domain == "box":
             return np.ones((self.n_points,) * self.m, dtype=bool)
-        coords = self.meshgrid()
+        coords = self.meshgrid(sparse=True)
         d2 = sum((c - c0) ** 2 for c, c0 in zip(coords, self.ball_center))
         return d2 <= self.ball_radius**2 + 1e-12
 

@@ -129,7 +129,8 @@ def kiselman_legendre(field: ScalarField, params: RegularizationParams,
                     children.append(s_new)
         if not children:
             break
-        children = np.unique(np.asarray(children))
+        # np.unique's values in its order, without importing numpy.ma
+        children = sorted(set(children))
         _fold_scales(smooth, children, K, eps, log_weight, best, s_best)
         log_gap /= 3.0
     return ScalarField(grid, best)

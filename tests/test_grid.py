@@ -524,6 +524,26 @@ def test_admissible_generator_respects_margin(seed):
     assert min_admissibility_eigenvalue(f) >= 0.2 - 1e-9
 
 
+@pytest.mark.parametrize("N,period", [(8, 1.0), (12, 2.5), (64, 1.0)])
+def test_hessian_symbols_take_numpy_fft_wavenumbers(N, period):
+    """The angular wavenumbers behind `hessian_symbols` are 2 pi times
+    numpy's fftfreq (rfftfreq on the last axis), bit for bit."""
+    grid = TorusGrid(2, N, period)
+    k = 2.0 * np.pi * np.fft.fftfreq(N, d=grid.spacing)
+    k_last = 2.0 * np.pi * np.fft.rfftfreq(N, d=grid.spacing)
+
+    def on(axis, w, odd=False):
+        if odd:
+            w = np.where(np.arange(len(w)) == N // 2, 0.0, w)
+        return w.reshape([-1 if a == axis else 1 for a in range(4)])
+
+    h11, h22, re, _ = grid.hessian_symbols
+    assert np.array_equal(h11, 0.25 * (-on(0, k) ** 2 + -on(1, k) ** 2))
+    assert np.array_equal(h22, 0.25 * (-on(2, k) ** 2 + -on(3, k_last) ** 2))
+    assert np.array_equal(re, 0.25 * (-(on(0, k, True) * on(2, k, True))
+                                      + -(on(1, k, True) * on(3, k_last, True))))
+
+
 @pytest.mark.parametrize("n_complex,N", [(1, 16), (2, 8)])
 def test_hessian_parts_match_full_complex_fft(n_complex, N):
     """White noise, Nyquist modes included, against complex fftn/ifftn.

@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import importlib
+import importlib.machinery
+import json
 import os
 import pathlib
 import re
@@ -155,19 +157,122 @@ def test_every_public_definition_is_referenced():
     assert sorted(set(unreferenced) - LIBRARY_API) == []
 
 
-def test_cli_import_leaves_out_integrate_and_optimize():
-    """The CLI loads numpy and scipy.fft only: no scipy.integrate and,
-    through it, no scipy.optimize; no scipy.sparse or scipy.linalg, which
-    no package module imports."""
+def _python(code, *args, path=()):
+    """Run `code` with `args` in a fresh interpreter that finds `path`, then
+    the package, then the inherited PYTHONPATH; the completed process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(p) for p in path] + [str(SRC.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    """The CLI loads no scipy.integrate and, through it, no scipy.optimize;
+    no scipy.sparse or scipy.linalg, which no package module imports."""
     code = ("import sys, pmaflow.cli; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.integrate', 'scipy.optimize', "
             "'scipy.sparse', 'scipy.linalg'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy_module():
+    """Importing the CLI runs no scipy package code: the transforms' compiled
+    pocketfft module is loaded from its file, and nothing named scipy or
+    scipy.* enters sys.modules."""
+    code = ("import sys, pmaflow.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+_SCIPY_FFT_AFTER_SEAM = """
+import sys
+import numpy as np
+from pmaflow.grid import TorusGrid
+assert "scipy.fft" not in sys.modules
+import scipy.fft
+for n_complex, N in ((1, 64), (2, 12)):
+    grid = TorusGrid(n_complex, N)
+    for real in (np.float64, np.float32):
+        values = np.random.default_rng(N).standard_normal(grid.shape).astype(real)
+        spectrum = grid.rfftn(values)
+        want = scipy.fft.rfftn(values)
+        assert spectrum.dtype == want.dtype and spectrum.tobytes() == want.tobytes()
+        back = grid.irfftn(spectrum)
+        want = scipy.fft.irfftn(spectrum, s=grid.shape, axes=grid.axes)
+        assert back.dtype == want.dtype and back.tobytes() == want.tobytes()
+print("ok")
+"""
+
+
+def test_scipy_fft_imported_after_the_seam_agrees_bit_for_bit():
+    """A process that imports the grid first and scipy.fft later gets a
+    working scipy.fft, whose rfftn and irfftn agree with the seam bit for
+    bit (the in-process seam test may see scipy imported first)."""
+    out = _python(_SCIPY_FFT_AFTER_SEAM)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+_COMMANDS_IMPORT = """
+import json, pathlib, sys
+import pmaflow.cli as cli
+tmp = pathlib.Path(sys.argv[1])
+(tmp / "cfg.json").write_text(json.dumps({
+    "grid": {"n_complex": 1, "points_per_axis": 16},
+    "flow": {"equation": "ma", "T": 0.1, "dt": 0.02},
+    "rhs": {"kind": "smooth_product", "spatial_amplitude": 0.4,
+            "profile": "decay", "p0": 2.0}}))
+commands = [
+    ["estimate", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "est")],
+    ["regularize", "--traj", str(tmp / "est" / "trajectory.bin"),
+     "--epsilon", "0.125", "--out", str(tmp / "reg")],
+    ["sweep", "--config", str(tmp / "cfg.json"), "--axis", "flow.dt",
+     "--values", "0.02,0.01", "--workers", "1", "--out", str(tmp / "sweep")],
+    ["maxprinciple", "--dim", "2", "--out", str(tmp / "mp")]]
+new = {}
+for argv in commands:
+    before = set(sys.modules)
+    code = cli.main(argv)
+    new[argv[0]] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(new))
+"""
+
+
+def test_commands_import_nothing_start_up_did_not(tmp_path):
+    """After `import pmaflow.cli`, an n=1 estimate, regularize, sweep and
+    maxprinciple import no numpy module (numpy.fft, or numpy.ma through
+    np.unique) and not the sweep's thread pool: start-up pays for what
+    the package uses, where the benchmark's setup_s shows it."""
+    out = _python(_COMMANDS_IMPORT, str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    new = json.loads(out.stdout.splitlines()[-1])
+    assert set(new) == {"estimate", "regularize", "sweep", "maxprinciple"}
+    for command, (code, modules) in new.items():
+        assert code == 0, command
+        late = [m for m in modules
+                if m.split(".")[0] in ("numpy", "concurrent", "queue", "heapq")]
+        assert late == [], (command, late)
+
+
+def test_missing_pocketfft_extension_names_the_file(tmp_path):
+    """A scipy install without the pocketfft extension fails the grid's
+    import with an ImportError that names the file looked for, without
+    running scipy's `__init__` on the way."""
+    fake = tmp_path / "scipy"
+    (fake / "fft" / "_pocketfft").mkdir(parents=True)
+    (fake / "__init__.py").write_text("raise RuntimeError('scipy/__init__ ran')\n")
+    looked = os.path.join(str(fake), "fft", "_pocketfft",
+                          "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    out = _python("import pmaflow.grid", path=[tmp_path])
+    assert out.returncode != 0
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError") and looked in last, out.stderr
 
 
 def test_flow_params_are_the_config_controls():
@@ -204,10 +309,13 @@ def test_flow_error_suffix_is_written_once():
 
 def test_transforms_go_through_the_grid_seam():
     """Only `grid` names scipy.fft or pocketfft: every package FFT goes
-    through `TorusGrid.rfftn` and `TorusGrid.irfftn`."""
+    through `TorusGrid.rfftn` and `TorusGrid.irfftn`.  No module uses
+    numpy.fft, which a command would otherwise import on first use."""
     pattern = re.compile(r"scipy\.fft|pocketfft|from scipy import .*\bfft\b")
     hits = {path.stem for path in MODULES if pattern.search(path.read_text())}
     assert hits == {"grid"}
+    numpy_fft = re.compile(r"\bnp\.fft\b|numpy\.fft|from numpy import .*\bfft\b")
+    assert [path.stem for path in MODULES if numpy_fft.search(path.read_text())] == []
 
 
 @pytest.mark.parametrize("section, key, table", [
