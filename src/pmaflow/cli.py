@@ -347,6 +347,15 @@ def _write_plot(out_dir: Path, name: str, csv_name: str, title: str,
     (out_dir / f"{name}.gp").write_text("\n".join(lines) + "\n")
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """A header and rows of floats (written .17g), None (empty) or strings."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(["" if v is None else v if isinstance(v, str) else f"{v:.17g}"
+                     for v in row] for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # the run pipeline
 
@@ -388,18 +397,14 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
         report.I_series = [float(v) for v in series]
         report.I_derivative_residual = resid
         report.extra["I_variation_residual"] = variation
-        with open(out_dir / "i_series.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "I"])
-            for t, v in zip(traj.times, series):
-                w.writerow([f"{t:.17g}", f"{v:.17g}"])
+        _write_csv(out_dir / "i_series.csv", ["t", "I"], zip(traj.times, series))
         _write_plot(plots, "i_functional", "../i_series.csv",
                     "energy along the flow", "t", "I(phi)", "1:2")
         # dI/dt = -int e^F holds for the Monge-Ampere flow only; the first
         # variation holds for every symbol and does not involve F
         identity = resid if config.flow.equation == "ma" else variation
         if np.isfinite(identity):
-            mass_scale = max(float(np.exp(F.values).mean() * grid.volume), 1.0)
+            mass_scale = max(float(eF.values.mean() * grid.volume), 1.0)
             tol = 5.0 * (traj.dt + grid.spacing**2) * mass_scale
             checks["i_identity"] = bool(identity <= tol)
         checks["i_nonincreasing"] = bool(np.all(np.diff(series) <= 1e-10))
@@ -409,7 +414,11 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
         sup_excursion = float((-traj.values).max())
         s_grid = np.linspace(0.0, max(sup_excursion * 1.2, 1e-6), e.s_count)
         stats = est.level_stats(traj, eF, s_grid)
-        stats.to_csv(out_dir / "levelstats.csv")
+        ladders = (stats.s_grid, stats.A_s, stats.phi_of_s, stats.omega_vol,
+                   stats.A_s_delta)
+        _write_csv(out_dir / "levelstats.csv",
+                   ["s", "A_s", "phi_s", "vol_omega", "A_s_delta"],
+                   zip(*([None] * len(s_grid) if c is None else c for c in ladders)))
         _write_plot(plots, "level_ladders", "../levelstats.csv",
                     "level-set ladders", "s", "A_s", "1:2")
         checks["level_monotone"] = bool(
@@ -435,13 +444,9 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
         fits = est.holder_moduli(traj)
         report.holder_time = tuple(map(float, fits["time"]))
         report.holder_space = tuple(map(float, fits["space"]))
-        with open(out_dir / "holder.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "separation", "sup_quotient"])
-            for kind in ("time", "space"):
-                seps, quots = fits[f"{kind}_points"]
-                for sep, quot in zip(seps, quots):
-                    w.writerow([kind, f"{sep:.17g}", f"{quot:.17g}"])
+        _write_csv(out_dir / "holder.csv", ["kind", "separation", "sup_quotient"],
+                   [(kind, sep, quot) for kind in ("time", "space")
+                    for sep, quot in zip(*fits[f"{kind}_points"])])
         _write_plot(plots, "holder_fits", "../holder.csv",
                     "Holder modulus fits", "separation", "sup quotient",
                     "2:3", logscale=True)

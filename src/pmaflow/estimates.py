@@ -17,7 +17,6 @@ family-boundedness based.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -77,16 +76,6 @@ class LevelStats:
     omega_vol: np.ndarray | None = None
     A_s_delta: np.ndarray | None = None
     delta: float | None = None
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "A_s", "phi_s", "vol_omega", "A_s_delta"])
-            for i, s in enumerate(self.s_grid):
-                row = [f"{s:.17g}", f"{self.A_s[i]:.17g}", f"{self.phi_of_s[i]:.17g}"]
-                row.append("" if self.omega_vol is None else f"{self.omega_vol[i]:.17g}")
-                row.append("" if self.A_s_delta is None else f"{self.A_s_delta[i]:.17g}")
-                writer.writerow(row)
 
 
 @dataclass

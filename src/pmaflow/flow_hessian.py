@@ -65,12 +65,7 @@ class ConeViolation(FlowError, ValueError):
 
 @dataclass(frozen=True)
 class HessianSymbol:
-    """One of the example nonlinearities, with its integer parameters.
-
-    `degree` records the homogeneity: n+1 for det, 1 for full_sigma_k,
-    2n/(n+1) for the lambda_0-split sigma_quotient_power (each factor
-    contributes degree n/(n+1) out of the (1+1)-homogeneous product).
-    """
+    """One of the example nonlinearities, with its integer parameters."""
 
     kind: str
     n: int
@@ -86,14 +81,6 @@ class HessianSymbol:
             raise ValueError(f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={self.n}")
         if self.kind == "full_sigma_k" and not 1 <= self.k <= self.n + 1:
             raise ValueError(f"need 1 <= k <= n + 1, got k={self.k}, n={self.n}")
-
-    @property
-    def degree(self) -> float:
-        if self.kind == "det":
-            return self.n + 1.0
-        if self.kind == "full_sigma_k":
-            return 1.0
-        return 2.0 * self.n / (self.n + 1.0)
 
     # -- constructors --
     @classmethod

@@ -12,6 +12,8 @@ right-hand sides eta_j(-phi - s) e^F / A_{j,s} of the comparison argument.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .flow_hessian import HessianSymbol, solve_hessian_flow
@@ -37,21 +39,12 @@ class SLevelTooSmall(ValueError):
 
 def _once_per_grid(build):
     """build(grid) for a factor of F that does not depend on t, evaluated
-    once for the last grid seen and returned read-only thereafter.
+    once for the last grid seen and returned read-only thereafter."""
 
-    The grid key and its values are stored as one tuple, so threads sharing
-    the spec need no lock: a race computes the values twice, never pairs a
-    key with another grid's values.
-    """
-    last = [(None, None)]
-
+    @functools.lru_cache(maxsize=1)
     def cached(grid: TorusGrid) -> np.ndarray:
-        key = (grid.n_complex, grid.points_per_axis, grid.period)
-        seen, values = last[0]
-        if seen != key:
-            values = build(grid)
-            values.flags.writeable = False
-            last[0] = (key, values)
+        values = build(grid)
+        values.flags.writeable = False
         return values
 
     return cached
@@ -133,15 +126,9 @@ class RhsSpec:
 
         return cls(raw_F, p0)
 
-    def scaled(self, factor: float) -> "RhsSpec":
-        return RhsSpec(self.raw_F, self.p0, self.scale * factor)
-
     # -- evaluation --------------------------------------------------------
     def F_field(self, grid: TorusGrid, t: float) -> ScalarField:
         return ScalarField(grid, self.scale * self.raw_F(grid, t))
-
-    def eF_field(self, grid: TorusGrid, t: float) -> ScalarField:
-        return ScalarField(grid, np.exp(self.scale * self.raw_F(grid, t)))
 
     def sample(self, grid: TorusGrid, times) -> tuple[Trajectory, Trajectory]:
         """Trajectories of e^F and F at the given times."""

@@ -84,9 +84,12 @@ _pocketfft = _load_pocketfft()
 _r2c, _c2r = _pocketfft.r2c, _pocketfft.c2r
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class TorusGrid:
     """Uniform discretization of the flat complex torus.
+
+    Frozen and hashable, so the cached symbols never go stale and a grid
+    keys the per-grid caches itself.
 
     Attributes
     ----------
@@ -261,9 +264,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"{what} contains non-finite values")
         return self
-
-    def shifted(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values + c)
 
 
 @dataclass
@@ -448,7 +448,7 @@ _KERNEL_FFT_LOCK = threading.Lock()
 
 
 def _kernel_fft(grid: TorusGrid, s: float) -> np.ndarray:
-    key = (grid.n_complex, grid.points_per_axis, grid.period, float(s))
+    key = (grid, float(s))
     with _KERNEL_FFT_LOCK:
         out = _KERNEL_FFT_CACHE.get(key)
         if out is not None:

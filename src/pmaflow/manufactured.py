@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .flow_ma import RhsSpec
-from .grid import ScalarField, TorusGrid, Trajectory
+from .grid import TorusGrid, Trajectory
 
 __all__ = ["ManufacturedSolution", "admissible_horizon"]
 
@@ -54,9 +54,6 @@ class ManufacturedSolution(RhsSpec):
 
     def exact_values(self, t: float) -> np.ndarray:
         return -self._tau(t) * (2.0 + self._cosx) / 2.0
-
-    def exact_field(self, t: float) -> ScalarField:
-        return ScalarField(self.grid, self.exact_values(t))
 
     def exact_trajectory(self, times) -> Trajectory:
         times = np.asarray(times, dtype=float)

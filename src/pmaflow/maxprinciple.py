@@ -134,14 +134,6 @@ class SpaceTimeGridReal:
         d2 = sum((c - c0) ** 2 for c, c0 in zip(coords, self.ball_center))
         return d2 <= self.ball_radius**2 + 1e-12
 
-    def interior_mask(self) -> np.ndarray:
-        """Domain nodes all of whose axis neighbors are domain nodes."""
-        return _interior_of(self.domain_mask())
-
-    def domain_volume(self) -> float:
-        """Discrete volume consistent with the contact-set quadrature."""
-        return float(self.interior_mask().sum() * self.h**self.m)
-
 
 def _interior_of(dom: np.ndarray) -> np.ndarray:
     """The domain mask dom ANDed with its +-1 shifts along each axis,

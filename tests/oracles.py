@@ -12,7 +12,8 @@ the package computes another way, or a check only the tests make:
   and arrays with the slots on a trailing axis, and a hypothesis strategy
   of Hessian components with exactly and nearly degenerate points
 - the symbol value and gradient at one cone point, with its cone-membership
-  test, and the sampled structural conditions (monotone, symmetric, c0, C0)
+  test, the sampled structural conditions (monotone, symmetric, c0, C0),
+  and each symbol kind's homogeneity degree
 - the elementary-inequality battery of the L-infinity argument
 - the sup distance between two trajectories sampled at the same times
 - the interior of a masked domain, node by node, and the contact mask
@@ -191,6 +192,16 @@ def f_eval_grad(symbol: HessianSymbol, point: ConePoint) -> tuple[float, np.ndar
     lams = np.asarray(point.lambdas, dtype=float)
     val, grad = f_eval_grad_arrays(symbol, lam0, slot_fields(lams))
     return float(val), trailing_axis(grad).reshape(symbol.n + 1)
+
+
+def symbol_degree(symbol: HessianSymbol) -> float:
+    """Homogeneity degree of the symbol in (lambda_0, ..., lambda_n), which
+    the Euler quotient sum_i lambda_i d_i f / f equals: n + 1 for det, a
+    product of n + 1 slots; 1 for full_sigma_k, sigma_k^{1/k}; 2n/(n+1) for
+    sigma_quotient_power, the n/(n+1) power of lambda_0 times a ratio of
+    degree 1."""
+    return {"det": symbol.n + 1.0, "full_sigma_k": 1.0,
+            "sigma_quotient_power": 2.0 * symbol.n / (symbol.n + 1.0)}[symbol.kind]
 
 
 @dataclass

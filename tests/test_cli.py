@@ -289,6 +289,18 @@ def test_run_takes_each_slice_hessian_once_after_the_solve(tmp_path, monkeypatch
     assert calls == [(16, 16)] * n_times
 
 
+def test_run_csvs_are_written_by_one_writer(tmp_path):
+    """The run's CSV files write floats .17g, which read back bit for bit,
+    None as an empty field and strings as they are."""
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, ["kind", "a", "b"],
+                   [("time", 0.1, None), ("space", np.float64(1.0) / 3.0, 2e-300)])
+    assert path.read_bytes() == (b"kind,a,b\r\ntime,0.10000000000000001,\r\n"
+                                 b"space,0.33333333333333331,2.0000000000000001e-300\r\n")
+    rows = path.read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [0.1, 1.0 / 3.0]
+
+
 def test_run_deterministic_reports(tmp_path):
     cfg = trivial_config(label="det", seed=11)
     run(cfg, tmp_path / "a")

@@ -30,7 +30,8 @@ from pmaflow.estimates import (
     s_star_bound,
     stability_ratio,
 )
-from pmaflow.grid import spacetime_integral
+from pmaflow.cli import RunConfig, run
+from pmaflow.grid import load_trajectory, spacetime_integral
 from pmaflow.regularize import time_average
 
 from oracles import (
@@ -292,14 +293,26 @@ def test_level_stats_with_comparator(generic_flow):
             assert stats.omega_vol[i] <= 2.0 / s * l1 + 1e-12
 
 
-def test_level_stats_csv(tmp_path, trivial_flow):
-    traj, eF, _, _ = trivial_flow
-    stats = level_stats(traj, eF, np.array([0.0, 0.5]))
-    path = tmp_path / "stats.csv"
-    stats.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+def test_level_stats_csv(tmp_path):
+    """A run writes its ladders to levelstats.csv, one row per level, at
+    full precision; the ladders it does not take are empty columns."""
+    off = dict.fromkeys(("entropy", "i_series", "moser_trudinger", "exp_alpha",
+                         "holder", "stability"), False)
+    cfg = RunConfig.from_dict({
+        "grid": {"n_complex": 1, "points_per_axis": 16},
+        "flow": {"T": 0.1, "dt": 0.02}, "rhs": {"kind": "zero"},
+        "estimates": {"s_count": 2, **off}})
+    run(cfg, tmp_path)
+    lines = (tmp_path / "levelstats.csv").read_text().strip().splitlines()
     assert lines[0] == "s,A_s,phi_s,vol_omega,A_s_delta"
     assert len(lines) == 3
+    rows = [line.split(",") for line in lines[1:]]
+    traj = load_trajectory(tmp_path / "trajectory.bin")
+    eF, _ = RhsSpec.zero().sample(traj.grid, traj.times)
+    stats = level_stats(traj, eF, np.array([float(row[0]) for row in rows]))
+    assert [float(row[1]) for row in rows] == list(stats.A_s)
+    assert [float(row[2]) for row in rows] == list(stats.phi_of_s)
+    assert [row[3:] for row in rows] == [["", ""]] * 2
 
 
 # ---------------------------------------------------------------------------

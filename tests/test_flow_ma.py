@@ -10,6 +10,7 @@ from pmaflow import (
     HessianSymbol,
     NewtonDiverged,
     RhsSpec,
+    ScalarField,
     SLevelTooSmall,
     TorusGrid,
     Trajectory,
@@ -50,7 +51,8 @@ def test_residual_exact_snapshots_order_dt(grid64):
     t = 0.08
     norms = []
     for dt in (0.02, 0.01):
-        r = ma_residual(ms.exact_field(t - dt), ms.exact_field(t), dt,
+        r = ma_residual(ScalarField(ms.grid, ms.exact_values(t - dt)),
+                        ScalarField(ms.grid, ms.exact_values(t)), dt,
                         ms.F_field(grid64, t))
         norms.append(float(np.abs(r.values).max()))
     assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.2)
@@ -61,7 +63,8 @@ def test_residual_exact_on_time_linear_solution(grid64):
     # consecutive exact snapshots have zero residual
     ms = ManufacturedSolution(grid64, curvature=0.0)
     dt = 0.01
-    r = ma_residual(ms.exact_field(0.05), ms.exact_field(0.05 + dt), dt,
+    r = ma_residual(ScalarField(ms.grid, ms.exact_values(0.05)),
+                    ScalarField(ms.grid, ms.exact_values(0.05 + dt)), dt,
                     ms.F_field(grid64, 0.05 + dt))
     assert np.abs(r.values).max() < 1e-12
 
@@ -93,8 +96,8 @@ def test_step_local_order_two(grid64):
     t0 = 0.05
     errs = []
     for dt in (0.02, 0.01):
-        out = backward_euler_step(ms.exact_field(t0), dt,
-                                  ms.F_field(grid64, t0 + dt), MA1, params)
+        out = backward_euler_step(ScalarField(ms.grid, ms.exact_values(t0)),
+                                  dt, ms.F_field(grid64, t0 + dt), MA1, params)
         errs.append(float(np.abs(out.values - ms.exact_values(t0 + dt)).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -274,8 +277,8 @@ def test_auxiliary_solution_pipeline(generic_flow):
 def test_rhs_mollified_singularity_positive_and_recorded(grid32):
     rhs = RhsSpec.mollified_log_singularity((0.5, 0.5), strength=0.4,
                                             moll_radius=0.05, p0=2.0)
-    eF = rhs.eF_field(grid32, 0.0)
-    assert eF.values.min() > 0.0
+    eF = np.exp(rhs.F_field(grid32, 0.0).values)
+    assert eF.min() > 0.0
     times = np.linspace(0.0, 1.0, 11)
     norm = rhs.lp0_norm(grid32, times)
     assert np.isfinite(norm) and norm > 0.0
@@ -283,7 +286,7 @@ def test_rhs_mollified_singularity_positive_and_recorded(grid32):
 
 def test_rhs_scaled_multiplies_F(grid32):
     rhs = RhsSpec.time_only(lambda t: 0.7)
-    doubled = rhs.scaled(2.0)
+    doubled = RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * 2.0)
     f1 = rhs.F_field(grid32, 0.3).values
     f2 = doubled.F_field(grid32, 0.3).values
     assert np.allclose(f2, 2.0 * f1, atol=1e-15)
@@ -317,7 +320,8 @@ def test_rhs_spatial_factor_computed_once_and_read_only(kind):
         want = _uncached_F(kind, grid, t, scale)
         F = rhs.F_field(grid, t).values
         assert np.array_equal(F, want)
-        assert np.array_equal(rhs.eF_field(grid, t).values, np.exp(want))
+        eF, _ = rhs.sample(grid, [t])
+        assert np.array_equal(eF.values[0], np.exp(want))
         F += 1.0                 # the caller's copy, not the cache
     raw = rhs.raw_F(g16, 0.7)
     if kind == "mollified_log_singularity":
@@ -334,13 +338,13 @@ def test_tabulated_rhs_interpolates(grid32):
     times = np.array([0.0, 1.0])
     vals = np.stack([np.full(grid32.shape, 1.0), np.full(grid32.shape, 3.0)])
     rhs = RhsSpec.tabulated(Trajectory(grid32, times, vals))
-    mid = rhs.eF_field(grid32, 0.5)
-    assert np.allclose(mid.values, 2.0, atol=1e-14)
+    mid = np.exp(rhs.F_field(grid32, 0.5).values)
+    assert np.allclose(mid, 2.0, atol=1e-14)
 
 
 def test_tabulated_rhs_is_the_log_of_the_linear_interpolant(grid32):
     # F is log of the interpolant exactly (the flow reads F, then exp), the
-    # samples are held outside [t_0, t_K], and scaled() multiplies F
+    # samples are held outside [t_0, t_K], and the scale multiplies F
     rng = np.random.default_rng(41)
     times = np.array([0.0, 0.1, 0.25, 0.4])
     vals = rng.uniform(0.5, 2.0, size=(len(times),) + grid32.shape)
@@ -352,7 +356,7 @@ def test_tabulated_rhs_is_the_log_of_the_linear_interpolant(grid32):
         assert np.array_equal(rhs.F_field(grid32, t).values, want)
     assert np.array_equal(rhs.F_field(grid32, -1.0).values, np.log(vals[0]))
     assert np.array_equal(rhs.F_field(grid32, 9.0).values, np.log(vals[-1]))
-    doubled = rhs.scaled(2.0).F_field(grid32, 0.3).values
+    doubled = RhsSpec(rhs.raw_F, rhs.p0, 2.0).F_field(grid32, 0.3).values
     assert np.array_equal(doubled, 2.0 * rhs.F_field(grid32, 0.3).values)
 
 
@@ -412,13 +416,8 @@ def test_time_linear_exact_solution_n2():
         p0 = 2.0
 
         def F_field(self, g, t):
-            from pmaflow.grid import ScalarField
             det = 1.0 + t * hess_11  # det(I + diag(t h, 0))
             return ScalarField(g, np.log(prof * det))
-
-        def eF_field(self, g, t):
-            from pmaflow.grid import ScalarField
-            return ScalarField(g, np.exp(self.F_field(g, t).values))
 
         def sample(self, g, times):
             from pmaflow.grid import Trajectory

@@ -1,5 +1,6 @@
 """Grid, quadrature, complex Hessian, and convolution tests."""
 
+import dataclasses
 import os
 import tempfile
 
@@ -110,6 +111,20 @@ def test_transform_seam_is_bit_identical_to_scipy_fft(n_complex, N, real, spectr
 
 # ---------------------------------------------------------------------------
 # complex Hessian
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_complex", 2), ("points_per_axis", 16), ("period", 2.0),
+    ("derivative_mode", "finite_difference_2nd")])
+def test_grid_fields_cannot_be_assigned(name, value):
+    """A grid is frozen, so its cached symbols cannot go stale; equal grids
+    hash alike, so a grid keys the per-grid caches itself."""
+    grid = TorusGrid(1, 8)
+    symbols = grid.hessian_symbols
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(grid, name, value)
+    assert grid == TorusGrid(1, 8) and hash(grid) == hash(TorusGrid(1, 8))
+    assert grid.hessian_symbols is symbols
 
 
 def test_hessian_of_constant_is_zero(grid32):
@@ -398,7 +413,7 @@ def test_sub_grid_scales_leave_the_kernel_cache_alone(monkeypatch):
         smooth(s)
     assert not grid_mod._KERNEL_FFT_CACHE
     smooth(h)
-    assert [key[3] for key in grid_mod._KERNEL_FFT_CACHE] == [h]
+    assert [key[1] for key in grid_mod._KERNEL_FFT_CACHE] == [h]
 
 
 def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
@@ -417,11 +432,11 @@ def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
     for s, want in zip(radii, expected):
         assert np.array_equal(convolve_radial(f, s).values, want)
         assert sum(v.nbytes for v in cache.values()) <= bound
-    assert [key[3] for key in cache] == [0.1, 0.3]
+    assert [key[1] for key in cache] == [0.1, 0.3]
     # a hit renews 0.1, so the next miss evicts 0.3, the least recently used
     convolve_radial(f, 0.1)
     convolve_radial(f, 0.25)
-    assert [key[3] for key in cache] == [0.1, 0.25]
+    assert [key[1] for key in cache] == [0.1, 0.25]
 
 
 def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
@@ -509,7 +524,7 @@ def test_kernel_matches_the_radius_construction(n_complex, half_n, period, data)
 def test_integrate_is_linear_in_shifts(c, seed):
     grid = TorusGrid(1, 16)
     f = band_limited(grid, np.random.default_rng(seed), max_mode=3, n_modes=2)
-    lhs = integrate(f.shifted(c))
+    lhs = integrate(ScalarField(grid, f.values + c))
     rhs = integrate(f) + c * grid.volume
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 

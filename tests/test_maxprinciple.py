@@ -13,6 +13,7 @@ from pmaflow.maxprinciple import (
     SpaceTimeGridReal,
     _curvature_nonpositive,
     _det,
+    _interior_of,
     _largest_eigenvalue,
     contact_set,
     lieberman_form_check,
@@ -40,7 +41,7 @@ def test_paraboloid_cap_exact_integral(m):
     rep = contact_set(stg, u)
     # on E everything: d_t u = 1, det(-D^2 u) = 2^m
     mask, _ = contact_arrays(stg, u)
-    assert mask[1:, stg.interior_mask()].all()
+    assert mask[1:, _interior_of(stg.domain_mask())].all()
     expect = 2.0**m * stg.T * rep.domain_volume
     assert rep.integral_value == pytest.approx(expect, rel=1e-12)
 
@@ -71,7 +72,7 @@ def test_contact_set_matches_per_point_oracle():
 
     h, dt = stg.h, stg.dt
     tol = rep.eig_tol
-    interior = stg.interior_mask()
+    interior = _interior_of(stg.domain_mask())
     mask_oracle = np.zeros_like(mask)
     integral_oracle = 0.0
     N = stg.n_points
@@ -111,7 +112,7 @@ def _smooth3(seed):
 def _oracle_points3(stg, u):
     """(k, i, j, l, d_t u, explicit 3x3 difference Hessian) per interior node."""
     h, dt = stg.h, stg.dt
-    interior = stg.interior_mask()
+    interior = _interior_of(stg.domain_mask())
     for k in range(1, stg.n_steps + 1):
         for i, j, l in np.argwhere(interior):
             if k < stg.n_steps:
@@ -149,7 +150,7 @@ def test_contact_set_matches_per_point_oracle_m3():
             mask_oracle[(k,) + ijl] = True
             integral_oracle += dudt * max(np.linalg.det(-hess), 0.0)
     integral_oracle *= stg.h**3 * stg.dt
-    n_points = stg.n_steps * int(stg.interior_mask().sum())
+    n_points = stg.n_steps * int(_interior_of(stg.domain_mask()).sum())
     assert 0 < mask_oracle.sum() < n_points  # partial contact set
     assert np.array_equal(mask, mask_oracle)
     assert rep.integral_value == pytest.approx(integral_oracle, rel=1e-10)
@@ -229,7 +230,7 @@ def test_mask_stability_under_refinement():
             hyy = hxx
             hxy = np.pi**2 * cx * cy * a
             eig_max = 0.5 * (hxx + hyy) + np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy**2)
-            out[k] = (eig_max <= 0.0) & stg.interior_mask()
+            out[k] = (eig_max <= 0.0) & _interior_of(stg.domain_mask())
         return out
 
     measures = []
@@ -284,7 +285,8 @@ def test_lieberman_closed_form_cap():
     u, a_field, f_field = _cap_data(stg, 3.0)
     rep = lieberman_form_check(stg, u, a_field, f_field)
     assert rep.hypothesis_violations == 0
-    expect = (1.0 + 2.0 * 3.0 * 2) ** 3 * stg.T * stg.domain_volume()
+    volume = _interior_of(stg.domain_mask()).sum() * stg.h**stg.m
+    expect = (1.0 + 2.0 * 3.0 * 2) ** 3 * stg.T * volume
     assert rep.integral_value == pytest.approx(expect, rel=1e-12)
     assert rep.implied_constant > 0.0
 
@@ -553,7 +555,7 @@ def test_lieberman_reads_broadcast_coefficients_like_their_copies(m, case):
     assert dataclasses.astuple(views) == dataclasses.astuple(copies)
     assert views.hypothesis_violations == 0
     assert 0.0 < views.integral_value
-    rising = np.diff(u[:, stg.interior_mask()], axis=0) >= 0.0
+    rising = np.diff(u[:, _interior_of(stg.domain_mask())], axis=0) >= 0.0
     assert 0 < rising.sum() < rising.size
 
 
@@ -631,5 +633,5 @@ def test_interior_mask_matches_the_neighbour_oracle(m, domain, data):
     radius = data.draw(st.floats(0.05, 0.8), label="radius")
     stg = SpaceTimeGridReal(m=m, n_points=n_points, T=1.0, n_steps=2, domain=domain,
                             ball_center=center, ball_radius=radius)
-    np.testing.assert_array_equal(stg.interior_mask(),
+    np.testing.assert_array_equal(_interior_of(stg.domain_mask()),
                                   interior_by_neighbours(stg.domain_mask()))
