@@ -11,7 +11,6 @@ from .grid import (
     ScalarField,
     TorusGrid,
     Trajectory,
-    convolve_radial,
     hessian_parts,
     integrate,
     kernel_second_moment,
@@ -21,7 +20,7 @@ from .grid import (
     save_trajectory,
 )
 from .stepping import AdmissibilityLost, FlowParams, NewtonDiverged
-from .flow_ma import RhsSpec, SLevelTooSmall, build_auxiliary_rhs, solve_flow
+from .flow_ma import RhsSpec, SLevelTooSmall, build_auxiliary_rhs
 from .flow_hessian import (
     ConeViolation,
     HessianSymbol,

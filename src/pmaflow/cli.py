@@ -28,8 +28,8 @@ import numpy as np
 
 from . import estimates as est
 from . import regularize as reg
-from .flow_hessian import solve_hessian_flow, symbol_from_config
-from .flow_ma import RhsSpec, solve_flow
+from .flow_hessian import HessianSymbol, solve_hessian_flow, symbol_from_config
+from .flow_ma import RhsSpec
 from .manufactured import ManufacturedSolution, admissible_horizon
 from .grid import (
     TorusGrid,
@@ -177,7 +177,14 @@ class RunConfig:
     def validate(self) -> None:
         """Refuse a config that cannot run, before any directory or step is
         made: the grid, right-hand side, symbol and FlowParams are built
-        here, so their own checks run up front."""
+        here, so their own checks run up front.  A NaN or infinite number
+        (which `json.loads` accepts) is refused by the field's name."""
+        for key in ("grid", "flow", "rhs", "estimates"):
+            for name, value in asdict(getattr(self, key)).items():
+                values = value if isinstance(value, list) else [value]
+                if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                    raise ValueError(f"config field '{key}.{name}' must be finite, "
+                                     f"got {value!r}")
         if self.flow.equation not in ("ma", "hessian"):
             raise ValueError("flow.equation must be 'ma' or 'hessian'")
         for name, value, table in (
@@ -262,12 +269,12 @@ def _flow_params(cfg: RunConfig) -> FlowParams:
 
 
 def _build(cfg: RunConfig) -> tuple:
-    """(grid, rhs, symbol, params) of a config; the symbol is None for
+    """(grid, rhs, symbol, params) of a config; the symbol is `det` for
     `equation: "ma"`, the Monge-Ampere flow, and `flow.symbol` otherwise."""
     grid = TorusGrid(**asdict(cfg.grid))
     f = cfg.flow
     symbol = (symbol_from_config(f.symbol, grid.n_complex, f.k, f.l)
-              if f.equation == "hessian" else None)
+              if f.equation == "hessian" else HessianSymbol.det(grid.n_complex))
     return grid, RHS_KINDS[cfg.rhs.kind](cfg.rhs, grid), symbol, _flow_params(cfg)
 
 
@@ -275,8 +282,6 @@ def _solve(cfg: RunConfig) -> tuple[Trajectory, object, FlowParams]:
     """Build the configured flow and solve it: (trajectory, rhs, params)."""
     grid, rhs, symbol, params = _build(cfg)
     phi0 = INITIAL_CONDITIONS[cfg.flow.initial_condition](cfg, grid)
-    if symbol is None:   # the Monge-Ampere entry point, which perfbench's tracer times
-        return solve_flow(phi0, rhs, params), rhs, params
     return solve_hessian_flow(phi0, rhs, symbol, params), rhs, params
 
 
@@ -384,7 +389,7 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
     q0 = config.rhs.p0 / (config.rhs.p0 - 1.0)
     report.extra["q0"] = q0
     if config.rhs.kind == "mollified_log_singularity":
-        report.extra["lp0_norm"] = rhs.lp0_norm(grid, traj.times)
+        report.extra["lp0_norm"] = rhs.lp0_norm(eF)
     if config.rhs.kind == "manufactured":
         report.extra["manufactured_sup_error"] = rhs.sup_error(traj)
 
@@ -405,7 +410,7 @@ def run(config: RunConfig, out_dir) -> tuple[est.EstimateReport, dict]:
         identity = resid if config.flow.equation == "ma" else variation
         if np.isfinite(identity):
             mass_scale = max(float(eF.values.mean() * grid.volume), 1.0)
-            tol = 5.0 * (traj.dt + grid.spacing**2) * mass_scale
+            tol = 5.0 * (params.dt + grid.spacing**2) * mass_scale
             checks["i_identity"] = bool(identity <= tol)
         checks["i_nonincreasing"] = bool(np.all(np.diff(series) <= 1e-10))
 

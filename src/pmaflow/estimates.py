@@ -141,7 +141,7 @@ def entropy(eF: Trajectory, F: Trajectory, p: float,
         g += 1.0
         g **= p / 2.0
         out *= g
-    traj = Trajectory(eF.grid, eF.times.copy(), weighted, dt=eF.dt)
+    traj = Trajectory(eF.grid, eF.times.copy(), weighted)
     return spacetime_integral(traj)
 
 
@@ -381,8 +381,7 @@ def stability_ratio(v: Trajectory, phi: Trajectory, alpha: float) -> dict:
     lhs = float(diff.max())
     sup0 = float(np.maximum(diff[0], 0.0).max())
     np.maximum(diff, 0.0, out=diff)
-    l1 = spacetime_integral(Trajectory(phi.grid, phi.times.copy(), diff,
-                                       dt=phi.dt))
+    l1 = spacetime_integral(Trajectory(phi.grid, phi.times.copy(), diff))
     rhs = max(sup0, l1**alpha)
     ratio = 0.0 if lhs <= 0.0 else (float("inf") if rhs == 0.0 else lhs / rhs)
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio,
@@ -474,8 +473,7 @@ def s_star_bound(v: Trajectory, phi: Trajectory, delta: float, beta: float,
     sup_v = float(np.abs(v.values).max())
     term2 = 2.0 * delta * sup_v
     l1 = spacetime_integral(Trajectory(
-        phi.grid, phi.times.copy(), np.maximum(v.values - phi.values, 0.0),
-        dt=phi.dt))
+        phi.grid, phi.times.copy(), np.maximum(v.values - phi.values, 0.0)))
     term3 = c1 * delta ** (-q0 * (n + 1) / (1.0 - 1.0 / beta)) * l1
     bound = max(term1, term2, term3)
 

@@ -446,4 +446,4 @@ def solve_hessian_flow(phi0: ScalarField, rhs, symbol: HessianSymbol,
         vals, slots = _euler_step(grid, vals, slots, dt_k, ef_next, symbol,
                                  params, t_k)
         values[k] = vals
-    return Trajectory(grid, times, values, dt=params.dt)
+    return Trajectory(grid, times, values)

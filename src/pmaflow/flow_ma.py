@@ -3,9 +3,9 @@
 The flow is (-d_t phi) det(I + H[phi]) = e^F with phi(0) = phi_0, solved in
 the admissible class d_t phi <= 0, I + H[phi] >= 0 by backward Euler with a
 full Newton solve per step.  It is the product symbol `det` of the Hessian
-flows, so `solve_flow` runs the shared stepper of `flow_hessian` (one step
-is `backward_euler_step` with `HessianSymbol.det(n)`).  The module also
-carries the right-hand sides (`RhsSpec` and its generators, among them
+flows and has no stepper of its own: `solve_hessian_flow` with
+`HessianSymbol.det(n)` solves it.  This module carries its data: the
+right-hand sides (`RhsSpec` and its generators, among them
 `RhsSpec.tabulated` for sampled data) and the auxiliary normalized
 right-hand sides eta_j(-phi - s) e^F / A_{j,s} of the comparison argument.
 """
@@ -16,14 +16,11 @@ import functools
 
 import numpy as np
 
-from .flow_hessian import HessianSymbol, solve_hessian_flow
 from .grid import ScalarField, TorusGrid, Trajectory, spacetime_integral
-from .stepping import FlowParams
 
 __all__ = [
     "RhsSpec",
     "SLevelTooSmall",
-    "solve_flow",
     "build_auxiliary_rhs",
     "eta_smooth_plus",
 ]
@@ -136,24 +133,11 @@ class RhsSpec:
         F = np.stack([self.F_field(grid, t).values for t in times])
         return (Trajectory(grid, times, np.exp(F)), Trajectory(grid, times, F))
 
-    def lp0_norm(self, grid: TorusGrid, times) -> float:
-        """Space-time L^{p0} norm of e^F, recorded for the generator."""
-        eF, _ = self.sample(grid, times)
+    def lp0_norm(self, eF: Trajectory) -> float:
+        """Space-time L^{p0} norm of e^F, recorded for the generator, from
+        the e^F trajectory `sample` gave."""
         val = spacetime_integral(eF.map_values(lambda v: np.abs(v) ** self.p0))
         return float(val ** (1.0 / self.p0))
-
-
-# ---------------------------------------------------------------------------
-# solve
-
-
-def solve_flow(phi0: ScalarField, rhs, params: FlowParams) -> Trajectory:
-    """Integrate the flow on [0, T]; the trajectory is monotone and admissible.
-
-    Raises ConeViolation if phi_0 lies outside the positive cone.
-    """
-    return solve_hessian_flow(phi0, rhs, HessianSymbol.det(phi0.grid.n_complex),
-                              params)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +166,6 @@ def build_auxiliary_rhs(phi: Trajectory, eF: Trajectory, s: float,
             f"level s={s:.6g} below sup|phi_0|={sup_phi0:.6g}; "
             "the comparison argument needs s >= sup|phi_0|")
     weighted = eta_smooth_plus(-phi.values - s, j) * eF.values
-    traj = Trajectory(phi.grid, phi.times.copy(), weighted, dt=phi.dt)
+    traj = Trajectory(phi.grid, phi.times.copy(), weighted)
     a_js = spacetime_integral(traj)
     return traj.map_values(lambda v: v / a_js), float(a_js)

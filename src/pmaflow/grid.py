@@ -47,7 +47,6 @@ __all__ = [
     "identity_plus_eigenvalues",
     "elementary_symmetric",
     "min_admissibility_eigenvalue",
-    "convolve_radial",
     "radial_smoother",
     "complex_laplacian",
     "random_admissible_field",
@@ -277,7 +276,6 @@ class Trajectory:
     grid: TorusGrid
     times: np.ndarray
     values: np.ndarray
-    dt: float = 0.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -286,8 +284,6 @@ class Trajectory:
             raise ValueError("trajectory values shape does not match times/grid")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if self.dt == 0.0 and len(self.times) > 1:
-            self.dt = float(self.times[1] - self.times[0])
 
     @property
     def n_times(self) -> int:
@@ -309,7 +305,7 @@ class Trajectory:
         return w
 
     def map_values(self, fn) -> "Trajectory":
-        return Trajectory(self.grid, self.times.copy(), fn(self.values), dt=self.dt)
+        return Trajectory(self.grid, self.times.copy(), fn(self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +464,12 @@ def radial_smoother(field: ScalarField):
     """Convolutions of one field with the rescaled radial kernel at any scale.
 
     Checks the field and takes its forward transform once; the returned
-    smooth(s) gives the values of the convolution at scale s, so a ladder
-    of scales costs one inverse transform each.  Kernel transforms come
-    from the byte-bounded cache.
+    smooth(s) gives the values of the periodic convolution at scale s, so a
+    ladder of scales costs one inverse transform each.  Kernel transforms
+    come from the byte-bounded cache.  The discrete kernel is renormalized
+    to unit mass on the grid, so the convolution preserves constants and
+    total integral exactly.  On the flat torus this realizes the exp-map
+    mollification (exp is translation).
 
     A scale below the grid spacing h is the identity and returns a fresh
     copy of the values, with no kernel, transform or cache entry.  If
@@ -496,26 +495,15 @@ def radial_smoother(field: ScalarField):
     return smooth
 
 
-def convolve_radial(field: ScalarField, s: float) -> ScalarField:
-    """Periodic convolution with the rescaled radial kernel at scale s.
-
-    The discrete kernel is renormalized to unit mass on the grid, so the
-    convolution preserves constants and total integral exactly.  On the
-    flat torus this realizes the exp-map mollification (exp is translation).
-    Below the grid spacing the kernel covers the origin alone, and the
-    result is the field itself (see `radial_smoother`).
-    """
-    return ScalarField(field.grid, radial_smoother(field)(s))
-
-
 # ---------------------------------------------------------------------------
 # field generators
 
 
 def random_admissible_field(grid: TorusGrid, rng: np.random.Generator,
-                            max_mode: int = 3, margin: float = 0.2,
+                            margin: float = 0.2,
                             amplitude: float = 1.0) -> ScalarField:
-    """Random band-limited field rescaled so min eig(I + H) >= margin.
+    """Random band-limited field (wavenumbers up to 3 per axis) rescaled so
+    min eig(I + H) >= margin.
 
     Deterministic given the generator state; used for test data and for
     seeded initial conditions.
@@ -524,7 +512,7 @@ def random_admissible_field(grid: TorusGrid, rng: np.random.Generator,
     vals = np.zeros(grid.shape)
     two_pi = 2.0 * np.pi / grid.period
     for _ in range(4):
-        ks = rng.integers(-max_mode, max_mode + 1, size=grid.real_dim)
+        ks = rng.integers(-3, 4, size=grid.real_dim)
         if not np.any(ks):
             continue
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -556,18 +544,20 @@ def _require_size(fh, path, n_words: int) -> None:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Binary checkpoint: magic, n_complex, N, n_times, L, dt, times, data."""
+    """Binary checkpoint: magic, n_complex, N, n_times, L, the first step
+    times[1] - times[0] (0.0 for a single time), times, data."""
     with open(path, "wb") as fh:
         np.array([_TRAJ_MAGIC, traj.grid.n_complex, traj.grid.points_per_axis,
                   traj.n_times], dtype=np.int64).tofile(fh)
-        np.array([traj.grid.period, traj.dt], dtype=np.float64).tofile(fh)
+        first_step = traj.times[1] - traj.times[0] if traj.n_times > 1 else 0.0
+        np.array([traj.grid.period, first_step], dtype=np.float64).tofile(fh)
         traj.times.astype(np.float64).tofile(fh)
         traj.values.astype(np.float64).tofile(fh)
 
 
 def load_trajectory(path) -> Trajectory:
     """Read a `save_trajectory` checkpoint onto a spectral-mode grid; the
-    file records no derivative mode."""
+    file records no derivative mode, and its first-step word is not read."""
     with open(path, "rb") as fh:
         head = np.fromfile(fh, dtype=np.int64, count=4)
         if len(head) != 4 or head[0] != _TRAJ_MAGIC:
@@ -575,8 +565,8 @@ def load_trajectory(path) -> Trajectory:
         n_times = int(head[3])
         n_points = int(head[2]) ** (2 * int(head[1]))
         _require_size(fh, path, 6 + n_times * (1 + n_points))
-        period, dt = np.fromfile(fh, dtype=np.float64, count=2)
+        period, _ = np.fromfile(fh, dtype=np.float64, count=2)
         grid = TorusGrid(int(head[1]), int(head[2]), float(period))
         times = np.fromfile(fh, dtype=np.float64, count=n_times)
         vals = np.fromfile(fh, dtype=np.float64).reshape((n_times,) + grid.shape)
-    return Trajectory(grid, times, vals, dt=float(dt))
+    return Trajectory(grid, times, vals)

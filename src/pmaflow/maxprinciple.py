@@ -334,13 +334,11 @@ class LiebermanReport:
     sup_interior: float
     sup_parabolic_boundary: float
     implied_constant: float
-    exponent: float
     diameter: float
 
 
 def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
-                         a_field: np.ndarray, f_field: np.ndarray,
-                         exponent: float | None = None) -> LiebermanReport:
+                         a_field: np.ndarray, f_field: np.ndarray) -> LiebermanReport:
     """Divergence-form maximum-principle check with a free constant.
 
     Verifies -d_t u + a^{ij} d_ij u >= f - 1e-9 (1 + |f|) pointwise on
@@ -350,14 +348,13 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
         implied C = (sup u - sup_{par.bdry} u)
                     / (diam^{m/(m+1)} (int_E (f^-)^q / det a)^{1/q})
 
-    with q = exponent (default m + 1; the theory's applications also use
-    2n + 1, so the exponent is exposed).  a_field has shape
-    (K+1, *spatial, m, m), f_field (K+1, *spatial); their slot 0 is not
-    read.  A wrong shape or a non-finite value raises ValueError naming
-    the argument (and the time index for a_field and f_field).
+    with q = m + 1.  a_field has shape (K+1, *spatial, m, m), f_field
+    (K+1, *spatial); their slot 0 is not read.  A wrong shape or a
+    non-finite value raises ValueError naming the argument (and the time
+    index for a_field and f_field).
     """
     m = stg.m
-    q = float(m + 1 if exponent is None else exponent)
+    q = float(m + 1)
     h, dt = stg.h, stg.dt
     interior, _, tol, sup_interior, sup_pb = _sups(stg, u)
     _check_shape("a_field", a_field, u.shape + (m, m))
@@ -416,4 +413,4 @@ def lieberman_form_check(stg: SpaceTimeGridReal, u: np.ndarray,
     if numer > 0.0:
         implied = numer / denom if denom > 0.0 else float("inf")
     return LiebermanReport(bad, total, mask_integral, sup_interior, sup_pb,
-                           implied, q, stg.diameter)
+                           implied, stg.diameter)

@@ -31,7 +31,6 @@ from .grid import (
     ScalarField,
     Trajectory,
     complex_laplacian,
-    convolve_radial,
     kernel_second_moment,
     radial_smoother,
 )
@@ -154,7 +153,7 @@ def theta_scale_bound(phi: Trajectory, params: RegularizationParams,
     sup_gap = -np.inf
     for k in range(phi.n_times):
         f = phi.field_at(k)
-        smoothed = convolve_radial(f, theta * eps).values
+        smoothed = radial_smoother(f)(theta * eps)
         sup_gap = max(sup_gap, float((smoothed - f.values).max()))
     bound = (max(measured_gap, 0.0) / eps**params.gamma + K) * eps**params.gamma \
         + K * eps * eps
@@ -223,7 +222,7 @@ def time_average(phi: Trajectory, eps: float) -> Trajectory:
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     avg = _trailing_average(phi.times, phi.values, eps)
-    return Trajectory(phi.grid, phi.times.copy(), avg, dt=phi.dt)
+    return Trajectory(phi.grid, phi.times.copy(), avg)
 
 
 def decreasing_holder_from_averages(times, f_samples, c0: float,

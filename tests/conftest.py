@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pmaflow import FlowParams, RhsSpec, TorusGrid, solve_flow
+from pmaflow import FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_hessian_flow
 from pmaflow.manufactured import ManufacturedSolution
 
 
@@ -41,7 +41,8 @@ def grid2d():
 def trivial_flow(grid32):
     """F = 0, phi_0 = 0 on [0, 1]; the solution is phi = -t exactly."""
     params = FlowParams(T=1.0, dt=0.01)
-    traj = solve_flow(grid32.constant_field(0.0), RhsSpec.zero(), params)
+    traj = solve_hessian_flow(grid32.constant_field(0.0), RhsSpec.zero(),
+                              HessianSymbol.det(1), params)
     eF, F = RhsSpec.zero().sample(grid32, traj.times)
     return traj, eF, F, params
 
@@ -51,7 +52,8 @@ def curved_manufactured(grid64):
     """Time-curved manufactured run: genuine O(dt) temporal error."""
     ms = ManufacturedSolution(grid64, curvature=1.0)
     params = FlowParams(T=0.15, dt=0.15 / 16)
-    traj = solve_flow(grid64.constant_field(0.0), ms, params)
+    traj = solve_hessian_flow(grid64.constant_field(0.0), ms,
+                              HessianSymbol.det(1), params)
     return ms, traj, params
 
 
@@ -64,6 +66,7 @@ def generic_flow(grid32):
 
     rhs = RhsSpec.smooth_product(spatial, lambda t: np.exp(-t), p0=2.0)
     params = FlowParams(T=0.5, dt=1.0 / 64)
-    traj = solve_flow(grid32.constant_field(0.0), rhs, params)
+    traj = solve_hessian_flow(grid32.constant_field(0.0), rhs,
+                              HessianSymbol.det(1), params)
     eF, F = rhs.sample(grid32, traj.times)
     return traj, eF, F, rhs, params

@@ -43,9 +43,9 @@ from pmaflow.grid import (
     TorusGrid,
     Trajectory,
     complex_laplacian,
-    convolve_radial,
     elementary_symmetric,
     hessian_parts,
+    radial_smoother,
 )
 from pmaflow.maxprinciple import (SpaceTimeGridReal, _det, _interior_slices,
                                   _sups, _take)
@@ -425,7 +425,7 @@ def ball_lower_bound_check(field: ScalarField, eps: float) -> dict:
     from math import gamma as _gamma, pi
     omega_d = pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
     c_kernel = ball_lower_constant(d)
-    smoothed = convolve_radial(field, eps).values
+    smoothed = radial_smoother(field)(eps)
     lhs = smoothed - field.values
     lap = complex_laplacian(field)
     h = grid.spacing

@@ -25,7 +25,6 @@ from pmaflow import (
     HessianSymbol,
     RhsSpec,
     TorusGrid,
-    solve_flow,
     solve_hessian_flow,
 )
 from pmaflow.cli import RunConfig, run as cli_run
@@ -41,9 +40,9 @@ from pmaflow import regularize as reg
 from pmaflow.grid import (
     ScalarField,
     Trajectory,
-    convolve_radial,
     integrate,
     kernel_second_moment,
+    radial_smoother,
     spacetime_integral,
 )
 from pmaflow.manufactured import ManufacturedSolution
@@ -81,7 +80,8 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 def pinned_run_128():
     grid = TorusGrid(1, 128)
     ms = ManufacturedSolution(grid, curvature=0.0)
-    traj = solve_flow(grid.constant_field(0.0), ms, FlowParams(T=0.1, dt=0.01))
+    traj = solve_hessian_flow(grid.constant_field(0.0), ms, HessianSymbol.det(1),
+                              FlowParams(T=0.1, dt=0.01))
     return ms, traj
 
 
@@ -92,8 +92,8 @@ def curved_runs_128():
     T = 0.1
     runs = {}
     for dt in (T / 10, T / 20, T / 40):
-        runs[dt] = solve_flow(grid.constant_field(0.0), ms,
-                              FlowParams(T=T, dt=dt))
+        runs[dt] = solve_hessian_flow(grid.constant_field(0.0), ms,
+                                      HessianSymbol.det(1), FlowParams(T=T, dt=dt))
     return ms, runs
 
 
@@ -107,7 +107,8 @@ def stability_runs():
     for N in (64, 128):
         grid = TorusGrid(1, N)
         params = FlowParams(T=0.5, dt=1.0 / 32)
-        traj = solve_flow(grid.constant_field(0.0), rhs, params)
+        traj = solve_hessian_flow(grid.constant_field(0.0), rhs,
+                                  HessianSymbol.det(1), params)
         out[N] = (traj, params)
     return rhs, out
 
@@ -122,7 +123,8 @@ def test_criterion_01_trivial_solution_exactness():
     grid = TorusGrid(1, 64)
     params = FlowParams(T=1.0, dt=0.01)
     start = time.perf_counter()
-    traj = solve_flow(grid.constant_field(0.0), RhsSpec.zero(), params)
+    traj = solve_hessian_flow(grid.constant_field(0.0), RhsSpec.zero(),
+                              HessianSymbol.det(1), params)
     elapsed = time.perf_counter() - start
     err = float(np.abs(traj.values + traj.times.reshape(-1, 1, 1)).max())
     ACCEPTED_RUNS.append((traj, params))
@@ -139,7 +141,8 @@ def test_criterion_02_spatially_flat_reduction():
     errs = {}
     for dt in (1.0 / 50, 1.0 / 100):
         params = FlowParams(T=1.0, dt=dt)
-        traj = solve_flow(grid.constant_field(0.0), rhs, params)
+        traj = solve_hessian_flow(grid.constant_field(0.0), rhs,
+                                  HessianSymbol.det(1), params)
         exact = np.array([-quad(lambda s: np.exp(np.sin(s)), 0.0, t)[0]
                           for t in traj.times])
         errs[dt] = float(np.abs(traj.values - exact.reshape(-1, 1, 1)).max())
@@ -166,8 +169,9 @@ def test_criterion_03_manufactured_convergence(pinned_run_128, curved_runs_128):
     # the same dt at N = 64 reproduces the N = 128 error almost exactly
     grid64 = TorusGrid(1, 64)
     ms64 = ManufacturedSolution(grid64, curvature=1.0)
-    err64 = ms64.sup_error(solve_flow(grid64.constant_field(0.0), ms64,
-                                      FlowParams(T=0.1, dt=dts[0])))
+    err64 = ms64.sup_error(solve_hessian_flow(grid64.constant_field(0.0), ms64,
+                                              HessianSymbol.det(1),
+                                              FlowParams(T=0.1, dt=dts[0])))
     spatial_ok = abs(err64 - errs[0]) <= 0.05 * errs[0] and err_pinned <= 1e-9
 
     for dt in dts:
@@ -185,7 +189,7 @@ def test_criterion_04_i_functional_identity(pinned_run_128, curved_runs_128):
     scale = max(float(eF0.values.reshape(eF0.n_times, -1).mean(axis=1).max()
                       * pinned.grid.volume), 1.0)
     h = pinned.grid.spacing
-    bound = 5.0 * (pinned.dt + h * h) * scale
+    bound = 5.0 * (pinned.times[1] - pinned.times[0] + h * h) * scale
     pinned_ok = resid_pinned <= bound
 
     ms, runs = curved_runs_128
@@ -265,7 +269,7 @@ def test_criterion_08_regularization_sandwich_and_rates(stability_runs):
     for k in range(0, traj.n_times, 4):
         f = traj.field_at(k)
         trans = kiselman_legendre(f, params)
-        upper = convolve_radial(f, eps).values
+        upper = radial_smoother(f)(eps)
         if (trans.values - upper).max() > 1e-10:
             sandwich_ok = False
         if (trans.values - (f.values - K * eps * eps)).min() < -1e-10:
@@ -274,9 +278,8 @@ def test_criterion_08_regularization_sandwich_and_rates(stability_runs):
     f_mid = traj.field_at(traj.n_times // 2)
     gaps = []
     for e in (eps, eps / 2):
-        smoothed = convolve_radial(f_mid, e)
-        gaps.append(integrate(ScalarField(grid, np.abs(smoothed.values
-                                                       - f_mid.values))))
+        smoothed = radial_smoother(f_mid)(e)
+        gaps.append(integrate(ScalarField(grid, np.abs(smoothed - f_mid.values))))
     moll_ratio = gaps[0] / gaps[1]
 
     epss = [2.0**-k for k in (3, 4, 5, 6)]
@@ -330,8 +333,9 @@ def test_criterion_09_hessian_symbols():
     rhs = RhsSpec.time_only(lambda t: 0.25 * np.cos(t))
     hess = solve_hessian_flow(grid.constant_field(0.0), rhs,
                               HessianSymbol.ma_power(1), params)
-    ma = solve_flow(grid.constant_field(0.0),
-                    RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * 2.0), params)
+    ma = solve_hessian_flow(grid.constant_field(0.0),
+                            RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * 2.0),
+                            HessianSymbol.det(1), params)
     cross = comparison_check(hess, ma)
     ACCEPTED_RUNS.append((hess, params))
     ACCEPTED_RUNS.append((ma, params))
@@ -360,7 +364,7 @@ def test_criterion_10_stability_family_boundedness(stability_runs, monkeypatch):
             trans = np.stack([
                 kiselman_legendre(traj.field_at(k), params).values
                 for k in range(traj.n_times)])
-            v_kl = Trajectory(traj.grid, traj.times.copy(), trans, dt=traj.dt)
+            v_kl = Trajectory(traj.grid, traj.times.copy(), trans)
             ratios.append(stability_ratio(v_kl, traj, alpha)["ratio"])
             assert all(np.isfinite(r) for r in ratios)
             family_max[N] = max(ratios)

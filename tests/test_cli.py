@@ -9,7 +9,7 @@ import pytest
 from pmaflow import FlowParams, cli, flow_hessian
 from pmaflow.cli import RunConfig, main, run, sweep
 from pmaflow.estimates import EstimateReport
-from pmaflow.grid import convolve_radial, load_trajectory
+from pmaflow.grid import load_trajectory, radial_smoother
 from pmaflow.maxprinciple import (SpaceTimeGridReal, contact_set,
                                   lieberman_form_check, sample_space_time)
 
@@ -327,6 +327,54 @@ def test_run_singular_rhs_finite_entropy(tmp_path):
     assert checks["i_identity"] is True   # dI/dt = -int e^F on singular data
 
 
+def test_singular_estimate_samples_the_rhs_once(tmp_path, monkeypatch):
+    """A singular-data `estimate` evaluates e^F over the trajectory once:
+    the L^{p0} norm reads the e^F trajectory `run` already sampled."""
+    calls = []
+    sample = cli.RhsSpec.sample
+
+    def counting(self, grid, times):
+        calls.append(len(times))
+        return sample(self, grid, times)
+
+    monkeypatch.setattr(cli.RhsSpec, "sample", counting)
+    cfg = RunConfig.from_dict({
+        "grid": {"points_per_axis": 16},
+        "flow": {"T": 0.05, "dt": 0.01},
+        "rhs": {"kind": "mollified_log_singularity", "strength": 0.3,
+                "moll_radius": 0.1},
+        "estimates": {"holder": False, "stability": False}})
+    report, _ = run(cfg, tmp_path / "s")
+    assert calls == [6]
+    assert np.isfinite(report.extra["lp0_norm"])
+
+
+_NON_FINITE = [
+    ("rhs.scale", float("nan")), ("rhs.strength", float("nan")),
+    ("rhs.moll_radius", float("nan")), ("flow.admissibility_floor", float("nan")),
+    ("flow.newton_tol", float("nan")), ("flow.T", float("inf")),
+    ("rhs.p0", float("nan")), ("rhs.center", [0.5, float("nan")])]
+
+
+@pytest.mark.parametrize("field, value", _NON_FINITE,
+                         ids=[field for field, _ in _NON_FINITE])
+def test_config_refuses_non_finite_numbers(tmp_path, field, value):
+    """A NaN or infinite number, which `json.loads` accepts, is refused by
+    the field's name when the config is read, before `estimate` makes its
+    output directory."""
+    section, key = field.split(".")
+    data = {"grid": {"points_per_axis": 16}, "flow": {"T": 0.05, "dt": 0.01},
+            "rhs": {"kind": "mollified_log_singularity"}}
+    data[section][key] = value
+    text = json.dumps(data)
+    with pytest.raises(ValueError, match=re.escape(f"'{field}' must be finite")):
+        RunConfig.from_json(text)
+    (tmp_path / "cfg.json").write_text(text)
+    assert main(["estimate", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_singular_hessian_estimate_checks_the_variation_identity(tmp_path):
     """The first variation does not involve F, so singular data keep it."""
     cfg = RunConfig.from_dict({
@@ -548,7 +596,7 @@ def test_regularize_battery_one_forward_transform_per_slice(
     # the same upper sandwich as mollifying every slice on its own
     params = reg.RegularizationParams(epsilon=0.125, gamma=0.5)
     excess = max(float((reg.kiselman_legendre(f, params).values
-                        - convolve_radial(f, 0.125).values).max())
+                        - radial_smoother(f)(0.125)).max())
                  for f in map(traj.field_at, range(traj.n_times)))
     assert result["sandwich_upper_excess"] == excess
 

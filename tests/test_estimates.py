@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from pmaflow import (
     FlowParams,
+    HessianSymbol,
     RhsSpec,
     TorusGrid,
     Trajectory,
     integrate,
     random_admissible_field,
-    solve_flow,
+    solve_hessian_flow,
 )
 from pmaflow.estimates import (
     DeGiorgiParams,
@@ -128,8 +129,8 @@ def test_i_series_residual_halves_with_dt(grid64):
     ms = ManufacturedSolution(grid64, curvature=1.0)
     resids = []
     for dt in (0.15 / 8, 0.15 / 16):
-        traj = solve_flow(grid64.constant_field(0.0), ms,
-                          FlowParams(T=0.15, dt=dt))
+        traj = solve_hessian_flow(grid64.constant_field(0.0), ms, HessianSymbol.det(1),
+                                  FlowParams(T=0.15, dt=dt))
         eF, _ = ms.sample(grid64, traj.times)
         _, resid = i_series(traj, eF)
         resids.append(resid)
@@ -148,7 +149,7 @@ def test_integral_dominates_i_functional(n_complex, N, count):
     grid = TorusGrid(n_complex, N)
     rng = np.random.default_rng(22)
     for _ in range(count):
-        f = random_admissible_field(grid, rng, max_mode=2, margin=0.05)
+        f = random_admissible_field(grid, rng, margin=0.05)
         assert integrate(f) - i_functional(f) >= -1e-10
 
 
@@ -648,10 +649,10 @@ def test_i_series_identity_n2(grid2d):
     # the dissipation identity dI/dt = -int e^F only holds if I is right
     from pmaflow import random_admissible_field
     rng = np.random.default_rng(53)
-    phi0 = random_admissible_field(grid2d, rng, max_mode=1, margin=0.5)
+    phi0 = random_admissible_field(grid2d, rng, margin=0.5)
     rhs = RhsSpec.time_only(lambda t: 0.1 * t)
     params = FlowParams(T=0.2, dt=0.0125)
-    traj = solve_flow(phi0, rhs, params)
+    traj = solve_hessian_flow(phi0, rhs, HessianSymbol.det(2), params)
     eF, _ = rhs.sample(grid2d, traj.times)
     _, resid = i_series(traj, eF)
     assert resid <= 5.0 * (params.dt + grid2d.spacing**2)
@@ -698,8 +699,8 @@ def test_mt_sup_stable_across_resolutions():
     sups = []
     for N in (16, 32, 64):
         grid = TorusGrid(1, N)
-        traj = solve_flow(grid.constant_field(0.0), rhs,
-                          FlowParams(T=0.5, dt=1.0 / 32))
+        traj = solve_hessian_flow(grid.constant_field(0.0), rhs, HessianSymbol.det(1),
+                                  FlowParams(T=0.5, dt=1.0 / 32))
         eF, _ = rhs.sample(grid, traj.times)
         stats = level_stats(traj, eF, np.array([0.0, 0.05]))
         sups.append(float(moser_trudinger(traj, stats, 0.05, beta=0.3).max()))

@@ -16,7 +16,6 @@ from pmaflow import (
     RhsSpec,
     TorusGrid,
     hessian_residual,
-    solve_flow,
     solve_hessian_flow,
     symbol_from_config,
 )
@@ -424,8 +423,9 @@ def test_ma_power_reduces_to_ma_solver(grid32):
     n = grid32.n_complex
     hess_traj = solve_hessian_flow(grid32.constant_field(0.0), rhs,
                                    HessianSymbol.ma_power(n), params)
-    ma_traj = solve_flow(grid32.constant_field(0.0),
-                         RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * (n + 1.0)), params)
+    ma_traj = solve_hessian_flow(grid32.constant_field(0.0),
+                                 RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * (n + 1.0)),
+                                 HessianSymbol.det(1), params)
     assert comparison_check(hess_traj, ma_traj) <= 10 * params.newton_tol
 
 
@@ -433,7 +433,8 @@ def test_ma_power_identical_zero_data(grid32):
     params = FlowParams(T=0.2, dt=0.02)
     hess = solve_hessian_flow(grid32.constant_field(0.0), RhsSpec.zero(),
                               HessianSymbol.ma_power(1), params)
-    ma = solve_flow(grid32.constant_field(0.0), RhsSpec.zero(), params)
+    ma = solve_hessian_flow(grid32.constant_field(0.0), RhsSpec.zero(),
+                            HessianSymbol.det(1), params)
     assert comparison_check(hess, ma) <= 10 * params.newton_tol
 
 
@@ -492,7 +493,7 @@ def test_axis_swap_symmetry_n2():
     grid = TorusGrid(2, 8)
     rng = np.random.default_rng(17)
     from pmaflow import random_admissible_field
-    phi_prev = random_admissible_field(grid, rng, max_mode=2, margin=0.3)
+    phi_prev = random_admissible_field(grid, rng, margin=0.3)
     phi_next = grid.scalar_field(phi_prev.values - 0.02)
     f = grid.constant_field(0.0)
     sym = HessianSymbol.full_sigma_k(2, 2)
@@ -566,11 +567,12 @@ def test_alias_kinds_are_rejected(kind, n, k):
 def test_ma_power_reduction_n2(grid2d):
     from pmaflow import random_admissible_field
     rng = np.random.default_rng(52)
-    phi0 = random_admissible_field(grid2d, rng, max_mode=2, margin=0.4)
+    phi0 = random_admissible_field(grid2d, rng, margin=0.4)
     rhs = RhsSpec.time_only(lambda t: 0.15 * np.cos(t))
     params = FlowParams(T=0.1, dt=0.025)
     hess = solve_hessian_flow(phi0, rhs, HessianSymbol.ma_power(2), params)
-    ma = solve_flow(phi0, RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * 3.0), params)
+    ma = solve_hessian_flow(phi0, RhsSpec(rhs.raw_F, rhs.p0, rhs.scale * 3.0),
+                            HessianSymbol.det(2), params)
     assert comparison_check(hess, ma) <= 10 * params.newton_tol
 
 
@@ -579,7 +581,7 @@ def test_sigma_symbol_flow_n2_spatial_data(grid2d):
     # eigenframe projector Jacobian with distinct per-point eigenvalues
     from pmaflow import random_admissible_field, min_admissibility_eigenvalue
     rng = np.random.default_rng(61)
-    phi0 = random_admissible_field(grid2d, rng, max_mode=1, margin=0.5)
+    phi0 = random_admissible_field(grid2d, rng, margin=0.5)
     sym = HessianSymbol.lambda0_sigma_k(2, 2)
     rhs = RhsSpec.time_only(lambda t: 0.3 + 0.1 * np.sin(2 * t))
     params = FlowParams(T=0.1, dt=0.025)

@@ -15,7 +15,6 @@ from pmaflow import (
     TorusGrid,
     Trajectory,
     build_auxiliary_rhs,
-    solve_flow,
     solve_hessian_flow,
 )
 from pmaflow import flow_hessian
@@ -120,7 +119,7 @@ def test_newton_diverged_on_iteration_budget(grid32):
 
 
 # ---------------------------------------------------------------------------
-# solve_flow
+# the Monge-Ampere flow (solve_hessian_flow with the det symbol)
 
 
 def test_trivial_solution_exact(trivial_flow):
@@ -132,7 +131,8 @@ def test_trivial_solution_exact(trivial_flow):
 def test_flat_ode_reduction(grid32):
     rhs = RhsSpec.time_only(np.sin)
     dt = 0.02
-    traj = solve_flow(grid32.constant_field(0.0), rhs, FlowParams(T=1.0, dt=dt))
+    traj = solve_hessian_flow(grid32.constant_field(0.0), rhs, HessianSymbol.det(1),
+                              FlowParams(T=1.0, dt=dt))
     exact = np.array([-quad(lambda s: np.exp(np.sin(s)), 0.0, t)[0]
                       for t in traj.times])
     err = np.abs(traj.values - exact.reshape(-1, 1, 1)).max()
@@ -141,8 +141,8 @@ def test_flat_ode_reduction(grid32):
 
 def test_manufactured_global_order(curved_manufactured):
     ms, traj, params = curved_manufactured
-    err_coarse = ms.sup_error(solve_flow(
-        ms.grid.constant_field(0.0), ms,
+    err_coarse = ms.sup_error(solve_hessian_flow(
+        ms.grid.constant_field(0.0), ms, HessianSymbol.det(1),
         FlowParams(T=params.T, dt=2 * params.dt)))
     err_fine = ms.sup_error(traj)
     assert np.log2(err_coarse / err_fine) >= 0.9
@@ -165,7 +165,8 @@ def test_flow_admissible_throughout(generic_flow):
 
 def test_uneven_final_step_hits_T(grid32):
     params = FlowParams(T=0.25, dt=0.1)
-    traj = solve_flow(grid32.constant_field(0.0), RhsSpec.zero(), params)
+    traj = solve_hessian_flow(grid32.constant_field(0.0), RhsSpec.zero(),
+                              HessianSymbol.det(1), params)
     assert traj.times[-1] == pytest.approx(0.25, abs=1e-15)
     assert traj.n_times == 4  # ceil(0.25/0.1) = 3 steps
     assert np.abs(traj.values[-1] + 0.25).max() < 1e-10
@@ -178,8 +179,10 @@ def test_uneven_final_step_hits_T(grid32):
 def test_comparison_identical_runs(grid32):
     params = FlowParams(T=0.2, dt=0.02)
     rhs = RhsSpec.time_only(lambda t: 0.3 * np.sin(t))
-    a = solve_flow(grid32.constant_field(0.0), rhs, params)
-    b = solve_flow(grid32.constant_field(0.0), rhs, params)
+    a = solve_hessian_flow(grid32.constant_field(0.0), rhs,
+                           HessianSymbol.det(1), params)
+    b = solve_hessian_flow(grid32.constant_field(0.0), rhs,
+                           HessianSymbol.det(1), params)
     assert comparison_check(a, b) == 0.0
 
 
@@ -190,8 +193,10 @@ def test_comparison_different_newton_starts(generic_flow, equation, monkeypatch)
     # Monge-Ampere and for a sigma symbol alike
     traj, _, _, rhs, params = generic_flow
     phi0 = traj.grid.constant_field(0.0)
-    sym = HessianSymbol.full_sigma_k(1, 2)
-    if equation != "ma":
+    if equation == "ma":
+        sym = HessianSymbol.det(1)
+    else:
+        sym = HessianSymbol.full_sigma_k(1, 2)
         traj = solve_hessian_flow(phi0, rhs, sym, params)
     scalar_rate = flow_hessian._scalar_rate
 
@@ -200,26 +205,24 @@ def test_comparison_different_newton_starts(generic_flow, equation, monkeypatch)
         return np.full_like(rate, rate.mean())
 
     monkeypatch.setattr(flow_hessian, "_scalar_rate", mean_rate)
-    if equation == "ma":
-        other = solve_flow(phi0, rhs, params)
-    else:
-        other = solve_hessian_flow(phi0, rhs, sym, params)
+    other = solve_hessian_flow(phi0, rhs, sym, params)
     assert comparison_check(traj, other) <= 10 * params.newton_tol
 
 
 def test_comparison_constant_shift_of_initial_data(generic_flow):
     traj, _, _, rhs, params = generic_flow
     eps = 0.05
-    shifted = solve_flow(traj.grid.constant_field(eps), rhs, params)
+    shifted = solve_hessian_flow(traj.grid.constant_field(eps), rhs,
+                                 HessianSymbol.det(1), params)
     disc = comparison_check(traj, shifted)
     assert abs(disc - eps) <= 10 * params.newton_tol
 
 
 def test_comparison_rejects_mismatched_times(grid32):
-    a = solve_flow(grid32.constant_field(0.0), RhsSpec.zero(),
-                   FlowParams(T=0.1, dt=0.05))
-    b = solve_flow(grid32.constant_field(0.0), RhsSpec.zero(),
-                   FlowParams(T=0.1, dt=0.025))
+    a = solve_hessian_flow(grid32.constant_field(0.0), RhsSpec.zero(),
+                           HessianSymbol.det(1), FlowParams(T=0.1, dt=0.05))
+    b = solve_hessian_flow(grid32.constant_field(0.0), RhsSpec.zero(),
+                           HessianSymbol.det(1), FlowParams(T=0.1, dt=0.025))
     with pytest.raises(ValueError):
         comparison_check(a, b)
 
@@ -262,8 +265,8 @@ def test_auxiliary_solution_pipeline(generic_flow):
     s = float(np.abs(traj.values[0]).max()) + 0.05
     aux, _ = build_auxiliary_rhs(traj, eF, s, j=50)
     rhs = RhsSpec.tabulated(aux)
-    psi = solve_flow(traj.grid.constant_field(0.0), rhs,
-                     FlowParams(T=params.T, dt=params.dt))
+    psi = solve_hessian_flow(traj.grid.constant_field(0.0), rhs, HessianSymbol.det(1),
+                             FlowParams(T=params.T, dt=params.dt))
     assert np.abs(psi.values[0]).max() == 0.0
     assert np.diff(psi.values, axis=0).max() <= 10 * params.newton_tol
     sup_exp = float(exp_alpha_integral(psi, 1.0).max())
@@ -279,8 +282,8 @@ def test_rhs_mollified_singularity_positive_and_recorded(grid32):
                                             moll_radius=0.05, p0=2.0)
     eF = np.exp(rhs.F_field(grid32, 0.0).values)
     assert eF.min() > 0.0
-    times = np.linspace(0.0, 1.0, 11)
-    norm = rhs.lp0_norm(grid32, times)
+    eF_traj, _ = rhs.sample(grid32, np.linspace(0.0, 1.0, 11))
+    norm = rhs.lp0_norm(eF_traj)
     assert np.isfinite(norm) and norm > 0.0
 
 
@@ -366,7 +369,8 @@ def test_tabulated_rhs_is_the_log_of_the_linear_interpolant(grid32):
 
 def test_trivial_solution_n2(grid2d):
     params = FlowParams(T=0.1, dt=0.02)
-    traj = solve_flow(grid2d.constant_field(0.0), RhsSpec.zero(), params)
+    traj = solve_hessian_flow(grid2d.constant_field(0.0), RhsSpec.zero(),
+                              HessianSymbol.det(2), params)
     exact = -traj.times.reshape((-1,) + (1,) * 4)
     assert np.abs(traj.values - exact).max() < 1e-10
 
@@ -374,10 +378,10 @@ def test_trivial_solution_n2(grid2d):
 def test_nontrivial_flow_n2(grid2d):
     from pmaflow import random_admissible_field
     rng = np.random.default_rng(51)
-    phi0 = random_admissible_field(grid2d, rng, max_mode=2, margin=0.4)
+    phi0 = random_admissible_field(grid2d, rng, margin=0.4)
     rhs = RhsSpec.time_only(lambda t: 0.2 * np.sin(t))
     params = FlowParams(T=0.1, dt=0.02)
-    traj = solve_flow(phi0, rhs, params)
+    traj = solve_hessian_flow(phi0, rhs, HessianSymbol.det(2), params)
     assert np.diff(traj.values, axis=0).max() <= 10 * params.newton_tol
     from pmaflow import min_admissibility_eigenvalue
     assert (min_admissibility_eigenvalue(traj.field_at(traj.n_times - 1))
@@ -394,11 +398,12 @@ def test_solver_in_finite_difference_mode():
     from pmaflow.manufactured import ManufacturedSolution
     grid = TorusGrid(1, 64, derivative_mode="finite_difference_2nd")
     ms = ManufacturedSolution(grid, curvature=1.0)
-    traj = solve_flow(grid.constant_field(0.0), ms, FlowParams(T=0.1, dt=0.01))
+    traj = solve_hessian_flow(grid.constant_field(0.0), ms, HessianSymbol.det(1),
+                              FlowParams(T=0.1, dt=0.01))
     # temporal error dominates; the O(h^2) spatial part stays subordinate
     assert ms.sup_error(traj) < 5e-3
-    trivial = solve_flow(grid.constant_field(0.0), RhsSpec.zero(),
-                         FlowParams(T=0.5, dt=0.05))
+    trivial = solve_hessian_flow(grid.constant_field(0.0), RhsSpec.zero(),
+                                 HessianSymbol.det(1), FlowParams(T=0.5, dt=0.05))
     assert np.abs(trivial.values + trivial.times.reshape(-1, 1, 1)).max() < 1e-10
 
 
@@ -426,7 +431,8 @@ def test_time_linear_exact_solution_n2():
                     Trajectory(g, np.asarray(times), F))
 
     params = FlowParams(T=0.1, dt=0.02)
-    traj = solve_flow(grid.constant_field(0.0), Rhs(), params)
+    traj = solve_hessian_flow(grid.constant_field(0.0), Rhs(),
+                              HessianSymbol.det(2), params)
     exact = np.stack([-t * prof for t in traj.times])
     assert np.abs(traj.values - exact).max() < 1e-8
 
@@ -457,7 +463,8 @@ def test_auxiliary_solutions_uniform_in_j(generic_flow):
     sups = []
     for j in (10, 1000):
         aux, _ = build_auxiliary_rhs(traj, eF, s, j)
-        psi = solve_flow(traj.grid.constant_field(0.0), RhsSpec.tabulated(aux),
-                         FlowParams(T=params.T, dt=params.dt))
+        psi = solve_hessian_flow(traj.grid.constant_field(0.0), RhsSpec.tabulated(aux),
+                                 HessianSymbol.det(1),
+                                 FlowParams(T=params.T, dt=params.dt))
         sups.append(float(exp_alpha_integral(psi, 1.0).max()))
     assert max(sups) / min(sups) <= 1.2

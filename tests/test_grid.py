@@ -10,18 +10,21 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pmaflow import (
+    FlowParams,
+    HessianSymbol,
+    RhsSpec,
     ScalarField,
     TorusGrid,
     Trajectory,
-    convolve_radial,
     hessian_parts,
     integrate,
     kernel_second_moment,
     load_trajectory,
     random_admissible_field,
     save_trajectory,
+    solve_hessian_flow,
 )
-from pmaflow.grid import identity_plus_eigenvalues
+from pmaflow.grid import identity_plus_eigenvalues, radial_smoother
 
 from oracles import (complex_hessian_matrices, hessian_parts_points,
                      identity_plus_matrices, kernel_by_radius, kernel_profile,
@@ -283,8 +286,8 @@ def test_eigenvalue_slots_match_eigvalsh(parts):
 
 
 def test_convolve_preserves_constants(grid64):
-    out = convolve_radial(grid64.constant_field(2.5), 0.1)
-    assert np.abs(out.values - 2.5).max() < 1e-12
+    out = radial_smoother(grid64.constant_field(2.5))(0.1)
+    assert np.abs(out - 2.5).max() < 1e-12
 
 
 def test_convolve_cosine_matches_double_loop_oracle():
@@ -292,7 +295,7 @@ def test_convolve_cosine_matches_double_loop_oracle():
     x, _ = grid.meshgrid()
     f = grid.scalar_field(np.cos(2 * np.pi * x))
     s = 0.2
-    out = convolve_radial(f, s)
+    out = radial_smoother(f)(s)
 
     from pmaflow.grid import _kernel_on_grid_normalized
     kern = _kernel_on_grid_normalized(grid, s)
@@ -302,17 +305,17 @@ def test_convolve_cosine_matches_double_loop_oracle():
         for j in range(N):
             shifted = np.roll(np.roll(f.values, i, axis=0), j, axis=1)
             oracle += kern[i, j] * shifted * grid.cell_volume
-    assert np.abs(out.values - oracle).max() < 1e-10
+    assert np.abs(out - oracle).max() < 1e-10
     # single mode only rescales by the kernel Fourier coefficient
-    factor = out.values.ravel()[np.argmax(np.abs(f.values))] / 1.0
-    assert np.abs(out.values - factor * f.values).max() < 1e-10
+    factor = out.ravel()[np.argmax(np.abs(f.values))] / 1.0
+    assert np.abs(out - factor * f.values).max() < 1e-10
 
 
 def test_convolve_identity_limit():
     grid = TorusGrid(1, 256)
     x, _ = grid.meshgrid()
     f = grid.scalar_field(np.cos(2 * np.pi * x))
-    err = [np.abs(convolve_radial(f, s).values - f.values).max()
+    err = [np.abs(radial_smoother(f)(s) - f.values).max()
            for s in (grid.period / 64, grid.period / 128)]
     assert err[1] < err[0]
 
@@ -320,7 +323,7 @@ def test_convolve_identity_limit():
 def test_convolve_mass_preserving(grid64):
     rng = np.random.default_rng(5)
     f = band_limited(grid64, rng)
-    out = convolve_radial(f, 0.15)
+    out = grid64.scalar_field(radial_smoother(f)(0.15))
     assert integrate(out) == pytest.approx(integrate(f), abs=1e-12)
 
 
@@ -328,28 +331,28 @@ def test_convolve_positivity(grid64):
     rng = np.random.default_rng(6)
     f = band_limited(grid64, rng)
     f = ScalarField(grid64, f.values - f.values.min())
-    out = convolve_radial(f, 0.11)
-    assert out.values.min() >= -1e-12
+    out = radial_smoother(f)(0.11)
+    assert out.min() >= -1e-12
 
 
 def test_convolve_rejects_wrapping_kernel(grid64):
     with pytest.raises(ValueError):
-        convolve_radial(grid64.constant_field(0.0), 0.5)
+        radial_smoother(grid64.constant_field(0.0))(0.5)
 
 
-def test_radial_smoother_matches_convolve_radial(grid64):
-    from pmaflow.grid import radial_smoother
+def test_radial_smoother_reused_matches_fresh(grid64):
+    """One smoother reused across scales, a scale repeated, gives what a
+    fresh smoother gives at each scale."""
     f = band_limited(grid64, np.random.default_rng(8))
     smooth = radial_smoother(f)
     for s in (0.02, 0.15, 0.3, 0.02):
-        assert np.array_equal(smooth(s), convolve_radial(f, s).values)
+        assert np.array_equal(smooth(s), radial_smoother(f)(s))
     for s in (0.0, -0.1, 0.5):
         with pytest.raises(ValueError, match="kernel radius"):
             smooth(s)
 
 
 def test_radial_smoother_rejects_non_finite_field(grid64):
-    from pmaflow.grid import radial_smoother
     values = np.zeros(grid64.shape)
     values[0, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
@@ -364,7 +367,7 @@ def test_radial_smoother_rejects_non_finite_field(grid64):
 def test_sub_grid_scale_is_the_identity(n_complex, half_n, fraction, seed):
     """Below the spacing the kernel is the unit mass at the origin, and
     smooth(s) returns the field's values unchanged."""
-    from pmaflow.grid import _kernel_on_grid_normalized, radial_smoother
+    from pmaflow.grid import _kernel_on_grid_normalized
     N = 2 * (half_n if n_complex == 1 else min(half_n, 12))
     grid = TorusGrid(n_complex, N)
     h = grid.spacing
@@ -378,7 +381,7 @@ def test_sub_grid_scale_is_the_identity(n_complex, half_n, fraction, seed):
 def test_grid_spacing_scale_takes_the_kernel(grid32):
     """Just above s = h the nearest neighbours enter the kernel, and the
     smoother is the stencil they span."""
-    from pmaflow.grid import _kernel_on_grid_normalized, radial_smoother
+    from pmaflow.grid import _kernel_on_grid_normalized
     s = 1.2 * grid32.spacing
     kern = _kernel_on_grid_normalized(grid32, s)
     assert np.count_nonzero(kern) == 2 * grid32.real_dim + 1
@@ -391,7 +394,6 @@ def test_grid_spacing_scale_takes_the_kernel(grid32):
 
 
 def test_sub_grid_smooth_returns_a_fresh_array(grid32):
-    from pmaflow.grid import radial_smoother
     f = band_limited(grid32, np.random.default_rng(11))
     before = f.values.copy()
     smooth = radial_smoother(f)
@@ -423,19 +425,19 @@ def test_kernel_fft_cache_is_bounded_in_bytes(monkeypatch):
     grid = TorusGrid(1, 32)
     f = band_limited(grid, np.random.default_rng(7))
     radii = (0.1, 0.15, 0.2, 0.25, 0.1, 0.3)
-    expected = [convolve_radial(f, s).values for s in radii]
+    expected = [radial_smoother(f)(s) for s in radii]
     entry = grid_mod._kernel_fft(grid, 0.1).nbytes
     bound = int(2.5 * entry)
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE_BYTES", bound)
     cache = grid_mod._KERNEL_FFT_CACHE
     for s, want in zip(radii, expected):
-        assert np.array_equal(convolve_radial(f, s).values, want)
+        assert np.array_equal(radial_smoother(f)(s), want)
         assert sum(v.nbytes for v in cache.values()) <= bound
     assert [key[1] for key in cache] == [0.1, 0.3]
     # a hit renews 0.1, so the next miss evicts 0.3, the least recently used
-    convolve_radial(f, 0.1)
-    convolve_radial(f, 0.25)
+    radial_smoother(f)(0.1)
+    radial_smoother(f)(0.25)
     assert [key[1] for key in cache] == [0.1, 0.25]
 
 
@@ -449,7 +451,7 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
     grid = TorusGrid(1, 16)
     f = band_limited(grid, np.random.default_rng(9))
     radii = [0.1 + 0.02 * i for i in range(8)]
-    expected = {s: convolve_radial(f, s).values for s in radii}
+    expected = {s: radial_smoother(f)(s) for s in radii}
     bound = int(3.5 * grid_mod._kernel_fft(grid, 0.1).nbytes)
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE", OrderedDict())
     monkeypatch.setattr(grid_mod, "_KERNEL_FFT_CACHE_BYTES", bound)
@@ -459,7 +461,7 @@ def test_kernel_fft_cache_bound_holds_under_threads(monkeypatch):
         for i in range(150):
             s = radii[(i + offset) % len(radii)]
             try:
-                if not np.array_equal(convolve_radial(f, s).values, expected[s]):
+                if not np.array_equal(radial_smoother(f)(s), expected[s]):
                     wrong.append(s)
             except Exception as exc:   # a lost update surfaces as KeyError
                 wrong.append(exc)
@@ -668,36 +670,58 @@ def test_trajectory_binary_roundtrip(tmp_path, trivial_flow):
     back = load_trajectory(path)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.values, traj.values)
-    assert back.dt == traj.dt
+    assert back.grid == traj.grid
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -2.2e-310,
                                  1e300, -1e300])
 
 
+def _first_step_word(path) -> bytes:
+    """The checkpoint's header word after the period: 4 int64, then L."""
+    with open(path, "rb") as fh:
+        fh.seek(5 * 8)
+        return fh.read(8)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_trajectory_roundtrip_bit_exact(data):
-    """save/load keeps every bit of the grid, times, dt and values."""
+    """save/load keeps every bit of the grid, times and values; the header
+    word after the period holds times[1] - times[0] (0.0 for one time)."""
     n = data.draw(st.sampled_from([1, 2]))
     N = data.draw(st.sampled_from([2, 4] if n == 2 else [2, 4, 6, 8]))
     grid = TorusGrid(n, N, period=data.draw(st.floats(0.1, 10.0)))
     steps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=3))
     times = np.cumsum([data.draw(st.floats(-1.0, 1.0))] + steps)
-    dt = data.draw(st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False)))
     values = data.draw(hnp.arrays(
         np.float64, (len(times),) + grid.shape,
         elements=st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False,
                                                     allow_infinity=False))))
-    traj = Trajectory(grid, times, values, dt=dt)
+    traj = Trajectory(grid, times, values)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traj.bin")
         save_trajectory(traj, path)
         back = load_trajectory(path)
+        word = _first_step_word(path)
     assert back.grid == grid
     assert back.times.tobytes() == traj.times.tobytes()
     assert back.values.tobytes() == traj.values.tobytes()
-    assert np.float64(back.dt).tobytes() == np.float64(traj.dt).tobytes()
+    first = times[1] - times[0] if len(times) > 1 else 0.0
+    assert word == np.float64(first).tobytes()
+
+
+@pytest.mark.parametrize("T, dt", [(1.0, 0.01), (1.0, 0.02), (1.0, 0.005),
+                                   (0.04, 0.01), (0.01, 0.01)])
+def test_checkpoint_header_holds_the_step(tmp_path, T, dt):
+    """A solved trajectory's checkpoint carries the configured dt bit for
+    bit in its first-step word, at the (T, dt) pairs the benchmark runs."""
+    grid = TorusGrid(1, 8)
+    params = FlowParams(T=T, dt=dt)
+    traj = solve_hessian_flow(grid.constant_field(0.0), RhsSpec.zero(),
+                              HessianSymbol.det(1), params)
+    save_trajectory(traj, tmp_path / "traj.bin")
+    assert _first_step_word(tmp_path / "traj.bin") == np.float64(params.dt).tobytes()
 
 
 @pytest.mark.parametrize("damage", ["8_bytes_short", "one_slice_long"])

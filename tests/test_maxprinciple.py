@@ -322,16 +322,6 @@ def test_lieberman_rejects_false_hypothesis():
         lieberman_form_check(stg, u, a_field, f_field)
 
 
-def test_lieberman_exponent_parameter():
-    stg = SpaceTimeGridReal(m=2, n_points=25, T=0.4, n_steps=8,
-                            domain="ball", ball_radius=0.45)
-    u, a_field, f_field = _cap_data(stg, 2.0)
-    r3 = lieberman_form_check(stg, u, a_field, f_field, exponent=3.0)
-    r5 = lieberman_form_check(stg, u, a_field, f_field, exponent=5.0)
-    assert r3.exponent == 3.0 and r5.exponent == 5.0
-    assert r3.integral_value != r5.integral_value
-
-
 def test_lieberman_matches_per_point_oracle_m3():
     stg = SpaceTimeGridReal(m=3, n_points=9, T=0.4, n_steps=4)
     u = sample_space_time(stg, _smooth3(43))

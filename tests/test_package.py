@@ -82,8 +82,8 @@ def test_every_export_resolves(path):
             assert alias.name in exported, f"{alias.name} is not in {source}.__all__"
 
 
-# Exported names and class members that no other package code reaches, by
-# why they stay.
+# Exported names, class members and parameters that no other package code
+# reaches, by why they stay.
 LIBRARY_API = {
     # documented entry points, and the types of their results and errors
     "cli.RunConfig", "cli.run", "cli.sweep", "cli.main",
@@ -99,6 +99,8 @@ LIBRARY_API = {
     "regularize.decreasing_holder_from_averages",
     "estimates.DeGiorgiParams", "estimates.de_giorgi_extinction",
     "estimates.de_giorgi_ladder_check", "estimates.s_star_bound",
+    # the comparator ladders that item 7's `s_star_bound` reads
+    "estimates.level_stats(comparator)", "estimates.level_stats(delta)",
 }
 
 
@@ -147,9 +149,12 @@ def _public_members(tree):
 
 def _unlisted(unreached, dots):
     """The LIBRARY_API entries of `dots` dots (1 for a module's name, 2 for
-    a class member) that `unreached` does not hold: stale listings."""
-    return sorted({name for name in LIBRARY_API if name.count(".") == dots}
-                  - set(unreached))
+    a class member; None for a parameter, `module.function(parameter)`)
+    that `unreached` does not hold: stale listings."""
+    listed = {name for name in LIBRARY_API
+              if ("(" in name if dots is None
+                  else "(" not in name and name.count(".") == dots)}
+    return sorted(listed - set(unreached))
 
 
 def test_every_export_is_reached():
@@ -197,6 +202,61 @@ def test_every_public_member_is_referenced():
                     if member.name not in attributes]
     assert sorted(set(unreferenced) - LIBRARY_API) == []
     assert _unlisted(unreferenced, 2) == []
+
+
+def _defaulted_parameters(path, tree):
+    """(qualified name, definition, {parameter: position}) for every public
+    top-level function and public member of the module `tree`; position is
+    the index among a call's positional arguments, None for keyword-only."""
+    defs = [(f"{path.stem}.{node.name}", node, 0) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    defs += [(f"{path.stem}.{cls.name}.{member.name}", member,
+              0 if any(getattr(d, "id", None) == "staticmethod"
+                       for d in member.decorator_list) else 1)
+             for cls, member in _public_members(tree)]
+    for qualified, node, shift in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = {a.arg: i - shift for i, a in enumerate(positional) if i >= first}
+        params.update({a.arg: None for a, default in zip(args.kwonlyargs,
+                                                        args.kw_defaults)
+                       if default is not None})
+        if params:
+            yield qualified, node, params
+
+
+def test_every_optional_parameter_is_passed():
+    """Every defaulted parameter of a public package function or member is
+    passed, by keyword, by position or through `*`/`**`, by some package
+    call outside its own definition, unless LIBRARY_API lists the function
+    or `module.function(parameter)`: a knob only the tests turn does not
+    belong to the package.  Calls are matched by the callee's name."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES if path.stem != "__init__"}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def passes(call, param, position):
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg in (None, param) for kw in call.keywords)):
+            return True
+        return position is not None and len(call.args) > position
+
+    unpassed = []
+    for path, tree in trees.items():
+        for qualified, node, params in _defaulted_parameters(path, tree):
+            if qualified in LIBRARY_API:
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            outside = [c for c in calls if name(c) == node.name and id(c) not in own]
+            unpassed += [f"{qualified}({param})" for param, position in params.items()
+                         if not any(passes(c, param, position) for c in outside)]
+    assert sorted(set(unpassed) - LIBRARY_API) == []
+    assert _unlisted(unpassed, None) == []
 
 
 def _python(code, *args, path=()):

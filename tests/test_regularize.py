@@ -12,7 +12,7 @@ from pmaflow import (
     random_admissible_field,
 )
 from pmaflow import regularize as reg
-from pmaflow.grid import complex_laplacian, convolve_radial, spacetime_integral
+from pmaflow.grid import complex_laplacian, radial_smoother, spacetime_integral
 from pmaflow.regularize import (
     RegularizationParams,
     ball_mass_profile,
@@ -26,12 +26,12 @@ from oracles import ball_lower_bound_check
 
 
 # ---------------------------------------------------------------------------
-# mollification (convolve_radial)
+# mollification (radial_smoother)
 
 
 def test_mollify_constant(grid64):
-    out = convolve_radial(grid64.constant_field(1.5), 0.1)
-    assert np.abs(out.values - 1.5).max() < 1e-12
+    out = radial_smoother(grid64.constant_field(1.5))(0.1)
+    assert np.abs(out - 1.5).max() < 1e-12
 
 
 def test_mollify_l1_gap_order_two(generic_flow):
@@ -40,9 +40,8 @@ def test_mollify_l1_gap_order_two(generic_flow):
     eps = traj.grid.period / 8
     gaps = []
     for e in (eps, eps / 2):
-        smoothed = convolve_radial(f, e)
-        gaps.append(integrate(ScalarField(
-            f.grid, np.abs(smoothed.values - f.values))))
+        smoothed = radial_smoother(f)(e)
+        gaps.append(integrate(ScalarField(f.grid, np.abs(smoothed - f.values))))
     assert gaps[0] / gaps[1] >= 3.5
 
 
@@ -53,7 +52,7 @@ def test_mollify_monotone_family(grid64):
     scales = np.linspace(0.02, 0.2, 10)
     prev = f.values  # s -> 0 limit
     for s in scales:
-        cur = convolve_radial(f, s).values + K * s * s
+        cur = radial_smoother(f)(s) + K * s * s
         assert (cur - prev).min() >= -1e-9
         prev = cur
 
@@ -83,7 +82,7 @@ def test_kiselman_sandwich_random_admissible(grid64):
     for _ in range(5):
         f = random_admissible_field(grid64, rng, margin=0.25)
         out = kiselman_legendre(f, params)
-        upper = convolve_radial(f, params.epsilon).values
+        upper = radial_smoother(f)(params.epsilon)
         assert (out.values - upper).max() <= 1e-10
         assert (out.values - (f.values - K * params.epsilon**2)).min() >= -1e-10
 
@@ -117,7 +116,7 @@ def _stacked_kiselman_legendre(field, params):
     def stack(s_values):
         out = np.empty((len(s_values),) + grid.shape)
         for i, s in enumerate(s_values):
-            smoothed = convolve_radial(field, float(s)).values
+            smoothed = radial_smoother(field)(float(s))
             out[i] = (smoothed + K * s * s - K * eps * eps
                       - log_weight * np.log(s / eps))
         return out
@@ -206,7 +205,6 @@ def test_kiselman_matches_the_all_transform_oracle(n, N):
 
 def test_kiselman_inverse_transforms_only_at_resolved_scales(monkeypatch):
     """One n=2, N=16 transform: one inverse FFT per evaluated scale >= h."""
-    from pmaflow.grid import radial_smoother
     grid = TorusGrid(2, 16)
     f = random_admissible_field(grid, np.random.default_rng(47), margin=0.3)
     params = RegularizationParams(epsilon=0.125, gamma=0.5)
@@ -315,7 +313,7 @@ def test_theta_bound_matches_direct_evaluation(generic_flow):
     out = theta_scale_bound(traj, params, measured_gap=0.05)
     theta = out["theta_used"]
     direct = max(
-        float((convolve_radial(traj.field_at(k), theta * params.epsilon).values
+        float((radial_smoother(traj.field_at(k))(theta * params.epsilon)
                - traj.values[k]).max())
         for k in range(traj.n_times))
     assert out["sup_gap"] == pytest.approx(direct, abs=1e-14)

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 import pmaflow
-from pmaflow import (FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_flow,
-                     solve_hessian_flow)
+from pmaflow import FlowParams, HessianSymbol, RhsSpec, TorusGrid, solve_hessian_flow
 from pmaflow import cli, flow_hessian, stepping
 from pmaflow.cli import RunConfig
 from pmaflow.flow_hessian import backward_euler_step, f_eval_grad_arrays
@@ -506,14 +505,14 @@ def test_forcing_floor_keeps_newton_and_solve_counts(monkeypatch):
     grid = TorusGrid(1, 32)
     rhs = RhsSpec.smooth_product(lambda x, y: 0.4 * np.cos(2 * np.pi * x),
                                  lambda t: np.exp(-t))
-    problems = [(solve_hessian_flow, _sigma_n2_problem(), [4, 4]),
-                (solve_flow, (grid.constant_field(0.0), rhs,
-                              FlowParams(T=0.1, dt=0.01)), [3] * 10)]
+    problems = [(_sigma_n2_problem(), [4, 4]),
+                ((grid.constant_field(0.0), rhs, HessianSymbol.det(1),
+                  FlowParams(T=0.1, dt=0.01)), [3] * 10)]
     steps = _recording_solves(monkeypatch)
     counts = []
-    for solve, args, _ in problems:
+    for args, _ in problems:
         steps.clear()
-        solve(*args)
+        solve_hessian_flow(*args)
         counts.append([len(step) for step in steps])
 
     # the same flows with the floor at _LINEAR_RTOL alone
@@ -522,9 +521,9 @@ def test_forcing_floor_keeps_newton_and_solve_counts(monkeypatch):
     monkeypatch.setattr(stepping, "_forcing_term",
                         lambda res, prev, eta, floor: forcing(res, prev, eta,
                                                               linear_rtol))
-    for (solve, args, pinned), got in zip(problems, counts):
+    for (args, pinned), got in zip(problems, counts):
         steps.clear()
-        solve(*args)
+        solve_hessian_flow(*args)
         assert got == [len(step) for step in steps] == pinned
 
 
